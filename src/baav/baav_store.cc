@@ -49,28 +49,23 @@ Result<Tuple> BaavStore::ProjectTuple(
   return out;
 }
 
-Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
-                             const std::vector<Tuple>& rows) {
-  // Determine the previous segment count so stale segments get deleted.
-  // kNoFill: this is internal bookkeeping, not a query read — letting its
-  // misses plant negative entries would make every bulk-build Put an
-  // install (Cluster::Put upgrades negatives), silently pre-warming the
-  // whole cache during load.
-  uint64_t old_segments = 0;
-  {
-    auto res =
-        cluster_->Get(SegmentKey(kv, key, 0), nullptr, CacheFill::kNoFill);
-    if (res.ok()) {
-      std::string_view sv = res.value();
-      GetVarint64(&sv, &old_segments);
-    } else if (!res.status().IsNotFound()) {
-      // An unreachable probe is NOT an absent block: proceeding with
-      // old_segments = 0 would leave stale overflow segments behind.
-      // Maintenance fails cleanly instead of corrupting the instance.
-      return res.status();
-    }
-  }
+namespace {
 
+/// Splits the part of a BaaV key after the instance prefix into the
+/// encoded X values and the trailing 8-byte ordered segment number.
+bool SplitSegmentKey(std::string_view rest, std::string_view* xpart,
+                     int64_t* segment) {
+  if (rest.size() < 8) return false;
+  std::string_view seg_view = rest.substr(rest.size() - 8);
+  *xpart = rest.substr(0, rest.size() - 8);
+  return DecodeOrderedInt64(&seg_view, segment) && *segment >= 0;
+}
+
+}  // namespace
+
+Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
+                             const std::vector<Tuple>& rows,
+                             uint64_t old_segments) {
   if (rows.empty()) {
     for (uint64_t s = 0; s < old_segments; ++s) {
       ZIDIAN_RETURN_NOT_OK(cluster_->Delete(SegmentKey(kv, key, s)));
@@ -87,6 +82,9 @@ Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
   size_t num_segments = (total_bytes + threshold - 1) / threshold;
   num_segments = std::max<size_t>(num_segments, 1);
   size_t per_segment = (rows.size() + num_segments - 1) / num_segments;
+  // Rounding per_segment up can fill fewer segments than estimated (5 rows
+  // over 4 segments fill 3); the header counts the segments written.
+  num_segments = (rows.size() + per_segment - 1) / per_segment;
 
   uint64_t seg = 0;
   for (size_t start = 0; start < rows.size(); start += per_segment, ++seg) {
@@ -101,9 +99,6 @@ Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
   for (uint64_t s = seg; s < old_segments; ++s) {
     ZIDIAN_RETURN_NOT_OK(cluster_->Delete(SegmentKey(kv, key, s)));
   }
-
-  auto& deg = degree_[kv.name];
-  deg = std::max<uint64_t>(deg, rows.size());
   return Status::OK();
 }
 
@@ -121,6 +116,28 @@ Status BaavStore::BuildInstance(const KvSchema& kv, const Relation& data) {
     if (i < 0) return Status::InvalidArgument("missing value attr " + a);
     yidx.push_back(i);
   }
+  // Segment counts of the blocks the instance already holds, by encoded X:
+  // one unmetered scan (scans never stall), empty on a fresh build.
+  const std::string prefix = InstancePrefix(kv);
+  std::map<std::string, uint64_t> stored;
+  Status st = Status::OK();
+  cluster_->ScanPrefix(prefix, nullptr,
+                       [&](std::string_view key, std::string_view) {
+                         std::string_view xpart;
+                         int64_t seg;
+                         if (!SplitSegmentKey(key.substr(prefix.size()),
+                                              &xpart, &seg)) {
+                           st = Status::Corruption("bad BaaV key in " +
+                                                   kv.name);
+                           return;
+                         }
+                         uint64_t& n = stored[std::string(xpart)];
+                         n = std::max(n, static_cast<uint64_t>(seg) + 1);
+                       });
+  ZIDIAN_RETURN_NOT_OK(st);
+  // The counts are re-seeded below; until then they would be stale.
+  block_sizes_.erase(kv.name);
+
   // Group by X (the mapping of §4.1: project on XY, group by X). Bag
   // semantics are preserved; the block codec compresses duplicates.
   std::unordered_map<Tuple, std::vector<Tuple>, TupleHasher> groups;
@@ -132,12 +149,28 @@ Status BaavStore::BuildInstance(const KvSchema& kv, const Relation& data) {
     for (int i : yidx) y.push_back(row[static_cast<size_t>(i)]);
     groups[std::move(x)].push_back(std::move(y));
   }
-  uint64_t deg = 0;
+  std::map<uint64_t, uint64_t> sizes;
   for (auto& [key, rows] : groups) {
-    deg = std::max<uint64_t>(deg, rows.size());
-    ZIDIAN_RETURN_NOT_OK(WriteBlock(kv, key, rows));
+    ++sizes[rows.size()];
+    uint64_t old_segments = 0;
+    if (!stored.empty()) {
+      auto it = stored.find(EncodeKeyTuple(key));
+      if (it != stored.end()) {
+        old_segments = it->second;
+        stored.erase(it);
+      }
+    }
+    ZIDIAN_RETURN_NOT_OK(WriteBlock(kv, key, rows, old_segments));
   }
-  degree_[kv.name] = deg;
+  // Blocks whose key no longer occurs in `data` go too.
+  for (const auto& [xpart, segments] : stored) {
+    for (uint64_t s = 0; s < segments; ++s) {
+      std::string k = prefix + xpart;
+      EncodeOrderedInt64(&k, static_cast<int64_t>(s));
+      ZIDIAN_RETURN_NOT_OK(cluster_->Delete(k));
+    }
+  }
+  block_sizes_[kv.name] = std::move(sizes);
   return Status::OK();
 }
 
@@ -359,37 +392,50 @@ Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
     const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
     FanoutMode fanout, FanoutStats* fanout_stats) const {
   if (fanout == FanoutMode::kSerial) return MultiGetBlocks(kv, keys, m);
-  std::vector<std::vector<Tuple>> out(keys.size());
-  if (keys.empty()) return out;
-  size_t arity = kv.value_attrs.size();
+  std::vector<BlockRef> refs;
+  refs.reserve(keys.size());
+  for (const auto& key : keys) refs.push_back({&kv, &key});
+  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> blocks,
+                          FetchBlocks(refs, m, fanout_stats));
+  std::vector<std::vector<Tuple>> out;
+  out.reserve(blocks.size());
+  for (auto& b : blocks) out.push_back(std::move(b.rows));
+  return out;
+}
+
+Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
+    const std::vector<BlockRef>& refs, QueryMetrics* m,
+    FanoutStats* fanout_stats) const {
+  std::vector<FetchedBlock> out(refs.size());
+  if (refs.empty()) return out;
 
   std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
+  seg0.reserve(refs.size());
+  for (const auto& r : refs) seg0.push_back(SegmentKey(*r.kv, *r.key, 0));
   AsyncMultiGet first = cluster_->MultiGetAsync(seg0, m);
   ZIDIAN_RETURN_NOT_OK(first.result().status);  // verdicts are set at issue
 
-  std::vector<uint64_t> seg_count(keys.size(), 0);
   ZIDIAN_RETURN_NOT_OK(
-      DrainDecoding(&first, keys.size(), [&](size_t i) -> Status {
+      DrainDecoding(&first, refs.size(), [&](size_t i) -> Status {
         if (!first.result()[i].has_value()) return Status::OK();  // absent
+        const KvSchema& kv = *refs[i].kv;
         std::string_view sv = *first.result()[i];
         uint64_t segments = 0;
         if (!GetVarint64(&sv, &segments) || segments == 0) {
           return Status::Corruption("bad segment header in " + kv.name);
         }
-        seg_count[i] = segments;
-        return DecodeBlock(sv, arity, &out[i]);
+        out[i].segments = segments;
+        return DecodeBlock(sv, kv.value_attrs.size(), &out[i].rows);
       }));
-  MultiGetResult round1 = first.Finish(fanout_stats);
+  (void)first.Finish(fanout_stats);  // already drained; keep only the stats
 
   // Overflow round: keys collected in slot order AFTER the full drain, so
   // the request — and therefore every counter — matches the serial path.
   std::vector<std::string> extra_keys;
   std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (uint64_t s = 1; s < seg_count[i]; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
+  for (size_t i = 0; i < refs.size(); ++i) {
+    for (uint64_t s = 1; s < out[i].segments; ++s) {
+      extra_keys.push_back(SegmentKey(*refs[i].kv, *refs[i].key, s));
       extra_owner.push_back(i);
     }
   }
@@ -402,22 +448,26 @@ Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
     std::vector<std::vector<Tuple>> parts(extra_keys.size());
     ZIDIAN_RETURN_NOT_OK(
         DrainDecoding(&rest, extra_keys.size(), [&](size_t j) -> Status {
+          const KvSchema& kv = *refs[extra_owner[j]].kv;
           if (!rest.result()[j].has_value()) {
             return Status::Corruption("missing segment in " + kv.name);
           }
-          return DecodeBlock(*rest.result()[j], arity, &parts[j]);
+          return DecodeBlock(*rest.result()[j], kv.value_attrs.size(),
+                             &parts[j]);
         }));
     (void)rest.Finish(fanout_stats);  // already drained; keep only the stats
     for (size_t j = 0; j < extra_keys.size(); ++j) {
-      auto& rows = out[extra_owner[j]];
+      auto& rows = out[extra_owner[j]].rows;
       rows.insert(rows.end(), std::make_move_iterator(parts[j].begin()),
                   std::make_move_iterator(parts[j].end()));
     }
   }
   if (m != nullptr) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!round1[i].has_value()) continue;
-      m->values_accessed += out[i].size() * arity + keys[i].size();
+    for (size_t i = 0; i < refs.size(); ++i) {
+      if (out[i].segments == 0) continue;
+      m->values_accessed +=
+          out[i].rows.size() * refs[i].kv->value_attrs.size() +
+          refs[i].key->size();
     }
   }
   return out;
@@ -572,21 +622,15 @@ Status BaavStore::ScanInstance(
   std::map<std::string, std::map<int64_t, std::string>> by_key;
   cluster_->ScanPrefix(prefix, m,
                        [&](std::string_view key, std::string_view value) {
-                         std::string_view rest = key.substr(prefix.size());
-                         // Trailing 8 bytes: ordered int64 segment number.
-                         if (rest.size() < 8) {
-                           st = Status::Corruption("short BaaV key");
-                           return;
-                         }
-                         std::string_view seg_view =
-                             rest.substr(rest.size() - 8);
-                         std::string xpart(rest.substr(0, rest.size() - 8));
+                         std::string_view xpart;
                          int64_t seg;
-                         if (!DecodeOrderedInt64(&seg_view, &seg)) {
-                           st = Status::Corruption("bad segment suffix");
+                         if (!SplitSegmentKey(key.substr(prefix.size()),
+                                              &xpart, &seg)) {
+                           st = Status::Corruption("bad BaaV key in " +
+                                                   kv.name);
                            return;
                          }
-                         by_key[xpart][seg] = std::string(value);
+                         by_key[std::string(xpart)][seg] = std::string(value);
                        });
   ZIDIAN_RETURN_NOT_OK(st);
 
@@ -655,21 +699,20 @@ Status BaavStore::ScanInstance(
 }
 
 Result<uint64_t> BaavStore::Degree(const KvSchema& kv) const {
-  auto it = degree_.find(kv.name);
-  if (it != degree_.end()) return it->second;
-  uint64_t deg = 0;
-  QueryMetrics scratch;
-  Status st = ScanInstance(
-      kv, &scratch, [&](const Tuple&, const std::vector<Tuple>& rows) {
-        deg = std::max<uint64_t>(deg, rows.size());
-      });
-  // A failed scan proves nothing about the degree: propagate and leave the
-  // cache alone so a later healthy scan can still answer. (The dropped
-  // Status here used to cache whatever partial max the scan reached —
-  // typically 0 — forever.)
-  if (!st.ok()) return st;
-  degree_[kv.name] = deg;
-  return deg;
+  auto it = block_sizes_.find(kv.name);
+  if (it == block_sizes_.end()) {
+    std::map<uint64_t, uint64_t> sizes;
+    QueryMetrics scratch;
+    Status st = ScanInstance(
+        kv, &scratch, [&](const Tuple&, const std::vector<Tuple>& rows) {
+          if (!rows.empty()) ++sizes[rows.size()];
+        });
+    // A failed scan proves nothing about the degree: propagate and leave
+    // the counts unseeded so a later healthy scan can still answer.
+    if (!st.ok()) return st;
+    it = block_sizes_.emplace(kv.name, std::move(sizes)).first;
+  }
+  return it->second.empty() ? 0 : it->second.rbegin()->first;
 }
 
 Result<uint64_t> BaavStore::MaxDegree() const {
@@ -681,40 +724,90 @@ Result<uint64_t> BaavStore::MaxDegree() const {
   return deg;
 }
 
-Result<std::vector<Tuple>> BaavStore::ReadBlockRaw(const KvSchema& kv,
-                                                   const Tuple& key) const {
-  return GetBlock(kv, key, nullptr);
+Result<BaavStore::Maintenance> BaavStore::ReadAffected(
+    const std::string& relation, const Tuple& tuple,
+    void (*edit)(std::vector<Tuple>* rows, Tuple y)) const {
+  Maintenance update;
+  std::vector<Tuple> ys;
+  for (const auto* kv : schema_.ForRelation(relation)) {
+    BlockUpdate block;
+    block.kv = kv;
+    ZIDIAN_ASSIGN_OR_RETURN(block.key,
+                            ProjectTuple(*kv, tuple, kv->key_attrs));
+    ZIDIAN_ASSIGN_OR_RETURN(Tuple y,
+                            ProjectTuple(*kv, tuple, kv->value_attrs));
+    ys.push_back(std::move(y));
+    update.push_back(std::move(block));
+  }
+  std::vector<BlockRef> refs;
+  refs.reserve(update.size());
+  for (const auto& block : update) refs.push_back({block.kv, &block.key});
+  // Unmetered, like every maintenance access; kFill, so the cache ends up
+  // holding what a full read of these blocks would have left behind.
+  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> fetched,
+                          FetchBlocks(refs, nullptr, nullptr));
+  for (size_t i = 0; i < update.size(); ++i) {
+    update[i].rows = std::move(fetched[i].rows);
+    update[i].old_size = update[i].rows.size();
+    update[i].old_segments = fetched[i].segments;
+    edit(&update[i].rows, std::move(ys[i]));
+  }
+  return update;
+}
+
+Result<BaavStore::Maintenance> BaavStore::ReadForInsert(
+    const std::string& relation, const Tuple& tuple) const {
+  return ReadAffected(relation, tuple, [](std::vector<Tuple>* rows, Tuple y) {
+    rows->push_back(std::move(y));
+  });
+}
+
+Result<BaavStore::Maintenance> BaavStore::ReadForDelete(
+    const std::string& relation, const Tuple& tuple) const {
+  return ReadAffected(relation, tuple, [](std::vector<Tuple>* rows, Tuple y) {
+    auto it = std::find(rows->begin(), rows->end(), y);
+    if (it != rows->end()) rows->erase(it);
+  });
+}
+
+Status BaavStore::Install(const Maintenance& update) {
+  for (const auto& block : update) {
+    Status st =
+        WriteBlock(*block.kv, block.key, block.rows, block.old_segments);
+    if (!st.ok()) {
+      // The block's state is uncertain now: let the next Degree rescan.
+      block_sizes_.erase(block.kv->name);
+      return st;
+    }
+    auto it = block_sizes_.find(block.kv->name);
+    // Unmeasured instances stay so: the first Degree scan sees this write.
+    if (it == block_sizes_.end()) continue;
+    auto& sizes = it->second;
+    if (block.old_size > 0) {
+      auto old = sizes.find(block.old_size);
+      if (old == sizes.end()) {
+        // The counts missed a block (someone else wrote the instance):
+        // drop them and let the next Degree rescan.
+        block_sizes_.erase(it);
+        continue;
+      }
+      if (--old->second == 0) sizes.erase(old);
+    }
+    if (!block.rows.empty()) ++sizes[block.rows.size()];
+  }
+  return Status::OK();
 }
 
 Status BaavStore::ApplyInsert(const std::string& relation,
                               const Tuple& tuple) {
-  for (const auto* kv : schema_.ForRelation(relation)) {
-    ZIDIAN_ASSIGN_OR_RETURN(Tuple x, ProjectTuple(*kv, tuple, kv->key_attrs));
-    ZIDIAN_ASSIGN_OR_RETURN(Tuple y,
-                            ProjectTuple(*kv, tuple, kv->value_attrs));
-    ZIDIAN_ASSIGN_OR_RETURN(std::vector<Tuple> rows, ReadBlockRaw(*kv, x));
-    rows.push_back(std::move(y));
-    ZIDIAN_RETURN_NOT_OK(WriteBlock(*kv, x, rows));
-  }
-  return Status::OK();
+  ZIDIAN_ASSIGN_OR_RETURN(Maintenance update, ReadForInsert(relation, tuple));
+  return Install(update);
 }
 
 Status BaavStore::ApplyDelete(const std::string& relation,
                               const Tuple& tuple) {
-  for (const auto* kv : schema_.ForRelation(relation)) {
-    ZIDIAN_ASSIGN_OR_RETURN(Tuple x, ProjectTuple(*kv, tuple, kv->key_attrs));
-    ZIDIAN_ASSIGN_OR_RETURN(Tuple y,
-                            ProjectTuple(*kv, tuple, kv->value_attrs));
-    ZIDIAN_ASSIGN_OR_RETURN(std::vector<Tuple> rows, ReadBlockRaw(*kv, x));
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i] == y) {
-        rows.erase(rows.begin() + static_cast<long>(i));
-        break;
-      }
-    }
-    ZIDIAN_RETURN_NOT_OK(WriteBlock(*kv, x, rows));
-  }
-  return Status::OK();
+  ZIDIAN_ASSIGN_OR_RETURN(Maintenance update, ReadForDelete(relation, tuple));
+  return Install(update);
 }
 
 int BaavStore::NodeForBlock(const KvSchema& kv, const Tuple& key) const {

@@ -12,7 +12,9 @@
 //
 // The store also implements:
 //  * the relational->BaaV mapping (BuildInstance / BuildAll, §4.1),
-//  * incremental maintenance under insert/delete in O(|Δ| · deg(~D)) (§8.2),
+//  * incremental maintenance under insert/delete in O(|Δ| · deg(~D)) (§8.2):
+//    one overlapped read round over every derived instance (plus one for
+//    split blocks), then an install that only writes,
 //  * degree tracking (deg of each instance, §4.1) for boundedness checks,
 //  * header-only statistics access for grouped aggregates (§8.2).
 #ifndef ZIDIAN_BAAV_BAAV_STORE_H_
@@ -51,6 +53,11 @@ class BaavStore {
 
   /// Maps one relation's data (columns matching the relation schema,
   /// unqualified) onto one KV instance: project on XY, group by X, encode.
+  /// Afterwards the instance holds exactly `data`'s blocks: the segment
+  /// counts of what it held before come from one unmetered ScanPrefix of
+  /// the instance (empty on a fresh build), so stale segments and blocks
+  /// are deleted without a single read round trip. Seeds the instance's
+  /// block-size counts (Degree).
   Status BuildInstance(const KvSchema& kv, const Relation& data);
 
   /// Maps a whole database: builds every KV instance whose relation appears
@@ -124,19 +131,48 @@ class BaavStore {
       const std::function<void(const Tuple& key,
                                const std::vector<Tuple>& rows)>& fn) const;
 
-  /// deg(~D) of one instance: max logical block size (tuples). Computed on
-  /// first use (a full instance scan) and kept current by incremental
-  /// maintenance. A failed scan propagates its error and caches nothing —
-  /// it must not poison the degree cache with a partial count (the planner
-  /// reads this for §6.1 boundedness; a silently-zero degree would claim
-  /// bounded evaluation for an instance nobody measured).
+  /// deg(~D) of one instance: max logical block size (tuples). The store
+  /// counts each instance's blocks by size; BuildInstance or the first
+  /// Degree call (a full instance scan) seeds the counts, and every
+  /// Install applies its blocks' old->new size change, so the degree stays
+  /// exact as blocks grow, shrink and vanish. A failed scan propagates its
+  /// error and caches nothing — it must not poison the counts with a
+  /// partial scan (the planner reads this for §6.1 boundedness; a
+  /// silently-low degree would claim bounded evaluation for an instance
+  /// nobody measured).
   Result<uint64_t> Degree(const KvSchema& kv) const;
   /// deg over all instances; first scan failure propagates.
   Result<uint64_t> MaxDegree() const;
 
-  /// Incremental maintenance: reflects one inserted/deleted tuple of
-  /// `relation` (values in relation-schema column order) in every KV
-  /// instance derived from it. O(deg) per instance.
+  /// One block a pending mutation rewrites: the block of `kv` under `key`
+  /// as the read phase found it (size and segment count; 0 segments when
+  /// absent) and as the install phase writes it back.
+  struct BlockUpdate {
+    const KvSchema* kv = nullptr;
+    Tuple key;
+    uint64_t old_size = 0;
+    uint64_t old_segments = 0;
+    std::vector<Tuple> rows;
+  };
+  using Maintenance = std::vector<BlockUpdate>;
+
+  /// Maintenance read phase for one inserted/deleted tuple of `relation`
+  /// (values in relation-schema column order): fetches the affected block
+  /// of every KV instance derived from it in one Cluster::MultiGetAsync
+  /// fan-out, plus one overflow round only when a block is split, and
+  /// computes each new block. Unmetered; misses fill the BlockCache like
+  /// any full read. Writes nothing, so a failed read leaves the store as
+  /// it was.
+  Result<Maintenance> ReadForInsert(const std::string& relation,
+                                    const Tuple& tuple) const;
+  Result<Maintenance> ReadForDelete(const std::string& relation,
+                                    const Tuple& tuple) const;
+  /// Maintenance install phase: writes every block of `update` (Put /
+  /// Delete only — no read, no stall) and applies the size changes to the
+  /// degree counts. O(deg) per instance.
+  Status Install(const Maintenance& update);
+
+  /// Incremental maintenance (§8.2): the read phase, then the install.
   Status ApplyInsert(const std::string& relation, const Tuple& tuple);
   Status ApplyDelete(const std::string& relation, const Tuple& tuple);
 
@@ -156,18 +192,43 @@ class BaavStore {
   /// Projects a relation-order tuple onto the given attribute names.
   Result<Tuple> ProjectTuple(const KvSchema& kv, const Tuple& tuple,
                              const std::vector<std::string>& attrs) const;
-  /// Reads all segments of a key (unmetered), empty if absent.
-  Result<std::vector<Tuple>> ReadBlockRaw(const KvSchema& kv,
-                                          const Tuple& key) const;
-  /// Rewrites the whole block for a key (re-splitting as needed).
+  /// One block to fetch: an instance and a key (X values) in it.
+  struct BlockRef {
+    const KvSchema* kv;
+    const Tuple* key;
+  };
+  /// A fetched block: its rows and the number of segments holding it
+  /// (0 when the key is absent).
+  struct FetchedBlock {
+    std::vector<Tuple> rows;
+    uint64_t segments = 0;
+  };
+  /// The overlapped two-round block fetch over (instance, key) pairs: all
+  /// first segments in one Cluster::MultiGetAsync fan-out, decoded as each
+  /// node's batch completes, then the overflow segments of split blocks in
+  /// a second. MultiGetBlocks(kOverlapped) and the maintenance read phase
+  /// both run on it.
+  Result<std::vector<FetchedBlock>> FetchBlocks(
+      const std::vector<BlockRef>& refs, QueryMetrics* m,
+      FanoutStats* fanout_stats) const;
+  /// The shared read phase: fetches the derived instances' blocks for
+  /// `tuple` and applies `edit` with the tuple's Y-projection to each.
+  Result<Maintenance> ReadAffected(
+      const std::string& relation, const Tuple& tuple,
+      void (*edit)(std::vector<Tuple>* rows, Tuple y)) const;
+  /// Rewrites the whole block for a key (re-splitting as needed) over
+  /// the `old_segments` segments it had, deleting the ones no longer
+  /// used. Never reads: the caller knows the old segment count.
   Status WriteBlock(const KvSchema& kv, const Tuple& key,
-                    const std::vector<Tuple>& rows);
+                    const std::vector<Tuple>& rows, uint64_t old_segments);
 
   Cluster* cluster_;
   BaavSchema schema_;
   const Catalog* catalog_;
   BaavStoreOptions options_;
-  mutable std::map<std::string, uint64_t> degree_;  // instance -> max block
+  /// instance -> (block size in tuples -> number of blocks of that size);
+  /// an instance is absent until BuildInstance or Degree measures it.
+  mutable std::map<std::string, std::map<uint64_t, uint64_t>> block_sizes_;
 };
 
 }  // namespace zidian

@@ -29,24 +29,29 @@ Status Zidian::BuildBaav(const std::map<std::string, Relation>& db) {
   return Status::OK();
 }
 
+// Both mutations run BaaV maintenance's read phase before any write, so a
+// failed read (an unreachable node) changes neither layout.
 Status Zidian::Insert(const std::string& relation, const Tuple& tuple) {
   ZIDIAN_ASSIGN_OR_RETURN(TableSchema schema, catalog_->Get(relation));
+  ZIDIAN_ASSIGN_OR_RETURN(BaavStore::Maintenance update,
+                          store_.ReadForInsert(relation, tuple));
   Relation one(schema.AttributeNames());
   one.Add(tuple);
   ZIDIAN_RETURN_NOT_OK(TaavLoadRelation(cluster_, schema, one));
-  return store_.ApplyInsert(relation, tuple);
+  return store_.Install(update);
 }
 
 Status Zidian::Delete(const std::string& relation, const Tuple& tuple) {
   ZIDIAN_ASSIGN_OR_RETURN(TableSchema schema, catalog_->Get(relation));
-  std::vector<int> pk_idx;
   Tuple pk;
   for (const auto& k : schema.primary_key()) {
     int i = schema.ColumnIndex(k);
     pk.push_back(tuple[static_cast<size_t>(i)]);
   }
+  ZIDIAN_ASSIGN_OR_RETURN(BaavStore::Maintenance update,
+                          store_.ReadForDelete(relation, tuple));
   ZIDIAN_RETURN_NOT_OK(TaavDeleteTuple(cluster_, schema, pk));
-  return store_.ApplyDelete(relation, tuple);
+  return store_.Install(update);
 }
 
 Result<Relation> Zidian::Answer(const std::string& sql, int workers,

@@ -120,7 +120,8 @@ class Zidian {
   /// Maps `db` onto the BaaV schema (module M4's data plane).
   Status BuildBaav(const std::map<std::string, Relation>& db);
 
-  /// Keeps both layouts in sync with one tuple-level update (§8.2).
+  /// Keeps both layouts in sync with one tuple-level update (§8.2). The
+  /// BaaV read phase runs first: when it fails, neither layout changes.
   Status Insert(const std::string& relation, const Tuple& tuple);
   Status Delete(const std::string& relation, const Tuple& tuple);
 

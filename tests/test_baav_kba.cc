@@ -261,6 +261,47 @@ TEST_F(BaavStoreFixture, BlockSplittingKeepsLogicalBlock) {
   EXPECT_GT(m.get_calls, 1u);  // one get per segment
 }
 
+// A block's segment count is estimated from its byte size, then rows are
+// dealt out evenly. Rounding the rows per segment up can fill fewer
+// segments than estimated (5 rows over an estimated 4 segments fill 3),
+// and the segment-0 header must count the segments actually written, or
+// every read of the block fails on a missing segment.
+TEST(BaavStoreSplit, HeaderCountsWrittenSegments) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddTable(TableSchema("pad",
+                                        {{"k", ValueType::kInt},
+                                         {"id", ValueType::kInt},
+                                         {"s", ValueType::kString}},
+                                        {"id"}))
+                  .ok());
+  BaavSchema schema;
+  ASSERT_TRUE(schema.Add(MakeKvSchema("pad", {"k"}, {"id", "s"})).ok());
+  const KvSchema& kv = schema.all().front();
+  for (size_t threshold : {64u, 100u, 150u, 250u}) {
+    for (int64_t n = 1; n <= 12; ++n) {
+      Cluster cluster(ClusterOptions{.num_storage_nodes = 2,
+                                     .backend = BackendKind::kMem});
+      BaavStoreOptions opts;
+      opts.block_split_threshold_bytes = threshold;
+      BaavStore store(&cluster, schema, &catalog, opts);
+      Relation data({"k", "id", "s"});
+      for (int64_t i = 0; i < n; ++i) {
+        data.Add({Value(int64_t{1}), Value(i), Value(std::string(40, 'x'))});
+      }
+      ASSERT_TRUE(store.BuildInstance(kv, data).ok());
+      auto rows = store.GetBlock(kv, {Value(int64_t{1})}, nullptr);
+      ASSERT_TRUE(rows.ok()) << "threshold " << threshold << " rows " << n
+                             << ": " << rows.status().ToString();
+      EXPECT_EQ(rows->size(), static_cast<size_t>(n));
+      auto batched = store.MultiGetBlocks(kv, {{Value(int64_t{1})}}, nullptr,
+                                          FanoutMode::kOverlapped, nullptr);
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      EXPECT_EQ((*batched)[0].size(), static_cast<size_t>(n));
+    }
+  }
+}
+
 TEST_F(BaavStoreFixture, IncrementalInsertMatchesRebuild) {
   // Differential: apply N random inserts incrementally, compare with a
   // store rebuilt from scratch.
