@@ -11,18 +11,20 @@
 //
 // The parallel-mode sweep additionally validates the makespan model
 // against the clock: ExecOptions::parallel_mode × workers ∈ {1,2,4,8} on
-// an extend-heavy plan, with an injected per-round-trip latency
-// (ClusterOptions::round_trip_latency_us) standing in for the network RTT
-// a remote store would charge. kThreads overlaps its per-worker MultiGets
-// where kSimulated pays them back-to-back, so measured wall-clock falls
-// with p exactly as makespan_get predicts — on any core count. Counters
-// must be identical between the modes on every cell.
+// an extend-heavy plan, over a uniform NetworkModel link that prices only
+// the round trip (NetworkLinkOptions::rtt_us), standing in for the
+// network RTT a remote store would charge. kThreads overlaps its
+// per-worker MultiGets where kSimulated pays them back-to-back, so
+// measured wall-clock falls with p as makespan_get predicts. Each cell
+// also splits its wall time into the fetch region (the per-worker
+// MultiGets and block decode) and the SQL-layer compute. Counters must be
+// identical between the modes on every cell.
 //
 // A second sweep runs the same contract over the TaaV baseline: the
-// threaded per-tuple get scan overlaps its (injected) per-get round-trip
-// stalls where the sequential scan pays them back-to-back, so the
-// baseline leg must show the same wall-clock-falls-with-p shape with
-// identical counters — treatment and control on one substrate.
+// threaded per-tuple get scan overlaps its per-get round-trip stalls
+// where the sequential scan pays them back-to-back, so the baseline leg
+// must show the same wall-clock-falls-with-p shape with identical
+// counters — treatment and control on one substrate.
 //
 // A third sweep exercises the NetworkModel (storage/network_model.h):
 // node counts × batching on/off under one priced network. A batched
@@ -30,12 +32,12 @@
 // one per key, so batching must win by ~K/nodes — in modeled seconds
 // (makespan_net + queue delay) and on the measured clock.
 //
-// A fourth sweep gates the overlapped fan-out (FanoutMode::kOverlapped,
-// Cluster::MultiGetAsync): with one of 8 storage nodes 10x slower, the
-// serial fan-out pays the sum of its per-node stalls (~17 RTTs) while
-// the overlapped one pays ~the bottleneck node alone (~10 RTTs) — a
-// ~0.59x ratio, gated at <= 0.6x on the wall clock AND the modeled
-// network leg, with identical counters.
+// A fourth sweep gates the stall schedule of Cluster::MultiGet
+// (FanoutMode): with one of 8 storage nodes 10x slower, the serial
+// fan-out pays the sum of its per-node stalls (~17 RTTs) while the
+// overlapped one pays ~the bottleneck node alone (~10 RTTs) — a ~0.59x
+// ratio, gated at <= 0.6x on the wall clock AND the modeled network leg,
+// with identical counters.
 //
 // Usage: bench_fig4_parallel [--smoke | --skew]
 //   --smoke: CI-sized sweeps only; exits non-zero unless (a) counters
@@ -140,6 +142,13 @@ KbaPlanPtr ExtendHeavyPlan(int64_t n_vehicles) {
                          "mot_test@vehicle_id", "t", {{"d", "vehicle_id"}});
 }
 
+/// 8 storage nodes behind a uniform link that prices only the round trip.
+ClusterOptions UniformRtt(int rtt_us) {
+  ClusterOptions co{.num_storage_nodes = 8};
+  co.network.link.rtt_us = rtt_us;
+  return co;
+}
+
 SweepCell RunCell(Instance& inst, const KbaPlan& plan, ParallelMode mode,
                   int workers, int repeats) {
   SweepCell cell;
@@ -157,9 +166,11 @@ SweepCell RunCell(Instance& inst, const KbaPlan& plan, ParallelMode mode,
                    res.status().ToString().c_str());
       std::abort();
     }
-    if (r == 0 || wall < cell.wall_s) cell.wall_s = wall;
+    if (r == 0 || wall < cell.wall_s) {
+      cell.wall_s = wall;
+      cell.m = m;  // the fastest repeat's wall split
+    }
     cell.sim_s = SimSeconds(m, SoH());
-    cell.m = m;
   }
   return cell;
 }
@@ -168,21 +179,18 @@ SweepCell RunCell(Instance& inst, const KbaPlan& plan, ParallelMode mode,
 /// parallel_mode × workers on the extend-heavy plan. Returns false if
 /// the determinism or speedup contract is violated (checked in --smoke).
 bool ModeSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
-  Instance inst =
-      Load(MakeMot(scale, 42),
-           ClusterOptions{.num_storage_nodes = 8,
-                          .round_trip_latency_us = latency_us});
+  Instance inst = Load(MakeMot(scale, 42), UniformRtt(latency_us));
   int64_t n_vehicles = std::max<int64_t>(20, static_cast<int64_t>(500 * scale));
   KbaPlanPtr plan = ExtendHeavyPlan(n_vehicles);
 
   std::printf(
       "\nParallel-mode sweep (extend of %lld vehicle blocks into "
-      "mot_test@vehicle_id, 8 storage nodes, %dus injected round-trip "
-      "latency)\n",
+      "mot_test@vehicle_id, 8 storage nodes, %dus round-trip latency)\n",
       static_cast<long long>(n_vehicles), latency_us);
   PrintRule();
-  std::printf("%-4s %-10s %12s %12s %12s %10s\n", "p", "mode", "sim s",
-              "wall ms", "round trips", "speedup");
+  std::printf("%-4s %-10s %10s %10s %10s %10s %8s %9s\n", "p", "mode",
+              "sim s", "wall ms", "fetch ms", "compute ms", "trips",
+              "speedup");
   PrintRule();
 
   bool ok = true;
@@ -200,12 +208,16 @@ bool ModeSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
     }
     if (p == 1) threads_wall_at_1 = thr.wall_s;
     if (p == 4) threads_wall_at_4 = thr.wall_s;
-    std::printf("%-4d %-10s %12s %12.2f %12llu %10s\n", p, "simulated",
-                Num(sim.sim_s).c_str(), sim.wall_s * 1e3,
+    std::printf("%-4d %-10s %10s %10.2f %10.2f %10.2f %8llu %9s\n", p,
+                "simulated", Num(sim.sim_s).c_str(), sim.wall_s * 1e3,
+                sim.m.wall_fetch_seconds * 1e3,
+                sim.m.wall_compute_seconds * 1e3,
                 static_cast<unsigned long long>(sim.m.get_round_trips), "-");
     double speedup = thr.wall_s > 0 ? sim.wall_s / thr.wall_s : 0;
-    std::printf("%-4d %-10s %12s %12.2f %12llu %9.2fx\n", p, "threads",
-                Num(thr.sim_s).c_str(), thr.wall_s * 1e3,
+    std::printf("%-4d %-10s %10s %10.2f %10.2f %10.2f %8llu %8.2fx\n", p,
+                "threads", Num(thr.sim_s).c_str(), thr.wall_s * 1e3,
+                thr.m.wall_fetch_seconds * 1e3,
+                thr.m.wall_compute_seconds * 1e3,
                 static_cast<unsigned long long>(thr.m.get_round_trips),
                 speedup);
   }
@@ -227,16 +239,13 @@ bool ModeSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
 }
 
 /// The TaaV leg: the baseline's blind scan pays one (simulated) get per
-/// tuple; with an injected per-get stall, the threaded scan's chunk-per-
+/// tuple; with a per-get round-trip stall, the threaded scan's chunk-per-
 /// worker fan-out must compress wall-clock by ~p while counters stay
 /// identical to kSimulated. mot-q9 (single-table filter + GROUP BY)
 /// drives the full threaded baseline pipeline through the facade —
 /// shared Connection pool included.
 bool TaavSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
-  Instance inst =
-      Load(MakeMot(scale, 42),
-           ClusterOptions{.num_storage_nodes = 8,
-                          .round_trip_latency_us = latency_us});
+  Instance inst = Load(MakeMot(scale, 42), UniformRtt(latency_us));
   const auto& query = inst.workload.queries[8];  // mot-q9
   Connection conn = inst.zidian->Connect();
   auto prepared = conn.Prepare(query.sql);
@@ -247,7 +256,7 @@ bool TaavSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
   }
 
   std::printf(
-      "\nTaaV baseline sweep (%s via ForceBaseline, %dus injected per-get "
+      "\nTaaV baseline sweep (%s via ForceBaseline, %dus per-get "
       "round-trip latency)\n",
       query.name.c_str(), latency_us);
   PrintRule();
@@ -477,7 +486,7 @@ double NetLegSeconds(const QueryMetrics& m) {
 /// (NetworkOptions::node_links). A serial fan-out over all 8 nodes pays
 /// the SUM of its per-node batch stalls — 7 healthy RTTs plus the slow
 /// one, ~17R — while the overlapped fan-out (FanoutMode::kOverlapped,
-/// Cluster::MultiGetAsync) keeps every batch in flight together and pays
+/// Cluster::MultiGet) keeps every batch in flight together and pays
 /// ~the bottleneck node alone, ~10R. Expected ratio 10/17 ~ 0.59; gated
 /// at <= 0.6 on the measured wall clock AND on the modeled network leg.
 bool SkewedNodeSweep(int repeats, bool assert_gate) {
@@ -648,7 +657,7 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
   if (smoke) {
-    // CI-sized: the sweeps only, with enough injected latency that round
+    // CI-sized: the sweeps only, with enough round-trip latency that round
     // trips dominate the clock even on a loaded single-core runner.
     bool ok = ModeSweep(/*scale=*/2.0, /*latency_us=*/1000, /*repeats=*/5,
                         /*assert_smoke=*/true);

@@ -226,7 +226,7 @@ void BM_ExtendPointAccess(benchmark::State& state) {
                               {{"x", "k"}});
   for (auto _ : state) {
     QueryMetrics m;
-    benchmark::DoNotOptimize(exec.Execute(*plan, 1, &m));
+    benchmark::DoNotOptimize(exec.Execute(*plan, KbaExecOptions{}, &m));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -240,7 +240,7 @@ void BM_ScanJoinSameLookup(benchmark::State& state) {
                             {{"x", "t.k"}});
   for (auto _ : state) {
     QueryMetrics m;
-    benchmark::DoNotOptimize(exec.Execute(*plan, 1, &m));
+    benchmark::DoNotOptimize(exec.Execute(*plan, KbaExecOptions{}, &m));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -266,205 +266,73 @@ void ChargeStatsFetch(const QueryMetrics& scratch, uint64_t segments_fetched,
 
 }  // namespace
 
-Result<BlockStats> BaavStore::GetBlockStats(const KvSchema& kv,
-                                            const Tuple& key,
-                                            QueryMetrics* m) const {
-  size_t arity = kv.value_attrs.size();
-  BlockStats total;
-  total.columns.assign(arity, BlockColumnStats{});
-  // Fetch through a scratch meter (header-sized payloads only; see
-  // ChargeStatsFetch) so cache hits and saved round trips are preserved.
-  // kNoFill: a stats read is charged header bytes, so its misses must not
-  // plant the full block in the cache for later reads to get "for free".
-  QueryMetrics scratch;
-  uint64_t segments_fetched = 0;
-  auto first =
-      cluster_->Get(SegmentKey(kv, key, 0), &scratch, CacheFill::kNoFill);
-  if (!first.ok()) {
-    // Absent: zero rows, nothing charged. Unreachable: propagate — stats
-    // of a block we could not read are not "zero rows".
-    if (first.status().IsNotFound()) return total;
-    return first.status();
-  }
-  std::string_view sv = first.value();
-  uint64_t segments = 0;
-  if (!GetVarint64(&sv, &segments) || segments == 0) {
-    return Status::Corruption("bad segment header in " + kv.name);
-  }
-  BlockStats part;
-  ZIDIAN_RETURN_NOT_OK(DecodeBlockStats(sv, arity, &part));
-  MergeBlockStats(&total, part, arity);
-  ++segments_fetched;
-  for (uint64_t s = 1; s < segments; ++s) {
-    auto res =
-        cluster_->Get(SegmentKey(kv, key, s), &scratch, CacheFill::kNoFill);
-    if (!res.ok()) return res.status();
-    BlockStats seg_stats;
-    ZIDIAN_RETURN_NOT_OK(
-        DecodeBlockStats(res.value(), arity, &seg_stats));
-    MergeBlockStats(&total, seg_stats, arity);
-    ++segments_fetched;
-  }
-  ChargeStatsFetch(scratch, segments_fetched, arity, m);
-  return total;
-}
-
-namespace {
-
-/// Drains one in-flight fan-out, invoking `decode` on every result slot:
-/// cache-served slots first (they never left the middleware, so they are
-/// readable before any node answers), then each node's slots as its
-/// modeled completion arrives — decoding overlaps the batches still in
-/// flight. Slot-coverage order differs from the serial path but every
-/// decode is per-slot independent, so rows and counters cannot.
-Status DrainDecoding(AsyncMultiGet* handle, size_t slots,
-                     const std::function<Status(size_t)>& decode) {
-  std::vector<uint8_t> in_batch(slots, 0);
-  for (const auto& b : handle->batches()) {
-    for (uint32_t s : b.slots) in_batch[s] = 1;
-  }
-  for (size_t i = 0; i < slots; ++i) {
-    if (in_batch[i] == 0) ZIDIAN_RETURN_NOT_OK(decode(i));
-  }
-  for (int b = handle->WaitNext(); b >= 0; b = handle->WaitNext()) {
-    for (uint32_t s : handle->batches()[static_cast<size_t>(b)].slots) {
-      ZIDIAN_RETURN_NOT_OK(decode(s));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
-    const KvSchema& kv, const std::vector<Tuple>& keys,
-    QueryMetrics* m) const {
-  std::vector<std::vector<Tuple>> out(keys.size());
-  if (keys.empty()) return out;
-  size_t arity = kv.value_attrs.size();
-
-  std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  auto first = cluster_->MultiGet(seg0, m);
-  ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
-
-  // Blocks split across segments need a second round for the overflow keys.
-  std::vector<std::string> extra_keys;
-  std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!first[i].has_value()) continue;  // absent key: empty block
-    std::string_view sv = *first[i];
-    uint64_t segments = 0;
-    if (!GetVarint64(&sv, &segments) || segments == 0) {
-      return Status::Corruption("bad segment header in " + kv.name);
-    }
-    ZIDIAN_RETURN_NOT_OK(DecodeBlock(sv, arity, &out[i]));
-    for (uint64_t s = 1; s < segments; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
-      extra_owner.push_back(i);
-    }
-  }
-  if (!extra_keys.empty()) {
-    auto rest = cluster_->MultiGet(extra_keys, m);
-    ZIDIAN_RETURN_NOT_OK(rest.status);
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      if (!rest[j].has_value()) {
-        return Status::Corruption("missing segment in " + kv.name);
-      }
-      std::vector<Tuple> part;
-      ZIDIAN_RETURN_NOT_OK(DecodeBlock(*rest[j], arity, &part));
-      auto& rows = out[extra_owner[j]];
-      rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-    }
-  }
-  if (m != nullptr) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!first[i].has_value()) continue;
-      m->values_accessed += out[i].size() * arity + keys[i].size();
-    }
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
-    const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-    FanoutMode fanout, FanoutStats* fanout_stats) const {
-  if (fanout == FanoutMode::kSerial) return MultiGetBlocks(kv, keys, m);
-  std::vector<BlockRef> refs;
-  refs.reserve(keys.size());
-  for (const auto& key : keys) refs.push_back({&kv, &key});
-  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> blocks,
-                          FetchBlocks(refs, m, fanout_stats));
-  std::vector<std::vector<Tuple>> out;
-  out.reserve(blocks.size());
-  for (auto& b : blocks) out.push_back(std::move(b.rows));
-  return out;
-}
-
-Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
-    const std::vector<BlockRef>& refs, QueryMetrics* m,
-    FanoutStats* fanout_stats) const {
-  std::vector<FetchedBlock> out(refs.size());
-  if (refs.empty()) return out;
+Result<std::vector<uint64_t>> BaavStore::FetchSegments(
+    const std::vector<BlockRef>& refs, QueryMetrics* m, CacheFill fill,
+    FanoutMode fanout, FanoutStats* fanout_stats,
+    const std::function<Status(size_t, std::string_view)>& decode) const {
+  std::vector<uint64_t> segments(refs.size(), 0);
+  if (refs.empty()) return segments;
 
   std::vector<std::string> seg0;
   seg0.reserve(refs.size());
   for (const auto& r : refs) seg0.push_back(SegmentKey(*r.kv, *r.key, 0));
-  AsyncMultiGet first = cluster_->MultiGetAsync(seg0, m);
-  ZIDIAN_RETURN_NOT_OK(first.result().status);  // verdicts are set at issue
+  auto first = cluster_->MultiGet(seg0, m, fill, fanout, fanout_stats);
+  ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
 
-  ZIDIAN_RETURN_NOT_OK(
-      DrainDecoding(&first, refs.size(), [&](size_t i) -> Status {
-        if (!first.result()[i].has_value()) return Status::OK();  // absent
-        const KvSchema& kv = *refs[i].kv;
-        std::string_view sv = *first.result()[i];
-        uint64_t segments = 0;
-        if (!GetVarint64(&sv, &segments) || segments == 0) {
-          return Status::Corruption("bad segment header in " + kv.name);
-        }
-        out[i].segments = segments;
-        return DecodeBlock(sv, kv.value_attrs.size(), &out[i].rows);
-      }));
-  (void)first.Finish(fanout_stats);  // already drained; keep only the stats
-
-  // Overflow round: keys collected in slot order AFTER the full drain, so
-  // the request — and therefore every counter — matches the serial path.
+  // Blocks split across segments need a second round for the overflow
+  // keys, collected in slot order so the request — and every counter —
+  // is the same whatever schedule ran the first round.
   std::vector<std::string> extra_keys;
   std::vector<size_t> extra_owner;
   for (size_t i = 0; i < refs.size(); ++i) {
-    for (uint64_t s = 1; s < out[i].segments; ++s) {
+    if (!first[i].has_value()) continue;  // absent key: empty block
+    std::string_view sv = *first[i];
+    if (!GetVarint64(&sv, &segments[i]) || segments[i] == 0) {
+      return Status::Corruption("bad segment header in " + refs[i].kv->name);
+    }
+    ZIDIAN_RETURN_NOT_OK(decode(i, sv));
+    for (uint64_t s = 1; s < segments[i]; ++s) {
       extra_keys.push_back(SegmentKey(*refs[i].kv, *refs[i].key, s));
       extra_owner.push_back(i);
     }
   }
-  if (!extra_keys.empty()) {
-    AsyncMultiGet rest = cluster_->MultiGetAsync(extra_keys, m);
-    ZIDIAN_RETURN_NOT_OK(rest.result().status);
-    // Decode as completions arrive, but STAGE the parts per extra key and
-    // stitch in ascending key order after the drain — appends must land
-    // in segment order whatever order the nodes answered in.
-    std::vector<std::vector<Tuple>> parts(extra_keys.size());
-    ZIDIAN_RETURN_NOT_OK(
-        DrainDecoding(&rest, extra_keys.size(), [&](size_t j) -> Status {
-          const KvSchema& kv = *refs[extra_owner[j]].kv;
-          if (!rest.result()[j].has_value()) {
-            return Status::Corruption("missing segment in " + kv.name);
-          }
-          return DecodeBlock(*rest.result()[j], kv.value_attrs.size(),
-                             &parts[j]);
-        }));
-    (void)rest.Finish(fanout_stats);  // already drained; keep only the stats
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      auto& rows = out[extra_owner[j]].rows;
-      rows.insert(rows.end(), std::make_move_iterator(parts[j].begin()),
-                  std::make_move_iterator(parts[j].end()));
+  if (extra_keys.empty()) return segments;
+  auto rest = cluster_->MultiGet(extra_keys, m, fill, fanout, fanout_stats);
+  ZIDIAN_RETURN_NOT_OK(rest.status);
+  for (size_t j = 0; j < extra_keys.size(); ++j) {
+    if (!rest[j].has_value()) {
+      return Status::Corruption("missing segment in " +
+                                refs[extra_owner[j]].kv->name);
     }
+    ZIDIAN_RETURN_NOT_OK(decode(extra_owner[j], *rest[j]));
   }
-  if (m != nullptr) {
-    for (size_t i = 0; i < refs.size(); ++i) {
-      if (out[i].segments == 0) continue;
+  return segments;
+}
+
+Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
+    const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
+    FanoutStats* fanout_stats) const {
+  std::vector<FetchedBlock> out(refs.size());
+  ZIDIAN_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> segments,
+      FetchSegments(refs, m, CacheFill::kFill, fanout, fanout_stats,
+                    [&](size_t i, std::string_view body) -> Status {
+                      std::vector<Tuple> part;
+                      ZIDIAN_RETURN_NOT_OK(DecodeBlock(
+                          body, refs[i].kv->value_attrs.size(), &part));
+                      auto& rows = out[i].rows;
+                      if (rows.empty()) {
+                        rows = std::move(part);
+                      } else {
+                        rows.insert(rows.end(),
+                                    std::make_move_iterator(part.begin()),
+                                    std::make_move_iterator(part.end()));
+                      }
+                      return Status::OK();
+                    }));
+  for (size_t i = 0; i < refs.size(); ++i) {
+    out[i].segments = segments[i];
+    if (m != nullptr && segments[i] > 0) {
       m->values_accessed +=
           out[i].rows.size() * refs[i].kv->value_attrs.size() +
           refs[i].key->size();
@@ -473,132 +341,51 @@ Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
   return out;
 }
 
-Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
-    const KvSchema& kv, const std::vector<Tuple>& keys,
-    QueryMetrics* m) const {
-  size_t arity = kv.value_attrs.size();
-  std::vector<BlockStats> out(keys.size());
-  for (auto& st : out) st.columns.assign(arity, BlockColumnStats{});
-  if (keys.empty()) return out;
-
-  // Fetch through a scratch meter: a stats read ships only header-sized
-  // payloads, so the cluster-level byte charge must not be recorded — and
-  // (kNoFill) its misses must not plant full blocks in the cache either.
-  QueryMetrics scratch;
-  uint64_t segments_fetched = 0;
-
-  std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  auto first = cluster_->MultiGet(seg0, &scratch, CacheFill::kNoFill);
-  ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
-
-  std::vector<std::string> extra_keys;
-  std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!first[i].has_value()) continue;  // absent: zero rows
-    std::string_view sv = *first[i];
-    uint64_t segments = 0;
-    if (!GetVarint64(&sv, &segments) || segments == 0) {
-      return Status::Corruption("bad segment header in " + kv.name);
-    }
-    BlockStats part;
-    ZIDIAN_RETURN_NOT_OK(DecodeBlockStats(sv, arity, &part));
-    MergeBlockStats(&out[i], part, arity);
-    ++segments_fetched;
-    for (uint64_t s = 1; s < segments; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
-      extra_owner.push_back(i);
-    }
-  }
-  if (!extra_keys.empty()) {
-    auto rest = cluster_->MultiGet(extra_keys, &scratch, CacheFill::kNoFill);
-    ZIDIAN_RETURN_NOT_OK(rest.status);
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      if (!rest[j].has_value()) {
-        return Status::Corruption("missing segment in " + kv.name);
-      }
-      BlockStats part;
-      ZIDIAN_RETURN_NOT_OK(DecodeBlockStats(*rest[j], arity, &part));
-      MergeBlockStats(&out[extra_owner[j]], part, arity);
-      ++segments_fetched;
-    }
-  }
-  // Mirror GetBlockStats: one get per fetched segment (absent keys charge
-  // nothing), header-sized payloads only — from the cache for segments
-  // that hit. Round trips come from the batched fetches that went out.
-  ChargeStatsFetch(scratch, segments_fetched, arity, m);
+Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
+    const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
+    FanoutMode fanout, FanoutStats* fanout_stats) const {
+  std::vector<BlockRef> refs;
+  refs.reserve(keys.size());
+  for (const auto& key : keys) refs.push_back({&kv, &key});
+  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> blocks,
+                          FetchBlocks(refs, m, fanout, fanout_stats));
+  std::vector<std::vector<Tuple>> out;
+  out.reserve(blocks.size());
+  for (auto& b : blocks) out.push_back(std::move(b.rows));
   return out;
 }
 
 Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
     const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
     FanoutMode fanout, FanoutStats* fanout_stats) const {
-  if (fanout == FanoutMode::kSerial) return MultiGetBlockStats(kv, keys, m);
   size_t arity = kv.value_attrs.size();
   std::vector<BlockStats> out(keys.size());
   for (auto& st : out) st.columns.assign(arity, BlockColumnStats{});
-  if (keys.empty()) return out;
+  std::vector<BlockRef> refs;
+  refs.reserve(keys.size());
+  for (const auto& key : keys) refs.push_back({&kv, &key});
 
-  // Same scratch-meter / kNoFill discipline as the serial path — the
-  // overlapped schedule must not change what a stats read is charged.
+  // Fetch through a scratch meter: a stats read ships only header-sized
+  // payloads, so the cluster-level byte charge must not be recorded — and
+  // (kNoFill) its misses must not plant full blocks in the cache either.
+  // Segments merge in slot then segment order, so the float sums in
+  // MergeBlockStats associate the same way under either schedule.
   QueryMetrics scratch;
   uint64_t segments_fetched = 0;
-
-  std::vector<std::string> seg0;
-  seg0.reserve(keys.size());
-  for (const auto& key : keys) seg0.push_back(SegmentKey(kv, key, 0));
-  AsyncMultiGet first =
-      cluster_->MultiGetAsync(seg0, &scratch, CacheFill::kNoFill);
-  ZIDIAN_RETURN_NOT_OK(first.result().status);
-
-  std::vector<uint64_t> seg_count(keys.size(), 0);
   ZIDIAN_RETURN_NOT_OK(
-      DrainDecoding(&first, keys.size(), [&](size_t i) -> Status {
-        if (!first.result()[i].has_value()) return Status::OK();  // absent
-        std::string_view sv = *first.result()[i];
-        uint64_t segments = 0;
-        if (!GetVarint64(&sv, &segments) || segments == 0) {
-          return Status::Corruption("bad segment header in " + kv.name);
-        }
-        seg_count[i] = segments;
-        BlockStats part;
-        ZIDIAN_RETURN_NOT_OK(DecodeBlockStats(sv, arity, &part));
-        MergeBlockStats(&out[i], part, arity);
-        ++segments_fetched;
-        return Status::OK();
-      }));
-  (void)first.Finish(fanout_stats);  // already drained; keep only the stats
-
-  std::vector<std::string> extra_keys;
-  std::vector<size_t> extra_owner;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    for (uint64_t s = 1; s < seg_count[i]; ++s) {
-      extra_keys.push_back(SegmentKey(kv, keys[i], s));
-      extra_owner.push_back(i);
-    }
-  }
-  if (!extra_keys.empty()) {
-    AsyncMultiGet rest =
-        cluster_->MultiGetAsync(extra_keys, &scratch, CacheFill::kNoFill);
-    ZIDIAN_RETURN_NOT_OK(rest.result().status);
-    // Stage per-segment stats and merge in ascending key order after the
-    // drain: MergeBlockStats sums floats, so the association must be the
-    // serial path's, whatever order the nodes answered in.
-    std::vector<BlockStats> parts(extra_keys.size());
-    ZIDIAN_RETURN_NOT_OK(
-        DrainDecoding(&rest, extra_keys.size(), [&](size_t j) -> Status {
-          if (!rest.result()[j].has_value()) {
-            return Status::Corruption("missing segment in " + kv.name);
-          }
-          return DecodeBlockStats(*rest.result()[j], arity, &parts[j]);
-        }));
-    (void)rest.Finish(fanout_stats);  // already drained; keep only the stats
-    for (size_t j = 0; j < extra_keys.size(); ++j) {
-      MergeBlockStats(&out[extra_owner[j]], parts[j], arity);
-      ++segments_fetched;
-    }
-  }
+      FetchSegments(refs, &scratch, CacheFill::kNoFill, fanout, fanout_stats,
+                    [&](size_t i, std::string_view body) -> Status {
+                      BlockStats part;
+                      ZIDIAN_RETURN_NOT_OK(
+                          DecodeBlockStats(body, arity, &part));
+                      MergeBlockStats(&out[i], part, arity);
+                      ++segments_fetched;
+                      return Status::OK();
+                    })
+          .status());
+  // One get per fetched segment (absent keys charge nothing), header-sized
+  // payloads only — from the cache for segments that hit. Round trips come
+  // from the batched fetches that went out.
   ChargeStatsFetch(scratch, segments_fetched, arity, m);
   return out;
 }
@@ -744,8 +531,9 @@ Result<BaavStore::Maintenance> BaavStore::ReadAffected(
   for (const auto& block : update) refs.push_back({block.kv, &block.key});
   // Unmetered, like every maintenance access; kFill, so the cache ends up
   // holding what a full read of these blocks would have left behind.
-  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> fetched,
-                          FetchBlocks(refs, nullptr, nullptr));
+  ZIDIAN_ASSIGN_OR_RETURN(
+      std::vector<FetchedBlock> fetched,
+      FetchBlocks(refs, nullptr, FanoutMode::kOverlapped, nullptr));
   for (size_t i = 0; i < update.size(); ++i) {
     update[i].rows = std::move(fetched[i].rows);
     update[i].old_size = update[i].rows.size();

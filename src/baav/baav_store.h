@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baav/block.h"
@@ -71,44 +72,23 @@ class BaavStore {
                                       QueryMetrics* m) const;
 
   /// Batched block fetch (§7.2): all first segments in one Cluster::MultiGet
-  /// round, overflow segments in a second. Returns one row vector per key,
-  /// aligned with `keys` (empty for absent keys). Meters one get per segment
-  /// key but only one round trip per touched storage node — the batched hot
-  /// path the interleaved extension strategy runs on.
-  Result<std::vector<std::vector<Tuple>>> MultiGetBlocks(
-      const KvSchema& kv, const std::vector<Tuple>& keys,
-      QueryMetrics* m) const;
-
-  /// Fan-out-aware batched block fetch. kSerial is byte-for-byte the
-  /// 3-arg overload; kOverlapped issues each round through
-  /// Cluster::MultiGetAsync — all touched nodes' batches depart at one
-  /// common modeled instant and each node's blocks are decoded as its
-  /// completion arrives (AsyncMultiGet::WaitNext), while the other
-  /// batches are still in flight. Rows and every CountersEqual field are
-  /// bit-identical across the two modes; the hidden per-round network
+  /// round, overflow segments in a second, both under the stall schedule
+  /// `fanout`. Returns one row vector per key, aligned with `keys` (empty
+  /// for absent keys). Meters one get per segment key but only one round
+  /// trip per touched storage node — the batched hot path the interleaved
+  /// extension strategy runs on. Rows and every CountersEqual field are
+  /// the same under either schedule; an overlapped round's hidden network
   /// time is merged into `fanout_stats` (nullable) for the caller's
   /// ChargeFanoutOverlap fold.
   Result<std::vector<std::vector<Tuple>>> MultiGetBlocks(
       const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
       FanoutMode fanout, FanoutStats* fanout_stats) const;
 
-  /// Header-only fetch: per-Y-column aggregates of the block. Meters one get
-  /// per segment but only the header bytes / one value per column.
-  Result<BlockStats> GetBlockStats(const KvSchema& kv, const Tuple& key,
-                                   QueryMetrics* m) const;
-
   /// Batched header-only fetch: MultiGetBlocks' counterpart for the stats
-  /// pushdown path. One BlockStats per key, aligned with `keys`.
-  Result<std::vector<BlockStats>> MultiGetBlockStats(
-      const KvSchema& kv, const std::vector<Tuple>& keys,
-      QueryMetrics* m) const;
-
-  /// Fan-out-aware stats fetch: the MultiGetBlocks twin for the stats
-  /// pushdown path, with the same serial/overlapped contract (stats and
-  /// counters bit-identical across modes; overlap reported through
-  /// `fanout_stats`). Overflow-segment stats are staged per extra key and
-  /// merged in ascending key order after the drain, so the float sums in
-  /// MergeBlockStats see the serial path's exact association.
+  /// pushdown path, over the same two rounds. One BlockStats per key,
+  /// aligned with `keys` (per-Y-column aggregates; zero rows when absent).
+  /// Meters one get per segment but only the header bytes / one value per
+  /// column, and its misses never fill the BlockCache.
   Result<std::vector<BlockStats>> MultiGetBlockStats(
       const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
       FanoutMode fanout, FanoutStats* fanout_stats) const;
@@ -158,7 +138,7 @@ class BaavStore {
 
   /// Maintenance read phase for one inserted/deleted tuple of `relation`
   /// (values in relation-schema column order): fetches the affected block
-  /// of every KV instance derived from it in one Cluster::MultiGetAsync
+  /// of every KV instance derived from it in one overlapped MultiGet
   /// fan-out, plus one overflow round only when a block is split, and
   /// computes each new block. Unmetered; misses fill the BlockCache like
   /// any full read. Writes nothing, so a failed read leaves the store as
@@ -203,13 +183,20 @@ class BaavStore {
     std::vector<Tuple> rows;
     uint64_t segments = 0;
   };
-  /// The overlapped two-round block fetch over (instance, key) pairs: all
-  /// first segments in one Cluster::MultiGetAsync fan-out, decoded as each
-  /// node's batch completes, then the overflow segments of split blocks in
-  /// a second. MultiGetBlocks(kOverlapped) and the maintenance read phase
-  /// both run on it.
+  /// The two-round fetch every block read runs on: the first segments of
+  /// `refs` in one Cluster::MultiGet fan-out, then the overflow segments of
+  /// split blocks in a second, both under `fanout`. After each round
+  /// returns, `decode(i, body)` runs on every segment of block i that the
+  /// round brought back, in slot order, so block i's segments arrive in
+  /// segment order. Returns each block's segment count (0 when absent).
+  Result<std::vector<uint64_t>> FetchSegments(
+      const std::vector<BlockRef>& refs, QueryMetrics* m, CacheFill fill,
+      FanoutMode fanout, FanoutStats* fanout_stats,
+      const std::function<Status(size_t, std::string_view)>& decode) const;
+  /// FetchSegments with every block decoded into rows; meters the values
+  /// read. MultiGetBlocks and the maintenance read phase run on it.
   Result<std::vector<FetchedBlock>> FetchBlocks(
-      const std::vector<BlockRef>& refs, QueryMetrics* m,
+      const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
       FanoutStats* fanout_stats) const;
   /// The shared read phase: fetches the derived instances' blocks for
   /// `tuple` and applies `edit` with the tuple's Y-projection to each.

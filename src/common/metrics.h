@@ -12,14 +12,15 @@
 
 namespace zidian {
 
-/// Schedule-shape summary of one overlapped fan-out (what an
-/// AsyncMultiGet handle reports at Finish, and what a worker accumulates
-/// across its fan-out rounds): how many modeled nanoseconds the fan-out
-/// removed from its critical path by keeping every touched node's batch
-/// in flight together (sum of per-node batch latencies minus the max),
-/// and how many per-node batches were in flight at once. Pure functions
-/// of the request stream — never of queueing or scheduling — so they are
-/// bit-identical across parallel modes for a fixed partition.
+/// Schedule-shape summary of the overlapped fan-outs one worker ran (what
+/// Cluster::MultiGet merges in under FanoutMode::kOverlapped, and what
+/// the TaaV scan's per-node chains report): how many modeled nanoseconds
+/// the fan-outs removed from the critical path by keeping every touched
+/// node's requests in flight together (sum of per-node latencies minus
+/// the max), and the most per-node batches in flight at once. Pure
+/// functions of the request stream — never of queueing or scheduling — so
+/// they are bit-identical across parallel modes for a fixed partition.
+/// Serial fan-outs leave them at zero.
 struct FanoutStats {
   uint64_t overlap_ns = 0;
   uint64_t inflight_max = 0;
@@ -114,8 +115,8 @@ struct QueryMetrics {
                                  ///< (kba/makespan.h FinalizeNetworkQueue;
                                  ///< deterministic, unlike wall_*)
 
-  // Schedule-shape observability for the overlapped fan-out path
-  // (Cluster::MultiGetAsync). Like the makespans these are set at the
+  // Schedule-shape observability for the overlapped fan-out schedule
+  // (FanoutMode::kOverlapped). Like the makespans these are set at the
   // executors' merge points (kba/makespan.h ChargeFanoutOverlap), and
   // like wall_* they are EXCLUDED from CountersEqual: they describe HOW
   // the round trips were scheduled, which legitimately varies with the

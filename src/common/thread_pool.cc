@@ -6,26 +6,6 @@
 
 namespace zidian {
 
-std::string_view ParallelModeName(ParallelMode mode) {
-  switch (mode) {
-    case ParallelMode::kSimulated:
-      return "simulated";
-    case ParallelMode::kThreads:
-      return "threads";
-  }
-  return "unknown";
-}
-
-std::string_view FanoutModeName(FanoutMode mode) {
-  switch (mode) {
-    case FanoutMode::kSerial:
-      return "serial";
-    case FanoutMode::kOverlapped:
-      return "overlapped";
-  }
-  return "unknown";
-}
-
 ThreadPool::ThreadPool(int num_threads) {
   threads_.reserve(static_cast<size_t>(std::max(0, num_threads)));
   for (int i = 0; i < num_threads; ++i) {

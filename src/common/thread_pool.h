@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,25 +46,6 @@ enum class ParallelMode {
   kThreads,    ///< `workers` real threads; per-worker tasks run
                ///< concurrently and wall-clock can validate the makespan
 };
-
-std::string_view ParallelModeName(ParallelMode mode);
-
-/// How a storage fan-out issues its per-node batches. Orthogonal to
-/// ParallelMode: either fan-out shape runs under either mode, and the
-/// determinism contract requires rows and CountersEqual counters to be
-/// bit-identical across all four combinations — only the schedule-shape
-/// fields (net_overlap_ns / net_inflight_max) and modeled makespan may
-/// move.
-enum class FanoutMode {
-  kSerial,      ///< one per-node batch in flight at a time; the caller
-                ///< stalls on each before issuing the next (the seed
-                ///< behavior, and the default)
-  kOverlapped,  ///< all touched nodes' batches issued before waiting on
-                ///< any (Cluster::MultiGetAsync); decode proceeds per
-                ///< node as its completion arrives
-};
-
-std::string_view FanoutModeName(FanoutMode mode);
 
 class ThreadPool {
  public:

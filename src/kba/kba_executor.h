@@ -13,12 +13,12 @@
 //    / projections / join probes run chunk-per-worker (ra/eval.h parallel
 //    variants).
 //
-// Orthogonally, KbaExecOptions::fanout picks each worker's stall schedule
-// over the storage nodes its batch touches (storage/cluster.h): kSerial
-// keeps one per-node request in flight at a time (each batch stalls
-// before the next departs), kOverlapped issues every touched node's batch
-// before waiting on any (Cluster::MultiGetAsync) and decodes each node's
-// blocks as its completion arrives. The two schedules meter identically —
+// Orthogonally, KbaExecOptions::fanout is the stall schedule each
+// worker's batched Cluster::MultiGet runs over the storage nodes it
+// touches (storage/cluster.h): kSerial keeps one per-node request in
+// flight at a time, kOverlapped issues every touched node's batch before
+// stalling once, to the latest completion; blocks are decoded after the
+// fan-out returns under either. The two schedules meter identically —
 // only the schedule-shape metrics (net_overlap_ns / net_inflight_max),
 // the modeled makespan and the wall clock may differ.
 //
@@ -63,12 +63,6 @@ class KbaExecutor {
   /// Executes `plan` under the given worker count and parallel mode.
   Result<KvInst> Execute(const KbaPlan& plan, const KbaExecOptions& opts,
                          QueryMetrics* m) const;
-
-  /// Back-compat shim: `workers` simulated compute nodes on one thread.
-  Result<KvInst> Execute(const KbaPlan& plan, int workers,
-                         QueryMetrics* m) const {
-    return Execute(plan, KbaExecOptions{.workers = workers}, m);
-  }
 
  private:
   /// Per-execution state threaded through Eval: pool is non-null only in

@@ -51,254 +51,136 @@ Status TaavDeleteTuple(Cluster* cluster, const TableSchema& schema,
 
 Result<Relation> TaavScanTable(const Cluster& cluster,
                                const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m) {
-  return TaavScanTable(cluster, schema, alias, m, nullptr, 1);
-}
-
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m,
-                               ThreadPool* pool, int workers) {
-  return TaavScanTable(cluster, schema, alias, m, pool, workers,
-                       FanoutMode::kSerial);
-}
-
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
                                const std::string& alias, QueryMetrics* m,
                                ThreadPool* pool, int workers,
                                FanoutMode fanout) {
   std::vector<std::string> cols;
   for (const auto& c : schema.columns()) cols.push_back(alias + "." + c.name);
   Relation out(std::move(cols));
-
-  // Each simulated per-tuple get is priced by the cluster's NetworkModel
-  // (one request of the pair's bytes to the owning node) — the baseline's
-  // per-tuple round-trip cost, paid back-to-back sequentially and
-  // overlapped under kThreads, which is what makespan_net predicts. One
-  // get + arity values metered per tuple on either path below; the totals
-  // — and the row order — cannot differ between them. (The flat-RTT shim
-  // reduces this to the historical per-tuple stall.)
-  const NetworkModel* net = cluster.network();
   auto start = std::chrono::steady_clock::now();
 
-  if (fanout == FanoutMode::kOverlapped) {
-    // Overlapped fan-out: phase 1 enumerates sequentially (fixing the row
-    // order and the next()/byte metering), then every worker chunk —
-    // threaded under kThreads, looped on this thread under kSimulated —
-    // issues its per-tuple gets as per-node in-flight chains anchored at
-    // one common modeled instant. Requests to the same node chain off
-    // each other (their latencies sum, exactly what the serial schedule
-    // charges), chains to different nodes run concurrently, and the chunk
-    // stalls once, to its latest chain's completion, having decoded every
-    // payload while the requests were in flight.
+  // One chunk of the per-tuple get+decode stage: its rows, its metric
+  // delta and, under kOverlapped, one request chain per node anchored at
+  // the chunk's start (chain heads and per-node latency sums). The
+  // schedule only picks per-tuple OnGet stalls or per-node OnGetAt chains.
+  const NetworkModel* net = cluster.network();
+  const bool chains = net != nullptr && fanout == FanoutMode::kOverlapped;
+  struct Chunk {
+    std::vector<Tuple> rows;
+    QueryMetrics m;
+    Status status;
+    FanoutStats fanout;
+    std::vector<int64_t> node_next;
+    std::vector<uint64_t> node_ns;
+  };
+  auto begin_chunk = [&](Chunk* c) {
+    if (!chains) return;
+    c->node_next.assign(static_cast<size_t>(cluster.num_nodes()),
+                        net->NowNs());
+    c->node_ns.assign(c->node_next.size(), 0);
+  };
+  auto fetch = [&](Chunk* c, int node, uint64_t bytes,
+                   std::string_view payload) {
+    c->m.get_calls += 1;
+    c->m.values_accessed += schema.arity();
+    if (chains) {
+      const size_t n = static_cast<size_t>(node);
+      NetworkModel::AsyncCost ac =
+          net->OnGetAt(node, 1, bytes, &c->m, c->node_next[n]);
+      c->node_next[n] = ac.wake_ns;  // same-node requests stay serial
+      c->node_ns[n] += static_cast<uint64_t>(ac.latency_ns);
+    } else if (net != nullptr) {
+      net->OnGet(node, 1, bytes, &c->m);
+    }
+    Tuple t;
+    if (!DecodeTuplePayload(&payload, schema.arity(), &t)) {
+      c->status = Status::Corruption("bad tuple in " + schema.name());
+      return;
+    }
+    c->rows.push_back(std::move(t));
+  };
+  auto end_chunk = [&](Chunk* c) {
+    if (!chains) return;
+    // The payloads were decoded while the chains were in flight.
+    net->SleepUntil(*std::max_element(c->node_next.begin(),
+                                      c->node_next.end()));
+    uint64_t total = 0;
+    uint64_t busiest = 0;
+    for (uint64_t ns : c->node_ns) {
+      total += ns;
+      busiest = std::max(busiest, ns);
+      if (ns > 0) ++c->fanout.inflight_max;
+    }
+    c->fanout.overlap_ns = total - busiest;
+  };
+
+  const size_t p = static_cast<size_t>(std::max(1, workers));
+  std::vector<Chunk> chunks(p);
+  const std::string prefix = TaavPrefix(schema.name());
+  if (p == 1) {
+    // One chunk: decode straight off the scan iterator, never holding the
+    // encoded table a second time.
+    Chunk& c = chunks[0];
+    begin_chunk(&c);
+    cluster.ScanPrefix(prefix, m,
+                       [&](std::string_view key, std::string_view value) {
+                         if (!c.status.ok()) return;
+                         fetch(&c, cluster.NodeFor(key),
+                               key.size() + value.size(), value);
+                       });
+    end_chunk(&c);
+  } else {
+    // Enumerate once on this thread (the ScanPrefix meters the next()s
+    // and the shipped pair bytes, and fixes the row order), then run the
+    // chunks: on the pool's threads, or looped here without one.
     std::vector<std::string> payloads;
     std::vector<std::pair<int, uint32_t>> origins;  // (owning node, key bytes)
     cluster.ScanPrefix(
-        TaavPrefix(schema.name()), m,
-        [&](std::string_view key, std::string_view value) {
+        prefix, m, [&](std::string_view key, std::string_view value) {
           origins.emplace_back(cluster.NodeFor(key),
                                static_cast<uint32_t>(key.size()));
           payloads.emplace_back(value);
         });
-    const size_t p = static_cast<size_t>(std::max(1, workers));
-    struct WorkerSlot {
-      Relation partial;
-      QueryMetrics m;
-      Status status;
-      FanoutStats fanout;
-    };
-    std::vector<WorkerSlot> slots(p);
-    const size_t num_nodes =
-        net != nullptr ? static_cast<size_t>(cluster.num_nodes()) : 0;
     auto run_chunk = [&](size_t w) {
-      WorkerSlot& slot = slots[w];
+      Chunk& c = chunks[w];
       auto [begin, end] = ChunkRange(payloads.size(), w, p);
-      std::vector<int64_t> node_next(num_nodes, 0);  // per-node chain heads
-      std::vector<uint64_t> node_lat(num_nodes, 0);  // per-node latency sums
-      uint64_t total_lat = 0;
-      int64_t max_wake = 0;
-      if (net != nullptr) {
-        const int64_t t0 = net->NowNs();
-        node_next.assign(num_nodes, t0);
-        max_wake = t0;
+      begin_chunk(&c);
+      for (size_t i = begin; i < end && c.status.ok(); ++i) {
+        fetch(&c, origins[i].first, origins[i].second + payloads[i].size(),
+              payloads[i]);
       }
-      for (size_t i = begin; i < end; ++i) {
-        slot.m.get_calls += 1;
-        slot.m.values_accessed += schema.arity();
-        if (net != nullptr) {
-          const size_t node = static_cast<size_t>(origins[i].first);
-          NetworkModel::AsyncCost ac = net->OnGetAt(
-              origins[i].first, 1, origins[i].second + payloads[i].size(),
-              &slot.m, node_next[node]);
-          node_next[node] = ac.wake_ns;  // same-node requests stay serial
-          node_lat[node] += static_cast<uint64_t>(ac.latency_ns);
-          total_lat += static_cast<uint64_t>(ac.latency_ns);
-          if (ac.wake_ns > max_wake) max_wake = ac.wake_ns;
-        }
-        Tuple t;
-        std::string_view sv = payloads[i];
-        if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
-          slot.status = Status::Corruption("bad tuple in " + schema.name());
-          return;
-        }
-        slot.partial.Add(std::move(t));
-      }
-      if (net != nullptr) {
-        net->SleepUntil(max_wake);  // decode already happened, in flight
-        uint64_t busiest = 0;
-        uint64_t touched = 0;
-        for (uint64_t l : node_lat) {
-          busiest = std::max(busiest, l);
-          if (l > 0) ++touched;
-        }
-        slot.fanout.overlap_ns = total_lat - busiest;
-        slot.fanout.inflight_max = touched;
-      }
+      end_chunk(&c);
     };
-    if (pool != nullptr && p > 1) {
+    if (pool != nullptr) {
       pool->ParallelFor(p, run_chunk);
     } else {
       for (size_t w = 0; w < p; ++w) run_chunk(w);
     }
-    std::vector<QueryMetrics> deltas;
-    std::vector<FanoutStats> fanouts;
-    deltas.reserve(p);
-    fanouts.reserve(p);
-    for (auto& slot : slots) {
-      ZIDIAN_RETURN_NOT_OK(slot.status);
-      if (m != nullptr) *m += slot.m;
-      deltas.push_back(slot.m);
-      fanouts.push_back(slot.fanout);
-      for (auto& row : slot.partial.rows()) out.Add(std::move(row));
-    }
-    if (m != nullptr) {
-      // The serial-schedule slowest worker still anchors makespan_net —
-      // identical to both serial paths below — and the hidden cross-node
-      // time lands in the schedule-shape fields only.
-      if (net != nullptr) {
-        uint64_t worst = 0;
-        for (const auto& d : deltas) {
-          worst = std::max(worst, d.net_service_ns);
-        }
-        m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-      }
-      ChargeFanoutOverlap(deltas, fanouts, m);
-      m->wall_fetch_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-    }
-    return out;
   }
 
-  if (pool == nullptr || workers <= 1) {
-    // No threads to feed: stream-decode straight off the scan iterator,
-    // never materializing the encoded table a second time. Per-tuple
-    // network latencies are kept so the chunked per-worker maxima below
-    // can be computed exactly as the threaded path computes them.
-    Status decode_status = Status::OK();
-    std::vector<int64_t> net_lat_ns;
-    cluster.ScanPrefix(
-        TaavPrefix(schema.name()), m,
-        [&](std::string_view key, std::string_view value) {
-          if (m != nullptr) {
-            m->get_calls += 1;
-            m->values_accessed += schema.arity();
-          }
-          if (net != nullptr) {
-            int64_t lat = net->OnGet(cluster.NodeFor(key), 1,
-                                     key.size() + value.size(), m);
-            if (m != nullptr) net_lat_ns.push_back(lat);
-          }
-          Tuple t;
-          std::string_view sv = value;
-          if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
-            decode_status = Status::Corruption("bad tuple in " + schema.name());
-            return;
-          }
-          out.Add(std::move(t));
-        });
-    ZIDIAN_RETURN_NOT_OK(decode_status);
-    if (m != nullptr) {
-      // True per-worker network maxima: the per-tuple gets chunk over
-      // `workers` exactly as the threaded path chunks them, so a slow
-      // node whose tuples land in one chunk shows up in makespan_net
-      // identically in both modes (an even spread would hide the skew).
-      if (!net_lat_ns.empty()) {
-        size_t p = static_cast<size_t>(std::max(1, workers));
-        uint64_t worst = 0;
-        for (size_t w = 0; w < p; ++w) {
-          auto [begin, end] = ChunkRange(net_lat_ns.size(), w, p);
-          uint64_t sum = 0;
-          for (size_t i = begin; i < end; ++i) {
-            sum += static_cast<uint64_t>(net_lat_ns[i]);
-          }
-          worst = std::max(worst, sum);
-        }
-        m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-      }
-      m->wall_fetch_seconds += std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
+  std::vector<QueryMetrics> deltas;
+  std::vector<FanoutStats> fanouts;
+  deltas.reserve(p);
+  fanouts.reserve(p);
+  std::vector<Tuple>& rows = out.rows();
+  for (auto& c : chunks) {
+    ZIDIAN_RETURN_NOT_OK(c.status);
+    if (m != nullptr) *m += c.m;
+    deltas.push_back(c.m);
+    fanouts.push_back(c.fanout);
+    if (rows.empty()) {
+      rows = std::move(c.rows);
+    } else {
+      rows.insert(rows.end(), std::make_move_iterator(c.rows.begin()),
+                  std::make_move_iterator(c.rows.end()));
     }
-    return out;
-  }
-
-  // Threaded: phase 1 enumerates the keys sequentially (ScanPrefix meters
-  // the next()s and the shipped pair bytes, fixing the row order the
-  // chunking must reproduce), then phase 2 runs the per-tuple get+decode
-  // chunk-per-worker — each worker meters its own delta and decodes into
-  // its own slot, slots merge in worker order, so rows and counters are
-  // byte-identical to the streaming path.
-  std::vector<std::string> payloads;
-  std::vector<std::pair<int, uint32_t>> origins;  // (owning node, key bytes)
-  cluster.ScanPrefix(TaavPrefix(schema.name()), m,
-                     [&](std::string_view key, std::string_view value) {
-                       origins.emplace_back(cluster.NodeFor(key),
-                                            static_cast<uint32_t>(key.size()));
-                       payloads.emplace_back(value);
-                     });
-  size_t p = static_cast<size_t>(workers);
-  struct WorkerSlot {
-    Relation partial;
-    QueryMetrics m;
-    Status status;
-  };
-  std::vector<WorkerSlot> slots(p);
-  pool->ParallelFor(p, [&](size_t w) {
-    WorkerSlot& slot = slots[w];
-    auto [begin, end] = ChunkRange(payloads.size(), w, p);
-    for (size_t i = begin; i < end; ++i) {
-      slot.m.get_calls += 1;
-      slot.m.values_accessed += schema.arity();
-      if (net != nullptr) {
-        net->OnGet(origins[i].first, 1, origins[i].second + payloads[i].size(),
-                   &slot.m);
-      }
-      Tuple t;
-      std::string_view sv = payloads[i];
-      if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
-        slot.status = Status::Corruption("bad tuple in " + schema.name());
-        return;
-      }
-      slot.partial.Add(std::move(t));
-    }
-  });
-  for (auto& slot : slots) {
-    ZIDIAN_RETURN_NOT_OK(slot.status);
-    if (m != nullptr) *m += slot.m;
-    for (auto& row : slot.partial.rows()) out.Add(std::move(row));
   }
   if (m != nullptr) {
-    // The slowest worker's network time for this scan — the per-worker
-    // deltas ARE the chunk sums the sequential path reconstructs above.
-    if (net != nullptr) {
-      uint64_t worst = 0;
-      for (const auto& slot : slots) {
-        worst = std::max(worst, slot.m.net_service_ns);
-      }
-      m->makespan_net_seconds += static_cast<double>(worst) / 1e9;
-    }
+    // The slowest chunk's network time under the serial schedule anchors
+    // makespan_net under both schedules; the cross-node time the chains
+    // hid lands in the schedule-shape fields only.
+    if (net != nullptr) m->makespan_net_seconds += MaxWorkerNetSeconds(deltas);
+    ChargeFanoutOverlap(deltas, fanouts, m);
     m->wall_fetch_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

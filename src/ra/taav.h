@@ -47,35 +47,23 @@ Status TaavDeleteTuple(Cluster* cluster, const TableSchema& schema,
 
 /// Scans the full table into a relation with columns qualified as
 /// "alias.column". Meters one next() per key, one get() per tuple and all
-/// shipped bytes — the blind-scan cost model of §3.
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m);
-
-/// Data-parallel table scan: the key enumeration (next()s) runs once on
-/// the calling thread, then the per-tuple get()+decode stage is chunked
-/// across `workers` — each chunk on its own task with its own
-/// QueryMetrics delta, merged back in worker order, so rows and counters
-/// are byte-identical to the sequential scan. When the cluster injects a
-/// per-read round-trip latency, each simulated per-tuple get stalls for
-/// it (inside the worker, in both modes): the sequential scan pays the
-/// stalls back-to-back while the threaded scan overlaps them — exactly
-/// the per-worker cost makespan_get models for the baseline.
-Result<Relation> TaavScanTable(const Cluster& cluster,
-                               const TableSchema& schema,
-                               const std::string& alias, QueryMetrics* m,
-                               ThreadPool* pool, int workers);
-
-/// Fan-out-aware scan. kSerial is the overload above; kOverlapped issues
-/// each worker chunk's per-tuple gets as per-node in-flight chains
-/// anchored at one common modeled instant (NetworkModel::OnGetAt):
-/// requests to the SAME node stay serialized — their latencies sum,
-/// exactly what the serial schedule charges — while chains to different
-/// nodes run concurrently, so the chunk stalls once, to its latest
-/// chain's completion, and decodes while requests are in flight. Rows
-/// and CountersEqual metrics are bit-identical across fan-out modes,
-/// parallel modes and worker counts; the hidden cross-node time is
-/// folded into net_overlap_ns (kba/makespan.h ChargeFanoutOverlap).
+/// shipped bytes — the blind-scan cost model of §3. The key enumeration
+/// runs once on the calling thread and fixes the row order; the per-tuple
+/// get+decode stage is chunked across `workers` (ChunkRange), each chunk
+/// metering its own QueryMetrics delta, merged in worker order, so rows
+/// and counters are the same at every worker count, on `pool`'s threads
+/// or on the calling thread (null pool). A single worker decodes straight
+/// off the scan and never holds the encoded table.
+///
+/// Each per-tuple get is priced by the cluster's NetworkModel against the
+/// tuple's owning node, and `fanout` picks the chunk's stall schedule.
+/// kSerial stalls on every get before the next one leaves. kOverlapped
+/// chains each node's gets off one common modeled instant: gets to the
+/// same node stay back to back, chains to different nodes run
+/// concurrently, and the chunk stalls once, to its latest chain's
+/// completion. makespan_net_seconds gets the slowest chunk's serial
+/// network time under both schedules; the cross-node time an overlapped
+/// chunk hides goes to net_overlap_ns (kba/makespan.h ChargeFanoutOverlap).
 Result<Relation> TaavScanTable(const Cluster& cluster,
                                const TableSchema& schema,
                                const std::string& alias, QueryMetrics* m,
@@ -96,9 +84,8 @@ struct TaavExecOptions {
   /// Connection-shared pool). When null, Execute spins up a per-call
   /// pool of workers-1 threads.
   ThreadPool* pool = nullptr;
-  /// Per-worker stall schedule for the scans' per-tuple gets (see the
-  /// fan-out-aware TaavScanTable overload). Rows and CountersEqual
-  /// metrics are invariant.
+  /// Per-worker stall schedule for the scans' per-tuple gets (see
+  /// TaavScanTable). Rows and CountersEqual metrics are invariant.
   FanoutMode fanout = FanoutMode::kSerial;
 };
 
@@ -115,12 +102,6 @@ class TaavExecutor {
   Result<Relation> Execute(const QuerySpec& spec,
                            const TaavExecOptions& opts,
                            QueryMetrics* m) const;
-
-  /// Back-compat shim: `workers` simulated compute nodes on one thread.
-  Result<Relation> Execute(const QuerySpec& spec, int workers,
-                           QueryMetrics* m) const {
-    return Execute(spec, TaavExecOptions{.workers = workers}, m);
-  }
 
  private:
   const Catalog* catalog_;

@@ -65,15 +65,8 @@ Cluster::Cluster(ClusterOptions options) {
   if (cache.capacity_bytes > 0) {
     cache_ = std::make_unique<BlockCache>(cache);
   }
-  // The flat round_trip_latency_us knob survives as a degenerate uniform
-  // network: one fixed RTT per read round trip, nothing else. A real
-  // NetworkOptions wins when it carries any cost of its own.
-  NetworkOptions net = options.network;
-  if (!net.Enabled() && options.round_trip_latency_us > 0) {
-    net.link.rtt_us = options.round_trip_latency_us;
-  }
-  if (net.Enabled()) {
-    network_ = std::make_unique<NetworkModel>(std::move(net),
+  if (options.network.Enabled()) {
+    network_ = std::make_unique<NetworkModel>(std::move(options.network),
                                               options.num_storage_nodes);
   }
   recovery_ = options.recovery;
@@ -117,8 +110,8 @@ Status Cluster::Put(std::string_view key, std::string_view value,
     Status s = nodes_[node]->Put(key, value);
     if (!s.ok() && st.ok()) st = s;
     // Writes are metered into the network (per-node trip, transfer bytes)
-    // but never stalled — the same contract the flat-RTT knob had; bulk
-    // loads pass m = nullptr and the model stays untouched entirely.
+    // but never stalled; bulk loads pass m = nullptr and the model stays
+    // untouched entirely.
     if (network_ != nullptr && m != nullptr) {
       network_->OnWrite(node, 1, key.size() + value.size(), m);
     }
@@ -180,8 +173,7 @@ Result<std::string> Cluster::Get(std::string_view key, QueryMetrics* m,
   auto res = nodes_[node]->Get(key);
   // One network round trip: the key travels out, the value (if any)
   // travels back. The stall covers the modeled latency plus any queueing
-  // at the node — unconditionally, like the old flat-RTT knob: unmetered
-  // reads pay the wire too.
+  // at the node — unconditionally: unmetered reads pay the wire too.
   if (network_ != nullptr) {
     uint64_t bytes = key.size() + (res.ok() ? res.value().size() : 0);
     if (recovery_active()) {
@@ -312,142 +304,43 @@ void Cluster::SettleNodeBatch(const std::vector<KvBackend::BatchedKey>& batch,
       // The node confirmed the key absent: remember that, so the next
       // batch over the same keys skips this round trip.
       if (CacheActive() && fill == CacheFill::kFill) {
-        size_t evicted = cache_->InsertNegative(batch[j].key);
-        if (m != nullptr) m->cache_evictions += evicted;
+        m->cache_evictions += cache_->InsertNegative(batch[j].key);
       }
       continue;
     }
-    if (m != nullptr) {
-      m->bytes_from_storage += batch[j].key.size() + value->size();
-    }
+    m->bytes_from_storage += batch[j].key.size() + value->size();
     if (CacheActive() && fill == CacheFill::kFill) {
-      size_t evicted = cache_->Insert(batch[j].key, *value);
-      if (m != nullptr) m->cache_evictions += evicted;
+      m->cache_evictions += cache_->Insert(batch[j].key, *value);
     }
   }
 }
 
 MultiGetResult Cluster::MultiGet(const std::vector<std::string>& keys,
-                                 QueryMetrics* m, CacheFill fill) const {
+                                 QueryMetrics* m, CacheFill fill,
+                                 FanoutMode fanout, FanoutStats* stats) const {
   MultiGetResult result;
   std::vector<KvBackend::BatchedKey> batch;
   std::vector<uint32_t> offsets;
   if (!PrepareMultiGet(keys, m, &result, &batch, &offsets)) return result;
   std::vector<std::optional<std::string>>& out = result.values;
 
-  const bool recover = network_ != nullptr && recovery_active();
-  uint64_t unreachable = 0;
-  for (size_t n = 0; n + 1 < offsets.size(); ++n) {
-    size_t begin = offsets[n], end = offsets[n + 1];
-    if (begin == end) continue;
-    nodes_[n]->MultiGet(
-        std::span<const KvBackend::BatchedKey>(batch.data() + begin,
-                                               end - begin),
-        &out);
-    if (m != nullptr) m->get_round_trips += 1;
-    if (recover) {
-      // The recovery machine decides, per key, whether any replica
-      // answered within the attempt budget (retries / backoff / timeouts
-      // / hedges, all metered and stalled inside).
-      std::vector<NetworkModel::BatchItem> items;
-      items.reserve(end - begin);
-      for (size_t j = begin; j < end; ++j) {
-        const auto& value = out[batch[j].slot];
-        items.push_back({batch[j].key,
-                         batch[j].key.size() +
-                             (value.has_value() ? value->size() : 0)});
-      }
-      std::vector<uint8_t> reachable;
-      network_->FetchWithRecovery(ReplicaChain(static_cast<int>(n)), items,
-                                  recovery_, m, &reachable);
-      SettleNodeBatch(batch, begin, end, &reachable, fill, m, &result,
-                      &unreachable);
-      continue;
-    }
-    uint64_t shipped = 0;  // keys out + found values back, for the network
-    for (size_t j = begin; j < end; ++j) {
-      shipped += batch[j].key.size();
-      const auto& value = out[batch[j].slot];
-      if (value.has_value()) shipped += value->size();
-    }
-    SettleNodeBatch(batch, begin, end, nullptr, fill, m, &result,
-                    &unreachable);
-    // The batching economics in one line: this whole per-node batch pays
-    // ONE round trip (rtt once) plus a marginal per-key cost — where the
-    // same keys as single Gets would pay the rtt per key.
-    if (network_ != nullptr) {
-      network_->OnGet(static_cast<int>(n), end - begin, shipped, m);
-    }
-  }
-  if (unreachable > 0) {
-    result.status = Status::Unavailable(
-        std::to_string(unreachable) + " of " + std::to_string(keys.size()) +
-        " keys unreachable after " + std::to_string(recovery_.max_attempts) +
-        " attempts");
-  }
-  return result;
-}
-
-size_t AsyncMultiGet::inflight() const {
-  size_t n = 0;
-  for (uint8_t w : waited_) {
-    if (w == 0) ++n;
-  }
-  return n;
-}
-
-int AsyncMultiGet::WaitNext() {
-  // The modeled schedule was fully decided at issue (every future is
-  // already fulfilled with its wake instant); this replays it: pick the
-  // earliest un-waited completion — ties broken by node order, so the
-  // drain order is deterministic — and sleep to it.
-  int best = -1;
-  int64_t best_wake = 0;
-  for (size_t i = 0; i < batches_.size(); ++i) {
-    if (waited_[i] != 0) continue;
-    const int64_t wake = batches_[i].done.Get();
-    if (best < 0 || wake < best_wake) {
-      best = static_cast<int>(i);
-      best_wake = wake;
-    }
-  }
-  if (best < 0) return -1;
-  waited_[static_cast<size_t>(best)] = 1;
-  if (network_ != nullptr) network_->SleepUntil(best_wake);
-  return best;
-}
-
-MultiGetResult AsyncMultiGet::Finish(FanoutStats* stats) {
-  while (WaitNext() >= 0) {
-  }
-  if (stats != nullptr) stats->Merge(stats_);
-  return std::move(result_);
-}
-
-AsyncMultiGet Cluster::MultiGetAsync(const std::vector<std::string>& keys,
-                                     QueryMetrics* m, CacheFill fill) const {
-  AsyncMultiGet handle;
-  handle.network_ = network_.get();
-  std::vector<KvBackend::BatchedKey> batch;
-  std::vector<uint32_t> offsets;
-  if (!PrepareMultiGet(keys, m, &handle.result_, &batch, &offsets)) {
-    return handle;
-  }
-  std::vector<std::optional<std::string>>& out = handle.result_.values;
-
-  // Issue phase: every touched node's batch departs at one common
-  // modeled instant t0, claiming its node clock there instead of after
-  // the previous node's stall. All metering, fault verdicts, cache
-  // fills and result slots resolve here, per node IN NODE ORDER, into a
-  // per-batch delta — so the batch's own modeled service time is known
-  // for the overlap accounting, and the merge into `m` is a pure sum,
-  // byte-identical to the serial path's totals. Only the stalls are
-  // deferred, to the handle's WaitNext. Queue waits come from the
-  // shared node clocks and feed only the wake instants, never a counter.
+  // One issue-then-stall loop over the touched nodes, in node order. Each
+  // batch meters into its own delta, so its modeled service time is known
+  // for the overlap accounting and the merge into `m` is a pure sum.
+  // kSerial issues each batch at the current instant and stalls on it
+  // before the next one leaves, so a node's clock is claimed only when
+  // its batch is sent. kOverlapped issues every batch at one instant t0
+  // and stalls once, to the latest completion. Fault verdicts and every
+  // counter are pure functions of the batch, so both schedules meter the
+  // same totals; queue waits come from the shared node clocks and feed
+  // only the wake instants.
+  const bool overlapped = fanout == FanoutMode::kOverlapped;
   const bool recover = network_ != nullptr && recovery_active();
   const int64_t t0 = network_ != nullptr ? network_->NowNs() : 0;
+  int64_t last_wake = t0;
   uint64_t total_service = 0;
   uint64_t max_service = 0;
+  uint64_t issued = 0;
   uint64_t unreachable = 0;
   for (size_t n = 0; n + 1 < offsets.size(); ++n) {
     size_t begin = offsets[n], end = offsets[n + 1];
@@ -458,62 +351,60 @@ AsyncMultiGet Cluster::MultiGetAsync(const std::vector<std::string>& keys,
         &out);
     QueryMetrics delta;
     delta.get_round_trips += 1;
+    std::vector<uint8_t> reachable;
     int64_t wake = t0;
-    if (recover) {
-      std::vector<NetworkModel::BatchItem> items;
-      items.reserve(end - begin);
-      for (size_t j = begin; j < end; ++j) {
-        const auto& value = out[batch[j].slot];
-        items.push_back({batch[j].key,
-                         batch[j].key.size() +
-                             (value.has_value() ? value->size() : 0)});
-      }
-      std::vector<uint8_t> reachable;
-      wake = network_->FetchWithRecoveryAt(ReplicaChain(static_cast<int>(n)),
-                                           items, recovery_, &delta,
-                                           &reachable, t0);
-      SettleNodeBatch(batch, begin, end, &reachable, fill, &delta,
-                      &handle.result_, &unreachable);
-    } else {
+    if (network_ != nullptr) {
+      // Keys out + found values back; per key for the recovery machine.
       uint64_t shipped = 0;
+      std::vector<NetworkModel::BatchItem> items;
+      if (recover) items.reserve(end - begin);
       for (size_t j = begin; j < end; ++j) {
-        shipped += batch[j].key.size();
         const auto& value = out[batch[j].slot];
-        if (value.has_value()) shipped += value->size();
+        const uint64_t bytes =
+            batch[j].key.size() + (value.has_value() ? value->size() : 0);
+        shipped += bytes;
+        if (recover) items.push_back({batch[j].key, bytes});
       }
-      SettleNodeBatch(batch, begin, end, nullptr, fill, &delta,
-                      &handle.result_, &unreachable);
-      if (network_ != nullptr) {
-        wake = network_
-                   ->OnGetAt(static_cast<int>(n), end - begin, shipped, &delta,
-                             t0)
-                   .wake_ns;
-      }
+      const int64_t issue = overlapped ? t0 : network_->NowNs();
+      // The batching economics in one line: this whole per-node batch
+      // pays ONE round trip (rtt once) plus a marginal per-key cost —
+      // where the same keys as single Gets would pay the rtt per key.
+      // Under recovery the machine decides, per key, whether any replica
+      // answered within the attempt budget (retries / backoff / timeouts
+      // / hedges, all metered).
+      wake = recover ? network_->FetchWithRecoveryAt(
+                           ReplicaChain(static_cast<int>(n)), items,
+                           recovery_, &delta, &reachable, issue)
+                     : network_
+                           ->OnGetAt(static_cast<int>(n), end - begin,
+                                     shipped, &delta, issue)
+                           .wake_ns;
     }
+    SettleNodeBatch(batch, begin, end, recover ? &reachable : nullptr, fill,
+                    &delta, &result, &unreachable);
     total_service += delta.net_service_ns;
     max_service = std::max(max_service, delta.net_service_ns);
+    ++issued;
     if (m != nullptr) *m += delta;
-    Promise<int64_t> promise;
-    AsyncNodeBatch nb;
-    nb.node = static_cast<int>(n);
-    nb.slots.reserve(end - begin);
-    for (size_t j = begin; j < end; ++j) nb.slots.push_back(batch[j].slot);
-    nb.done = promise.GetFuture();
-    promise.Set(wake);
-    handle.batches_.push_back(std::move(nb));
+    if (overlapped) {
+      last_wake = std::max(last_wake, wake);
+    } else if (network_ != nullptr) {
+      network_->SleepUntil(wake);
+    }
   }
-  handle.waited_.assign(handle.batches_.size(), 0);
-  // The fan-out's schedule shape: the hidden time is what the serial
-  // stall schedule would have added on top of the slowest batch.
-  handle.stats_.overlap_ns = total_service - max_service;
-  handle.stats_.inflight_max = handle.batches_.size();
+  if (overlapped) {
+    if (network_ != nullptr) network_->SleepUntil(last_wake);
+    // The hidden time is what the serial schedule would have added on top
+    // of the slowest batch.
+    if (stats != nullptr) stats->Merge({total_service - max_service, issued});
+  }
   if (unreachable > 0) {
-    handle.result_.status = Status::Unavailable(
+    result.status = Status::Unavailable(
         std::to_string(unreachable) + " of " + std::to_string(keys.size()) +
         " keys unreachable after " + std::to_string(recovery_.max_attempts) +
         " attempts");
   }
-  return handle;
+  return result;
 }
 
 void Cluster::ScanPrefix(
@@ -540,28 +431,8 @@ void Cluster::ScanPrefix(
   }
 }
 
-uint64_t Cluster::CountPrefix(std::string_view prefix) const {
-  uint64_t n = 0;
-  for (size_t ni = 0; ni < nodes_.size(); ++ni) {
-    auto it = nodes_[ni]->NewIterator();
-    it->Seek(prefix);
-    while (it->Valid() && HasPrefix(it->key(), prefix)) {
-      if (replication_ <= 1 ||
-          NodeFor(it->key()) == static_cast<int>(ni)) {
-        ++n;
-      }
-      it->Next();
-    }
-  }
-  return n;
-}
-
 void Cluster::FlushAll() {
   for (auto& node : nodes_) node->Flush();
-}
-
-void Cluster::CompactAll() {
-  for (auto& node : nodes_) node->Compact();
 }
 
 Status Cluster::SaveToDir(const std::string& dir) const {

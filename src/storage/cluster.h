@@ -25,26 +25,24 @@
 // middleware-local memory, and scans stream (the paper's per-round-trip
 // economics are about point access — the path the network model prices).
 //
-// The read seam offers two stall schedules over the same metering.
-// MultiGet is serial: each per-node batch stalls the caller before the
-// next departs, so a fan-out over k nodes pays the SUM of per-node
-// latencies. MultiGetAsync is overlapped: every touched node's batch is
-// issued at one common modeled instant and the caller drains completions
-// in modeled wake order (decoding each node's values while later batches
-// are still in flight), so independent latencies overlap and the fan-out
-// costs about the slowest node. The two schedules meter bit-identically
-// — rows, fault counters and every CountersEqual field are invariant
-// across sync/async, parallel mode and worker count; only the
-// schedule-shape fields (net_overlap_ns / net_inflight_max), the modeled
-// makespan and the wall clock may differ.
+// MultiGet is the one read fan-out, and its stall schedule (FanoutMode)
+// is its only parameter. kSerial issues each per-node batch when the one
+// before it has completed, so a fan-out over k nodes pays the SUM of
+// per-node latencies. kOverlapped issues every touched node's batch at one
+// common modeled instant and stalls once, to the latest completion, so
+// independent latencies overlap and the fan-out costs about the slowest
+// node. The schedules meter bit-identically: rows, fault counters and
+// every CountersEqual field are invariant across schedule, parallel mode
+// and worker count; only the schedule-shape fields (net_overlap_ns /
+// net_inflight_max), the modeled makespan and the wall clock may differ.
 //
-// Thread safety: the read path (Get / MultiGet / ScanPrefix / CountPrefix)
-// is safe from any number of concurrent threads as long as no writes are
-// in flight and each thread meters into its own QueryMetrics — this is
-// the contract both the threaded KBA executor (per-worker metric deltas,
-// merged at join) and the multi-session serving layer (per-query
+// Thread safety: the read path (Get / MultiGet / ScanPrefix) is safe from
+// any number of concurrent threads as long as no writes are in flight and
+// each thread meters into its own QueryMetrics — this is the contract
+// both the threaded KBA executor (per-worker metric deltas, merged at
+// join) and the multi-session serving layer (per-query
 // AnswerInfo::metrics, one per in-flight Execute) run on. Put / Delete /
-// Flush / Compact / Load are single-writer operations and must not
+// FlushAll / LoadFromDir are single-writer operations and must not
 // overlap reads; when sessions mix writes into a served workload, the
 // serving layer brackets them with its reader/writer gate
 // (serve/server.h) so this contract holds by construction. The two locked
@@ -65,7 +63,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/future.h"
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/result.h"
@@ -95,6 +92,16 @@ enum class CacheFill {
   kNoFill,  ///< partially-metered reads: misses never insert
 };
 
+/// How a MultiGet issues its per-node batches. Orthogonal to
+/// ParallelMode: either schedule runs under either mode, and rows and
+/// CountersEqual counters are bit-identical across all four combinations.
+enum class FanoutMode {
+  kSerial,      ///< each batch issued when the previous one completed (the
+                ///< default; the control arm of the overlapped schedule)
+  kOverlapped,  ///< every batch issued at one instant, one stall to the
+                ///< latest completion
+};
+
 struct ClusterOptions {
   int num_storage_nodes = 4;
   /// Node engine; ignored when `backend_factory` is set.
@@ -113,13 +120,6 @@ struct ClusterOptions {
   /// per-byte transfer cost (storage/network_model.h). All-zero (the
   /// default) means no network model — reads answer at memory speed.
   NetworkOptions network;
-  /// Compatibility shim for the pre-NetworkModel flat latency knob: when
-  /// `network` is left all-default and this is > 0, it configures the
-  /// degenerate uniform model {rtt_us = round_trip_latency_us} — every
-  /// Get / per-node MultiGet batch stalls one flat round trip, writes are
-  /// not stalled, exactly the historical behavior. Ignored when `network`
-  /// carries any cost of its own.
-  int round_trip_latency_us = 0;
   /// Availability policy: K-way replica placement, bounded retries with
   /// backoff, per-request timeouts and hedged reads
   /// (storage/network_model.h). All-default (single copy, no retry
@@ -153,74 +153,6 @@ struct [[nodiscard]] MultiGetResult {
   const std::optional<std::string>& operator[](size_t i) const {
     return values[i];
   }
-};
-
-/// One node's issued batch inside an AsyncMultiGet: which result slots it
-/// fills, and a future completing with the batch's modeled completion
-/// instant (ns since the network epoch; 0 when no network is attached).
-/// The future is fulfilled at issue time — the modeled schedule is fully
-/// decided the moment the fan-out departs — so Ready() is immediately
-/// true; the real stall is replayed by AsyncMultiGet::WaitNext.
-struct AsyncNodeBatch {
-  int node = 0;
-  std::vector<uint32_t> slots;
-  Future<int64_t> done;
-};
-
-/// The in-flight handle Cluster::MultiGetAsync returns. Every touched
-/// node's batch has already been ISSUED when the handle exists — metered,
-/// node clock claimed at one common instant, values and cache state
-/// resolved — but nothing has been stalled yet. Drain with WaitNext(),
-/// which sleeps to the earliest un-waited batch's modeled completion and
-/// returns its index into batches(), so the caller decodes that node's
-/// values while the other batches are still in flight; close with
-/// Finish(), which drains whatever remains and hands back the
-/// MultiGetResult plus the fan-out's schedule-shape stats. Dropping an
-/// unfinished handle is safe (no leak, no stall — the modeled schedule
-/// simply isn't replayed). Single-owner and movable; one handle must not
-/// be shared across threads (each worker drives its own fan-out).
-class [[nodiscard]] AsyncMultiGet {
- public:
-  AsyncMultiGet(AsyncMultiGet&&) noexcept = default;
-  AsyncMultiGet& operator=(AsyncMultiGet&&) noexcept = default;
-  AsyncMultiGet(const AsyncMultiGet&) = delete;
-  AsyncMultiGet& operator=(const AsyncMultiGet&) = delete;
-
-  /// The issued per-node batches, in node order. Empty when every key was
-  /// answered by the cache (nothing reached a node).
-  const std::vector<AsyncNodeBatch>& batches() const { return batches_; }
-
-  /// Batches issued but not yet returned by WaitNext.
-  size_t inflight() const;
-
-  /// Stalls to the earliest un-waited batch's modeled completion
-  /// (smallest (wake, node)) and returns its index into batches(); -1
-  /// once every batch has been waited. In the modeled timeline a batch's
-  /// result slots become readable when WaitNext returns its index.
-  int WaitNext();
-
-  /// The result under construction; slot values for a batch are
-  /// modeled-visible once WaitNext returned that batch (Finish waits for
-  /// everything and is the simple way to consume it).
-  const MultiGetResult& result() const { return result_; }
-
-  /// Drains every remaining batch and returns the completed result.
-  /// When `stats` is non-null the fan-out's schedule-shape summary is
-  /// merged into it (overlap_ns = sum of per-batch modeled service minus
-  /// the max; inflight_max = number of per-node batches issued) — the
-  /// caller folds it into QueryMetrics at its merge point
-  /// (kba/makespan.h ChargeFanoutOverlap), never into per-worker deltas.
-  MultiGetResult Finish(FanoutStats* stats = nullptr);
-
- private:
-  friend class Cluster;
-  AsyncMultiGet() = default;
-
-  const NetworkModel* network_ = nullptr;  // null = no stalls to replay
-  std::vector<AsyncNodeBatch> batches_;
-  std::vector<uint8_t> waited_;  // parallel to batches_
-  MultiGetResult result_;
-  FanoutStats stats_;
 };
 
 class Cluster {
@@ -277,26 +209,21 @@ class Cluster {
   /// kUnavailable overall status — and are never metered as fetched nor
   /// cached (positively or negatively: an unreachable key is not a
   /// proven absence).
+  ///
+  /// `fanout` picks the stall schedule (see the header comment); the
+  /// result and every counter are the same under both, and the call
+  /// returns only after its modeled stalls, failed or not. Under
+  /// kOverlapped the fan-out's schedule shape is merged into `stats`
+  /// (nullable): overlap_ns = summed per-batch modeled service minus the
+  /// slowest batch's, inflight_max = per-node batches issued. The caller
+  /// folds it into QueryMetrics at its merge point (kba/makespan.h
+  /// ChargeFanoutOverlap), never into per-worker deltas. kSerial leaves
+  /// `stats` untouched.
   MultiGetResult MultiGet(const std::vector<std::string>& keys,
                           QueryMetrics* m,
-                          CacheFill fill = CacheFill::kFill) const;
-
-  /// The overlapped fan-out twin of MultiGet: identical request
-  /// grouping, metering, cache behavior, recovery verdicts and result —
-  /// CountersEqual cannot tell the two apart — but every touched node's
-  /// batch is issued at one common modeled instant without stalling, and
-  /// the returned handle replays the stalls in modeled completion order
-  /// (AsyncMultiGet::WaitNext/Finish). A fan-out over k independent
-  /// nodes therefore costs about the slowest node instead of the sum;
-  /// the hidden time is reported through the handle's FanoutStats as
-  /// net_overlap_ns. Under an active fault schedule each node's batch
-  /// runs the recovery machine (retries / backoff / timeouts / hedges)
-  /// independently, its completions racing the other nodes' — fault
-  /// counters stay bit-identical to the serial path because verdicts
-  /// never read the clock.
-  AsyncMultiGet MultiGetAsync(const std::vector<std::string>& keys,
-                              QueryMetrics* m,
-                              CacheFill fill = CacheFill::kFill) const;
+                          CacheFill fill = CacheFill::kFill,
+                          FanoutMode fanout = FanoutMode::kSerial,
+                          FanoutStats* stats = nullptr) const;
 
   /// Iterates all pairs whose key starts with `prefix`, in key order per
   /// node. Models the TaaV "blind scan": meters one next_call per visited
@@ -310,16 +237,12 @@ class Cluster {
                   const std::function<void(std::string_view key,
                                            std::string_view value)>& fn) const;
 
-  /// Number of pairs under a prefix (unmetered; used by planners/stats).
-  uint64_t CountPrefix(std::string_view prefix) const;
-
   /// Direct node access for tests/tools. Writes through this handle
   /// bypass both metering and cache invalidation — prefer Put/Delete.
   KvBackend& node(int i) { return *nodes_[i]; }
   const KvBackend& node(int i) const { return *nodes_[i]; }
 
   void FlushAll();
-  void CompactAll();
 
   /// Total live bytes across nodes (storage footprint; unmetered).
   size_t TotalBytes() const;
@@ -359,12 +282,6 @@ class Cluster {
     return cache_bypass_.load(std::memory_order_relaxed);
   }
 
-  /// The injected per-read-round-trip latency (µs), for diagnostics.
-  /// With a full NetworkOptions configured this reports node 0's RTT.
-  int round_trip_latency_us() const {
-    return network_ ? static_cast<int>(network_->link(0).rtt_us) : 0;
-  }
-
   /// The attached network model, or nullptr when no network cost is
   /// configured. Gets/MultiGets/Puts/Deletes are metered and stalled
   /// through it; executors use it to price simulated per-tuple gets.
@@ -391,19 +308,18 @@ class Cluster {
  private:
   bool CacheActive() const { return cache_ != nullptr && !cache_bypassed(); }
 
-  /// Shared front half of MultiGet/MultiGetAsync: meters the logical
-  /// calls, serves cache hits (both polarities), and counting-sorts the
-  /// missed slots by owning node (`batch` grouped per node, node n's
-  /// range = [(*offsets)[n], (*offsets)[n+1])). Returns false when no
-  /// key needs a backend fetch.
+  /// Front half of MultiGet: meters the logical calls, serves cache hits
+  /// (both polarities), and counting-sorts the missed slots by owning
+  /// node (`batch` grouped per node, node n's range = [(*offsets)[n],
+  /// (*offsets)[n+1])). Returns false when no key needs a backend fetch.
   bool PrepareMultiGet(const std::vector<std::string>& keys, QueryMetrics* m,
                        MultiGetResult* result,
                        std::vector<KvBackend::BatchedKey>* batch,
                        std::vector<uint32_t>* offsets) const;
-  /// Shared back half of one node batch: per-slot bookkeeping after the
-  /// node answered and (under recovery) reachability is known — failed
-  /// flags, bytes_from_storage, cache fills in both polarities. Meters
-  /// into `m` (nullable); bumps `*unreachable` per slot lost.
+  /// Per-slot bookkeeping of one node batch after the node answered and
+  /// (under recovery) reachability is known — failed flags,
+  /// bytes_from_storage, cache fills in both polarities. Meters into `m`;
+  /// bumps `*unreachable` per slot lost.
   void SettleNodeBatch(const std::vector<KvBackend::BatchedKey>& batch,
                        size_t begin, size_t end,
                        const std::vector<uint8_t>* reachable, CacheFill fill,

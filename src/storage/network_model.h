@@ -1,8 +1,8 @@
-// Simulated network substrate between the SQL layer and the storage nodes
-// (replaces the flat ClusterOptions::round_trip_latency_us knob). The
-// paper's cost model is phrased in communication rounds; this subsystem
-// gives each round a price and each storage node a queue, so the
-// KBA-vs-TaaV round-trip advantage can be studied under realistic load:
+// Simulated network substrate between the SQL layer and the storage
+// nodes. The paper's cost model is phrased in communication rounds; this
+// subsystem gives each round a price and each storage node a queue, so
+// the KBA-vs-TaaV round-trip advantage can be studied under realistic
+// load:
 //
 //  * Per-request fixed latency (`rtt_us`): wire propagation — paid once
 //    per request, overlaps freely across concurrent requests.
@@ -228,18 +228,18 @@ class NetworkModel {
   int64_t OnGet(int node, uint64_t keys, uint64_t bytes,
                 QueryMetrics* m) const;
 
-  // --- overlapped fan-out (deferred-stall) primitives ------------------
+  // --- issue / wait halves (the fan-out's stall schedule) --------------
   //
-  // OnGet/FetchWithRecovery stall the caller per request, so a fan-out
-  // over several nodes pays the SUM of per-node latencies. The *At
+  // OnGet/FetchWithRecovery stall the caller per request. The *At
   // variants split each call into its issue half (meter + claim the node
   // clock at a caller-supplied modeled instant; never sleeps) and leave
-  // the wait half to the caller (SleepUntil per completion), so a worker
-  // can issue EVERY touched node's batch at one common instant and the
-  // independent latencies overlap — the makespan becomes the max. The
-  // metering is byte-identical to the stalling calls (same Cost, same
-  // counters, same fault verdicts): only the stall schedule differs,
-  // which is why sync and async fan-outs satisfy CountersEqual.
+  // the wait half to the caller (SleepUntil), so a fan-out picks its
+  // schedule: issue each batch when the previous one completed (serial,
+  // the SUM of per-node latencies), or issue EVERY touched node's batch
+  // at one common instant and stall once (overlapped, about the max).
+  // The metering is byte-identical either way (same Cost, same counters,
+  // same fault verdicts): only the stall schedule differs, which is why
+  // both schedules satisfy CountersEqual.
 
   /// The modeled completion of one issued request.
   struct AsyncCost {
@@ -263,9 +263,9 @@ class NetworkModel {
   void SleepUntil(int64_t wake_ns) const;
 
   /// One write: metered identically to OnGet but never stalled — bulk
-  /// loads and maintenance writes must not crawl (the same contract the
-  /// old round_trip_latency_us knob had). The write still occupies the
-  /// node's clock, so an in-flight write delays subsequent reads.
+  /// loads and maintenance writes must not crawl. The write still
+  /// occupies the node's clock, so an in-flight write delays subsequent
+  /// reads.
   void OnWrite(int node, uint64_t keys, uint64_t bytes, QueryMetrics* m) const;
 
   /// One-line configuration summary for Explain()/AnswerInfo.

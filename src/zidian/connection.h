@@ -95,13 +95,14 @@ struct ExecOptions {
   /// default), Execute uses the Connection's shared pool, creating it on
   /// first use and growing it to workers-1 threads as needed.
   ThreadPool* pool = nullptr;
-  /// Per-worker stall schedule over the storage nodes, on BOTH routes:
-  /// kSerial (default) keeps one per-node request in flight at a time;
-  /// kOverlapped issues every touched node's batch before waiting on any
-  /// (Cluster::MultiGetAsync on the KBA route, per-node request chains
-  /// on the TaaV scan). Rows and CountersEqual metrics are invariant —
-  /// only the schedule-shape metrics (net_overlap_ns / net_inflight_max),
-  /// the modeled makespan and the wall clock move.
+  /// Per-worker stall schedule over the storage nodes, on BOTH routes —
+  /// the one parameter of each worker's read fan-out (Cluster::MultiGet
+  /// on the KBA route, the per-tuple gets of the TaaV scan). kSerial
+  /// (default) keeps one per-node request in flight at a time;
+  /// kOverlapped issues every touched node's requests before stalling
+  /// once. Rows and CountersEqual metrics are invariant — only the
+  /// schedule-shape metrics (net_overlap_ns / net_inflight_max), the
+  /// modeled makespan and the wall clock move.
   FanoutMode fanout = FanoutMode::kSerial;
 };
 

@@ -65,9 +65,9 @@ struct AnswerInfo {
   uint64_t cache_capacity_bytes = 0;
   bool cache_bypassed = false;
   /// NetworkModel configuration the run (or Prepare) saw — whether
-  /// ClusterOptions::network (or the round_trip_latency_us shim) attached
-  /// a network, and its one-line summary (node count, uniform or not,
-  /// link costs). The traffic itself lands in metrics.net_*.
+  /// ClusterOptions::network attached a network, and its one-line summary
+  /// (node count, uniform or not, link costs). The traffic itself lands
+  /// in metrics.net_*.
   bool network_enabled = false;
   std::string network_text;
   /// Fault-injection schedule summary ("off" when no faults are

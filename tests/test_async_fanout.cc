@@ -1,14 +1,15 @@
-// The sync-vs-async fan-out parity battery. Cluster::MultiGetAsync (and
-// the overlapped per-node request chains on the TaaV scan) must be
-// indistinguishable from the serial fan-out everywhere the determinism
-// contract can look: byte-identical values, per-slot failure flags and
-// statuses at the Cluster layer; byte-identical rows and CountersEqual
-// metrics at the query layer — across both engines, both parallel modes
-// (kSimulated / kThreads), worker counts 1/2/4/8, and repeated threaded
-// runs. Only the schedule-shape fields (net_overlap_ns /
-// net_inflight_max), which CountersEqual ignores, may differ between
-// FanoutMode::kSerial and kOverlapped — and those must themselves be
-// deterministic: equal across parallel modes for a fixed partition.
+// The serial-vs-overlapped fan-out parity battery. Cluster::MultiGet under
+// FanoutMode::kOverlapped (and the overlapped per-node request chains on
+// the TaaV scan) must be indistinguishable from the serial schedule
+// everywhere the determinism contract can look: byte-identical values,
+// per-slot failure flags and statuses at the Cluster layer; byte-identical
+// rows and CountersEqual metrics at the query layer — across both
+// engines, both parallel modes (kSimulated / kThreads), worker counts
+// 1/2/4/8, and repeated threaded runs. Only the schedule-shape fields
+// (net_overlap_ns / net_inflight_max), which CountersEqual ignores, may
+// differ between FanoutMode::kSerial and kOverlapped — and those must
+// themselves be deterministic: equal across parallel modes for a fixed
+// partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,9 +83,9 @@ TEST(AsyncMultiGetTest, FinishMatchesSyncByteForByte) {
   ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
 
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = cluster.MultiGet(
+      keys, &ma, CacheFill::kNoFill, FanoutMode::kOverlapped, &fs);
 
   ExpectSameOutcome(sync_res, async_res, keys.size());
   // Identical logical work: CountersEqual cannot tell the fan-outs apart.
@@ -96,56 +97,9 @@ TEST(AsyncMultiGetTest, FinishMatchesSyncByteForByte) {
   EXPECT_EQ(fs.inflight_max, TouchedNodes(cluster, keys));
 }
 
-TEST(AsyncMultiGetTest, WaitNextDrainsEveryBatchOnceInWakeOrder) {
-  Cluster cluster(NetworkedClusterOptions());
-  std::vector<std::string> keys = SeedKeys(&cluster, 60);
-
-  QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
-
-  QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  const size_t batches = handle.batches().size();
-  EXPECT_EQ(handle.inflight(), batches);
-  EXPECT_EQ(batches, TouchedNodes(cluster, keys));
-
-  // Drain by hand: every batch exactly once, in non-decreasing modeled
-  // wake order, slots covering the key range exactly once.
-  std::vector<int> seen;
-  int64_t last_wake = 0;
-  std::vector<uint8_t> slot_seen(keys.size(), 0);
-  for (int b = handle.WaitNext(); b >= 0; b = handle.WaitNext()) {
-    const AsyncNodeBatch& batch = handle.batches()[static_cast<size_t>(b)];
-    ASSERT_TRUE(batch.done.Ready());
-    int64_t wake = batch.done.Get();
-    EXPECT_GE(wake, last_wake);
-    last_wake = wake;
-    for (uint32_t s : batch.slots) {
-      ASSERT_LT(s, keys.size());
-      EXPECT_EQ(slot_seen[s], 0) << "slot " << s << " delivered twice";
-      slot_seen[s] = 1;
-      EXPECT_EQ(cluster.NodeFor(keys[s]), batch.node);
-    }
-    seen.push_back(b);
-  }
-  EXPECT_EQ(seen.size(), batches);
-  EXPECT_EQ(handle.inflight(), 0u);
-  EXPECT_EQ(handle.WaitNext(), -1);  // drained handles stay drained
-  for (uint8_t s : slot_seen) EXPECT_EQ(s, 1);
-
-  // Finish after a manual drain adds no stalls and returns the result.
-  FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
-  ExpectSameOutcome(sync_res, async_res, keys.size());
-  EXPECT_TRUE(CountersEqual(ms, ma))
-      << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
-  EXPECT_GT(fs.overlap_ns, 0u);
-}
-
 TEST(AsyncMultiGetTest, NoNetworkModelCompletesAtIssue) {
-  // Without a NetworkModel there is no modeled time to overlap: the
-  // futures are ready the moment MultiGetAsync returns, and the result
-  // still matches the sync path exactly.
+  // Without a NetworkModel there is no modeled time to overlap, and the
+  // result still matches the sync path exactly.
   Cluster cluster(
       ClusterOptions{.num_storage_nodes = 4, .backend = BackendKind::kMem});
   std::vector<std::string> keys = SeedKeys(&cluster, 40);
@@ -154,12 +108,9 @@ TEST(AsyncMultiGetTest, NoNetworkModelCompletesAtIssue) {
   MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
 
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  for (const AsyncNodeBatch& b : handle.batches()) {
-    EXPECT_TRUE(b.done.Ready());
-  }
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = cluster.MultiGet(
+      keys, &ma, CacheFill::kNoFill, FanoutMode::kOverlapped, &fs);
   ExpectSameOutcome(sync_res, async_res, keys.size());
   EXPECT_TRUE(CountersEqual(ms, ma))
       << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
@@ -168,8 +119,8 @@ TEST(AsyncMultiGetTest, NoNetworkModelCompletesAtIssue) {
 
 TEST(AsyncMultiGetTest, FullyCachedBatchIssuesNoBatches) {
   // A cache hit never left the middleware, so it has nothing to overlap:
-  // a fully warmed batch produces an empty handle and zero round trips —
-  // on the async path exactly as on the sync one.
+  // a fully warmed batch issues no batch and zero round trips — under
+  // the overlapped schedule exactly as under the serial one.
   ClusterOptions co = NetworkedClusterOptions();
   co.cache = {.capacity_bytes = 1 << 20, .shards = 4};
   Cluster cluster(co);
@@ -181,10 +132,9 @@ TEST(AsyncMultiGetTest, FullyCachedBatchIssuesNoBatches) {
   QueryMetrics ms;
   MultiGetResult sync_res = cluster.MultiGet(keys, &ms);
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma);
-  EXPECT_TRUE(handle.batches().empty());
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = cluster.MultiGet(
+      keys, &ma, CacheFill::kFill, FanoutMode::kOverlapped, &fs);
   ExpectSameOutcome(sync_res, async_res, keys.size());
   EXPECT_TRUE(CountersEqual(ms, ma))
       << "sync: " << ms.ToString() << "\nasync: " << ma.ToString();
@@ -304,10 +254,10 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
 
 TEST_P(AsyncParityFixture, KbaRouteSyncVsAsyncSweep) {
   // mot-q6, the deepest extension chain in the sweep: per-worker batched
-  // MultiGets through BaavStore::MultiGetBlocks — the MultiGetAsync
-  // decode-as-completions-arrive path. The MOT seed queries extend from a
-  // single seed block, so each batch touches few nodes; positive overlap
-  // is asserted by the wide direct-plan sweep below, parity here.
+  // MultiGets through BaavStore::MultiGetBlocks under both schedules. The
+  // MOT seed queries extend from a single seed block, so each batch
+  // touches few nodes; positive overlap is asserted by the wide
+  // direct-plan sweep below, parity here.
   SweepRoute(RoutePolicy::kAuto, /*query_index=*/5, /*repeats=*/30,
              /*expect_overlap=*/false);
 }

@@ -234,15 +234,18 @@ TEST_F(BaavStoreFixture, ScanVisitsEveryBlockOnce) {
 TEST_F(BaavStoreFixture, GetBlockStatsAvoidsTupleBytes) {
   QueryMetrics full_m, stats_m;
   ASSERT_TRUE(store_->GetBlock(kv(), {Value(int64_t{1})}, &full_m).ok());
-  auto stats = store_->GetBlockStats(kv(), {Value(int64_t{1})}, &stats_m);
+  auto stats = store_->MultiGetBlockStats(kv(), {{Value(int64_t{1})}},
+                                          &stats_m, FanoutMode::kSerial,
+                                          nullptr);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->row_count, 10u);
-  EXPECT_TRUE(stats->columns[1].numeric);  // salary
+  ASSERT_EQ(stats->size(), 1u);
+  EXPECT_EQ((*stats)[0].row_count, 10u);
+  EXPECT_TRUE((*stats)[0].columns[1].numeric);  // salary
   double sum = 0;
   for (int64_t i = 1; i <= 40; ++i) {
     if (i % 4 == 1) sum += 100.0 * double(i);
   }
-  EXPECT_NEAR(stats->columns[1].sum, sum, 1e-9);
+  EXPECT_NEAR((*stats)[0].columns[1].sum, sum, 1e-9);
   EXPECT_LT(stats_m.bytes_from_storage, full_m.bytes_from_storage);
 }
 
@@ -361,7 +364,7 @@ TEST_F(KbaFixture, ExtendFetchesBlocksByChildValues) {
       "emp@dept", "e", {{"d", "dept"}});
   KbaExecutor exec(store_.get());
   QueryMetrics m;
-  auto out = exec.Execute(*plan, 1, &m);
+  auto out = exec.Execute(*plan, KbaExecOptions{}, &m);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->rel.size(), 20u);  // two blocks of 10
   EXPECT_EQ(m.get_calls, 2u);      // one get per distinct key
@@ -381,8 +384,8 @@ TEST_F(KbaFixture, ExtendEqualsJoinOnRelationalVersion) {
                     {{"d", "e.dept"}});
   KbaExecutor exec(store_.get());
   QueryMetrics m1, m2;
-  auto via_extend = exec.Execute(*extend_plan, 1, &m1);
-  auto via_join = exec.Execute(*join_plan, 1, &m2);
+  auto via_extend = exec.Execute(*extend_plan, KbaExecOptions{}, &m1);
+  auto via_join = exec.Execute(*join_plan, KbaExecOptions{}, &m2);
   ASSERT_TRUE(via_extend.ok());
   ASSERT_TRUE(via_join.ok());
   Relation a = via_extend->rel.Project({"d", "e.id", "e.salary"});
@@ -399,7 +402,7 @@ TEST_F(KbaFixture, ShiftPreservesRelationalVersion) {
                              {"e.id"});
   KbaExecutor exec(store_.get());
   QueryMetrics m;
-  auto out = exec.Execute(*plan, 1, &m);
+  auto out = exec.Execute(*plan, KbaExecOptions{}, &m);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->key_cols, (std::vector<std::string>{"e.id"}));
   EXPECT_EQ(out->rel.size(), 40u);
@@ -412,11 +415,11 @@ TEST_F(KbaFixture, UnionAndDiffUseSetSemantics) {
   KbaExecutor exec(store_.get());
   QueryMetrics m;
   auto u = exec.Execute(*KbaPlan::Union(KbaPlan::Const(a), KbaPlan::Const(b)),
-                        1, &m);
+                        KbaExecOptions{}, &m);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u->rel.size(), 3u);
   auto d = exec.Execute(*KbaPlan::Diff(KbaPlan::Const(a), KbaPlan::Const(b)),
-                        1, &m);
+                        KbaExecOptions{}, &m);
   ASSERT_TRUE(d.ok());
   ASSERT_EQ(d->rel.size(), 1u);
   EXPECT_EQ(d->rel.rows()[0][0].AsInt(), 1);
@@ -442,8 +445,8 @@ TEST_F(KbaFixture, StatsOnlyExtendMatchesFullAggregation) {
   };
   KbaExecutor exec(store_.get());
   QueryMetrics stats_m, full_m;
-  auto via_stats = exec.Execute(*mk(true), 1, &stats_m);
-  auto via_full = exec.Execute(*mk(false), 1, &full_m);
+  auto via_stats = exec.Execute(*mk(true), KbaExecOptions{}, &stats_m);
+  auto via_full = exec.Execute(*mk(false), KbaExecOptions{}, &full_m);
   ASSERT_TRUE(via_stats.ok()) << via_stats.status().ToString();
   ASSERT_TRUE(via_full.ok());
   Relation a = via_stats->rel, b = via_full->rel;

@@ -1,19 +1,15 @@
 // Unit + property tests for the common runtime: Status/Result, varints,
-// order-preserving codecs, hashing, RNG distributions, the ThreadPool's
-// exception contract, and the one-shot Promise/Future primitive the
-// overlapped fan-out (Cluster::MultiGetAsync) is built on.
+// order-preserving codecs, hashing, RNG distributions and the ThreadPool's
+// exception contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/coding.h"
-#include "common/future.h"
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/result.h"
@@ -303,126 +299,6 @@ TEST(ThreadPool, CallerOnlyPathPropagatesExceptionsToo) {
   std::atomic<int> ok{0};
   pool.ParallelFor(4, [&](size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 4);
-}
-
-TEST(Future, WaitAfterCompleteReturnsImmediatelyAndRepeatedly) {
-  Promise<int> p;
-  Future<int> f = p.GetFuture();
-  EXPECT_TRUE(f.valid());
-  EXPECT_FALSE(f.Ready());
-  p.Set(42);
-  EXPECT_TRUE(f.Ready());
-  // Completion is sticky: Get is repeatable and never blocks again.
-  EXPECT_EQ(f.Get(), 42);
-  EXPECT_EQ(f.Get(), 42);
-  // Copies view the same state.
-  Future<int> g = f;
-  EXPECT_EQ(g.Get(), 42);
-  // Take moves the value out and invalidates that endpoint only.
-  EXPECT_EQ(g.Take(), 42);
-  EXPECT_FALSE(g.valid());
-  EXPECT_TRUE(f.valid());
-}
-
-TEST(Future, CompletionOrderAcrossThreadsIsWhoSetFirst) {
-  // Many producer threads complete their own futures at scattered times;
-  // a waiter blocked on each one observes exactly the value its producer
-  // set — completions never cross wires, whatever order they land in.
-  constexpr int kN = 16;
-  std::vector<Promise<int>> promises(kN);
-  std::vector<Future<int>> futures;
-  futures.reserve(kN);
-  for (auto& p : promises) futures.push_back(p.GetFuture());
-
-  std::vector<std::thread> producers;
-  producers.reserve(kN);
-  for (int i = 0; i < kN; ++i) {
-    producers.emplace_back([&promises, i] {
-      // Reverse-staggered so later futures complete earlier.
-      std::this_thread::sleep_for(std::chrono::microseconds(50 * (kN - i)));
-      promises[static_cast<size_t>(i)].Set(i * i);
-    });
-  }
-  // Wait in index order while completions arrive in reverse: every Get
-  // blocks until ITS producer set, then reports that producer's value.
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].Get(), i * i);
-  }
-  for (auto& t : producers) t.join();
-  // First completion wins: a late second Set is a no-op.
-  promises[0].Set(-1);
-  EXPECT_EQ(futures[0].Get(), 0);
-}
-
-TEST(Future, ExceptionPropagatesToBlockedWaiter) {
-  Promise<int> p;
-  Future<int> f = p.GetFuture();
-  std::thread producer([&p] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    p.SetError(std::make_exception_ptr(std::runtime_error("node down")));
-  });
-  try {
-    (void)f.Get();
-    FAIL() << "expected the producer's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "node down");
-  }
-  producer.join();
-  // The error is sticky too: every later Get rethrows it.
-  EXPECT_THROW((void)f.Get(), std::runtime_error);
-}
-
-TEST(Future, DestroyingUnconsumedFutureNeitherLeaksNorBlocks) {
-  // An issued-but-never-waited batch must be droppable: the handle's
-  // documented contract (and ASan/TSan in CI watch this test for leaks
-  // and lock misuse). Every combination of which endpoint dies first,
-  // with the value consumed or not, must tear down cleanly.
-  {
-    Promise<int> p;
-    Future<int> f = p.GetFuture();
-    p.Set(7);
-    // f destroyed without Get.
-  }
-  {
-    Promise<int> p;
-    Future<int> f = p.GetFuture();
-    // Neither completed nor consumed.
-  }
-  {
-    Future<int> f;
-    {
-      Promise<int> p;
-      f = p.GetFuture();
-      p.Set(9);
-    }  // promise dies first; the state lives on through f
-    EXPECT_EQ(f.Get(), 9);
-  }
-}
-
-TEST(Future, AbandonedPromiseWakesWaiterWithBrokenPromise) {
-  // A producer that dies without completing must not strand its waiter:
-  // destruction completes the state with a diagnosable error.
-  Future<int> f;
-  {
-    Promise<int> p;
-    f = p.GetFuture();
-  }
-  ASSERT_TRUE(f.Ready());
-  try {
-    (void)f.Get();
-    FAIL() << "expected the broken-promise error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("broken promise"),
-              std::string::npos);
-  }
-  // Move-assignment abandons the overwritten state the same way.
-  Promise<int> a;
-  Future<int> fa = a.GetFuture();
-  Promise<int> b;
-  a = std::move(b);
-  EXPECT_THROW((void)fa.Get(), std::runtime_error);
-  a.Set(1);
-  EXPECT_EQ(a.GetFuture().Get(), 1);
 }
 
 TEST(Metrics, AccumulatesAndFormats) {

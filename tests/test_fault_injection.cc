@@ -6,8 +6,8 @@
 // the query layer, and every fault counter is a pure function of (seed,
 // request stream): bit-identical across ParallelMode::kSimulated /
 // kThreads, across worker counts, and under any batch partitioning — and
-// across fan-out shapes: the overlapped per-node fan-out
-// (Cluster::MultiGetAsync, FanoutMode::kOverlapped) runs the same
+// across fan-out schedules: the overlapped per-node fan-out
+// (Cluster::MultiGet under FanoutMode::kOverlapped) runs the same
 // recovery machine with its per-node completions racing, and must land
 // on the same rows, per-key outcomes and bit-identical fault counters as
 // the serial fan-out.
@@ -314,7 +314,7 @@ TEST(ClusterRecoveryTest, HedgedReadsWinDeterministically) {
       << "m1: " << m1.ToString() << "\nm2: " << m2.ToString();
 }
 
-// --------------------------- cluster: recovery through MultiGetAsync ---
+// ----------------------- cluster: recovery through the overlapped fan-out ---
 
 // The overlapped fan-out runs the same recovery machine per node batch,
 // with the completions racing each other — and must land on the same
@@ -342,9 +342,9 @@ TEST(ClusterRecoveryAsyncTest, ReplicaRescueMatchesSyncThroughAsyncFanout) {
   ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
 
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = cluster.MultiGet(
+      keys, &ma, CacheFill::kNoFill, FanoutMode::kOverlapped, &fs);
   ASSERT_TRUE(async_res.ok()) << async_res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(async_res[i].has_value()) << keys[i];
@@ -382,13 +382,9 @@ TEST(ClusterRecoveryAsyncTest, CleanExhaustionMatchesSyncThroughAsyncFanout) {
   ASSERT_FALSE(sync_res.ok());
 
   QueryMetrics ma;
-  AsyncMultiGet handle = cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
-  // Verdicts are decided at issue: the failure is visible on the handle
-  // before any stall is paid, and surviving batches still complete.
-  EXPECT_TRUE(handle.result().status.IsUnavailable())
-      << handle.result().status.ToString();
   FanoutStats fs;
-  MultiGetResult async_res = handle.Finish(&fs);
+  MultiGetResult async_res = cluster.MultiGet(
+      keys, &ma, CacheFill::kNoFill, FanoutMode::kOverlapped, &fs);
   ASSERT_FALSE(async_res.ok());
   EXPECT_TRUE(async_res.status.IsUnavailable()) << async_res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -435,10 +431,9 @@ TEST(ClusterRecoveryAsyncTest, HedgeDeterminismHoldsThroughAsyncFanout) {
   QueryMetrics first_run;
   for (int run = 0; run < 3; ++run) {
     QueryMetrics ma;
-    AsyncMultiGet handle =
-        cluster.MultiGetAsync(keys, &ma, CacheFill::kNoFill);
     FanoutStats fs;
-    MultiGetResult async_res = handle.Finish(&fs);
+    MultiGetResult async_res = cluster.MultiGet(
+        keys, &ma, CacheFill::kNoFill, FanoutMode::kOverlapped, &fs);
     ASSERT_TRUE(async_res.ok()) << async_res.status.ToString();
     for (size_t i = 0; i < keys.size(); ++i) {
       ASSERT_TRUE(async_res[i].has_value()) << keys[i];
@@ -538,7 +533,7 @@ class FaultParityFixture : public ::testing::TestWithParam<BackendKind> {
       }
 
       // Both fan-out shapes under both parallel modes: the overlapped
-      // fan-out (Cluster::MultiGetAsync) runs every node's recovery
+      // fan-out (FanoutMode::kOverlapped) runs every node's recovery
       // machine with the completions racing, and still may not move a
       // row or a fault counter.
       for (FanoutMode fanout : {FanoutMode::kSerial, FanoutMode::kOverlapped}) {

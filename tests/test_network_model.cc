@@ -1,18 +1,21 @@
 // NetworkModel coverage: the queueing/batching arithmetic (one round trip
 // per per-node MultiGet batch, marginal per-key cost, per-node queue delay
-// under concurrent outstanding requests), the flat-RTT compatibility shim,
-// and the cluster-level determinism contract — identical rows and
-// CountersEqual metrics between ParallelMode::kSimulated and kThreads
-// under a non-uniform network, on both routes.
+// under concurrent outstanding requests), the TaaV scan's per-tuple
+// network totals, and the cluster-level determinism contract — identical
+// rows and CountersEqual metrics between ParallelMode::kSimulated and
+// kThreads under a non-uniform network, on both routes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "kba/makespan.h"
+#include "ra/taav.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
@@ -179,33 +182,6 @@ TEST(ClusterNetworkTest, MultiGetPaysOneRoundTripPerNodeSinglesPayPerKey) {
             (single_trips - batched_trips) * 50'000);
 }
 
-TEST(ClusterNetworkTest, FlatRttKnobIsADegenerateUniformModel) {
-  ClusterOptions co{.num_storage_nodes = 2,
-                    .backend = BackendKind::kMem,
-                    .round_trip_latency_us = 2000};
-  Cluster cluster(co);
-  cluster.SetCacheBypass(true);  // see above: round-trip counting test
-  ASSERT_NE(cluster.network(), nullptr);
-  EXPECT_EQ(cluster.round_trip_latency_us(), 2000);
-
-  ASSERT_TRUE(cluster.Put("a", "1").ok());
-  QueryMetrics m;
-  auto start = std::chrono::steady_clock::now();
-  auto r = cluster.Get("a", &m);
-  double elapsed = SecondsSince(start);
-  ASSERT_TRUE(r.ok());
-  EXPECT_GE(elapsed, 0.002);  // the read really stalls one round trip
-  EXPECT_EQ(m.net_service_ns, 2'000'000u);
-  EXPECT_EQ(m.net_transfer_bytes, 2u);  // "a" out, "1" back
-
-  // An explicit NetworkOptions with its own cost wins over the shim.
-  ClusterOptions both{.num_storage_nodes = 2, .backend = BackendKind::kMem};
-  both.network.link.rtt_us = 10;
-  both.round_trip_latency_us = 5000;
-  Cluster cluster2(both);
-  EXPECT_EQ(cluster2.round_trip_latency_us(), 10);
-}
-
 TEST(ClusterNetworkTest, WritesAreMeteredButNeverStalled) {
   ClusterOptions co{.num_storage_nodes = 2, .backend = BackendKind::kMem};
   co.network.link.rtt_us = 50000;  // 50ms — a stalled write would be visible
@@ -219,6 +195,117 @@ TEST(ClusterNetworkTest, WritesAreMeteredButNeverStalled) {
   for (uint64_t t : m.net_node_round_trips) trips += t;
   EXPECT_EQ(trips, 2u);
   EXPECT_EQ(m.net_transfer_bytes, 3u + 1u);  // put ships k+vv, delete ships k
+
+  // A read over the same link does wait out its round trip.
+  cluster.SetCacheBypass(true);  // the *_cached configuration would hit
+  ASSERT_TRUE(cluster.Put("a", "1").ok());
+  QueryMetrics read;
+  start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(cluster.Get("a", &read).ok());
+  EXPECT_GE(SecondsSince(start), 0.050);
+  EXPECT_EQ(read.net_service_ns, 50'000'000u);
+  EXPECT_EQ(read.net_transfer_bytes, 2u);  // "a" out, "1" back
+}
+
+// ----------------------------- TaaV scan: absolute network accounting ---
+
+// The baseline scan prices one request per tuple against the tuple's
+// owning node. Its network totals must equal what the test derives
+// itself from the link prices: per-tuple RequestCost latencies in scan
+// order, summed over each worker's ChunkRange slice. Checked for every
+// worker count, stall schedule and parallel mode, not only as equal
+// between them.
+TEST(TaavScanNetworkTest, TotalsEqualPerTupleCostsSummedPerChunk) {
+  ClusterOptions co{.num_storage_nodes = 4, .backend = BackendKind::kMem};
+  co.network.link =
+      NetworkLinkOptions{.rtt_us = 3, .per_key_us = 1, .per_byte_us = 0.01};
+  co.network.node_links = {
+      NetworkLinkOptions{.rtt_us = 30, .per_key_us = 2, .per_byte_us = 0.02},
+      co.network.link,
+      NetworkLinkOptions{.rtt_us = 7, .per_byte_us = 0.05,
+                         .service_rate = 100000},
+  };
+  Cluster cluster(co);
+  const NetworkModel& net = *cluster.network();
+  TableSchema schema("pad",
+                     {{"id", ValueType::kInt}, {"s", ValueType::kString}},
+                     {"id"});
+  Relation data({"id", "s"});
+  for (int64_t i = 0; i < 37; ++i) {
+    data.Add({Value(i), Value(std::string(static_cast<size_t>(i % 7) * 5,
+                                          'x'))});
+  }
+  ASSERT_TRUE(TaavLoadRelation(&cluster, schema, data).ok());
+
+  struct Request {
+    int node;
+    uint64_t latency_ns;
+  };
+  std::vector<Request> requests;
+  cluster.ScanPrefix(TaavPrefix("pad"), nullptr,
+                     [&](std::string_view key, std::string_view value) {
+                       int node = cluster.NodeFor(key);
+                       requests.push_back(
+                           {node, static_cast<uint64_t>(
+                                      net.RequestCost(node, 1,
+                                                      key.size() + value.size())
+                                          .latency_ns)});
+                     });
+  ASSERT_EQ(requests.size(), 37u);
+  uint64_t total_ns = 0;
+  for (const auto& r : requests) total_ns += r.latency_ns;
+
+  for (int workers : {1, 2, 4}) {
+    const size_t p = static_cast<size_t>(workers);
+    uint64_t serial_worst = 0;      // slowest chunk, requests back to back
+    uint64_t overlapped_worst = 0;  // slowest chunk, one chain per node
+    uint64_t touched_max = 0;       // most nodes one chunk reaches
+    for (size_t w = 0; w < p; ++w) {
+      auto [begin, end] = ChunkRange(requests.size(), w, p);
+      uint64_t chunk_ns = 0;
+      std::vector<uint64_t> node_ns(4, 0);
+      for (size_t i = begin; i < end; ++i) {
+        chunk_ns += requests[i].latency_ns;
+        node_ns[static_cast<size_t>(requests[i].node)] +=
+            requests[i].latency_ns;
+      }
+      serial_worst = std::max(serial_worst, chunk_ns);
+      overlapped_worst = std::max(
+          overlapped_worst, *std::max_element(node_ns.begin(), node_ns.end()));
+      touched_max = std::max<uint64_t>(
+          touched_max, static_cast<uint64_t>(std::count_if(
+                           node_ns.begin(), node_ns.end(),
+                           [](uint64_t ns) { return ns > 0; })));
+    }
+    for (FanoutMode fanout : {FanoutMode::kSerial, FanoutMode::kOverlapped}) {
+      for (ParallelMode mode :
+           {ParallelMode::kSimulated, ParallelMode::kThreads}) {
+        SCOPED_TRACE(
+            "workers=" + std::to_string(workers) +
+            (fanout == FanoutMode::kSerial ? " serial" : " overlapped") +
+            (mode == ParallelMode::kThreads ? " threads" : " simulated"));
+        std::unique_ptr<ThreadPool> pool;
+        if (mode == ParallelMode::kThreads && workers > 1) {
+          pool = std::make_unique<ThreadPool>(workers - 1);
+        }
+        QueryMetrics m;
+        auto rel = TaavScanTable(cluster, schema, "t", &m, pool.get(), workers,
+                                 fanout);
+        ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+        EXPECT_EQ(rel->size(), 37u);
+        EXPECT_EQ(m.net_service_ns, total_ns);
+        EXPECT_DOUBLE_EQ(m.makespan_net_seconds,
+                         static_cast<double>(serial_worst) / 1e9);
+        if (fanout == FanoutMode::kOverlapped) {
+          EXPECT_EQ(m.net_overlap_ns, serial_worst - overlapped_worst);
+          EXPECT_EQ(m.net_inflight_max, touched_max);
+        } else {
+          EXPECT_EQ(m.net_overlap_ns, 0u);
+          EXPECT_EQ(m.net_inflight_max, 0u);
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------- mode parity, non-uniform network ---

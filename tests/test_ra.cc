@@ -196,7 +196,8 @@ class TaavFixture : public RaFixture {
 
 TEST_F(TaavFixture, ScanChargesOneGetPerTuple) {
   QueryMetrics m;
-  auto rel = TaavScanTable(cluster_, *catalog_.Find("r"), "r", &m);
+  auto rel = TaavScanTable(cluster_, *catalog_.Find("r"), "r", &m,
+                           nullptr, 1, FanoutMode::kSerial);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->size(), 20u);
   EXPECT_EQ(m.get_calls, 20u);   // §3: one get per tuple
@@ -224,7 +225,7 @@ TEST_F(TaavFixture, BaselineExecutesJoinAggregate) {
       catalog_);
   ASSERT_TRUE(spec.ok());
   QueryMetrics m;
-  auto out = exec.Execute(*spec, /*workers=*/2, &m);
+  auto out = exec.Execute(*spec, TaavExecOptions{.workers = 2}, &m);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->size(), 5u);
   int64_t total = 0;
@@ -241,7 +242,8 @@ TEST_F(TaavFixture, DeleteRemovesTuple) {
       TaavDeleteTuple(&cluster_, *catalog_.Find("r"), {Value(int64_t{7})})
           .ok());
   QueryMetrics m;
-  auto rel = TaavScanTable(cluster_, *catalog_.Find("r"), "r", &m);
+  auto rel = TaavScanTable(cluster_, *catalog_.Find("r"), "r", &m,
+                           nullptr, 1, FanoutMode::kSerial);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->size(), 19u);
 }

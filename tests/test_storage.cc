@@ -316,7 +316,10 @@ TEST(Cluster, PrefixScanVisitsAllNodesAndCounts) {
   });
   EXPECT_EQ(seen, 50);
   EXPECT_EQ(m.next_calls, 50u);
-  EXPECT_EQ(cluster.CountPrefix("B:"), 50u);
+  int seen_b = 0;
+  cluster.ScanPrefix("B:", nullptr,
+                     [&](std::string_view, std::string_view) { ++seen_b; });
+  EXPECT_EQ(seen_b, 50);
 }
 
 TEST(Cluster, DeleteIsMetered) {
