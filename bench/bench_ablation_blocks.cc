@@ -1,5 +1,5 @@
-// Ablations of the design choices DESIGN.md calls out (not in the paper's
-// evaluation, but §8.2 motivates each):
+// Ablations of the design choices docs/ARCHITECTURE.md lists (not in the
+// paper's evaluation, but §8.2 motivates each):
 //  (1) block split threshold: gets per point access vs threshold;
 //  (2) block compression on/off: storage footprint on skewed data;
 //  (3) per-block statistics pushdown on/off: time and bytes for a grouped
@@ -76,11 +76,11 @@ int main() {
     ZIDIAN_CHECK_OK(z.LoadTaav(w->data));
     ZIDIAN_CHECK_OK(z.BuildBaav(w->data));
     AnswerInfo info;
-    auto r = z.Answer(
+    auto r = z.Connect().Execute(
         "SELECT v.vehicle_id, SUM(t.cost), COUNT(*) FROM vehicle v, "
         "mot_test t WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7 "
         "GROUP BY v.vehicle_id",
-        4, &info);
+        ExecOptions{.workers = 4}, &info);
     if (!r.ok()) return 1;
     std::printf("%-10s %12s %14llu %12llu\n", stats ? "on" : "off",
                 Num(SimSeconds(info.metrics, SoH())).c_str(),
@@ -100,10 +100,11 @@ int main() {
     Zidian z(&w->catalog, &cluster, w->baav, zopts);
     ZIDIAN_CHECK_OK(z.LoadTaav(w->data));
     ZIDIAN_CHECK_OK(z.BuildBaav(w->data));
+    Connection conn = z.Connect();
     int bounded = 0;
     for (const auto& q : w->queries) {
       AnswerInfo info;
-      auto r = z.Answer(q.sql, 2, &info);
+      auto r = conn.Execute(q.sql, ExecOptions{.workers = 2}, &info);
       if (r.ok() && info.bounded) ++bounded;
     }
     std::printf("%-12llu %d\n", (unsigned long long)threshold, bounded);

@@ -71,27 +71,25 @@ inline RunStats RunBoth(Instance& inst, const std::string& sql,
     std::abort();
   }
   AnswerInfo info;
-  auto zr = prepared->Execute(
-      ExecOptions{.workers = workers, .backend_profile = &profile}, &info);
+  auto zr = prepared->Execute(ExecOptions{.workers = workers}, &info);
   if (!zr.ok()) {
     std::fprintf(stderr, "zidian failed on %s: %s\n", sql.c_str(),
                  zr.status().ToString().c_str());
     std::abort();
   }
   out.zidian_m = info.metrics;
-  out.zidian_s = info.sim_seconds;
+  out.zidian_s = SimSeconds(info.metrics, profile);
   AnswerInfo base;
   auto br = prepared->Execute(
       ExecOptions{.workers = workers,
-                  .route_policy = RoutePolicy::kForceBaseline,
-                  .backend_profile = &profile},
+                  .route_policy = RoutePolicy::kForceBaseline},
       &base);
   if (!br.ok()) {
     std::fprintf(stderr, "baseline failed on %s\n", sql.c_str());
     std::abort();
   }
   out.baseline_m = base.metrics;
-  out.baseline_s = base.sim_seconds;
+  out.baseline_s = SimSeconds(base.metrics, profile);
   return out;
 }
 

@@ -242,26 +242,24 @@ void MergeBlockStats(BlockStats* total, const BlockStats& part, size_t arity) {
 namespace {
 
 /// Transfers a stats fetch's scratch meter into the caller's metrics. A
-/// stats read ships only header-sized payloads, so the cluster's full
-/// pair-byte charges are replaced by `header_bytes` per segment — served
-/// from the cache for the segments that hit (no comm), from storage for
-/// the rest. Round trips, cache hits/misses/evictions and the batched
-/// round-trip savings carry over unchanged.
+/// stats read ships only header-sized payloads, so the four header-charged
+/// fields are replaced: one get and `arity` values per fetched segment,
+/// and `header_bytes` per segment — from the cache for the segments that
+/// hit (no comm), from storage for the rest. Every other counter the
+/// fetch recorded (round trips, cache traffic, network and fault
+/// metering) carries over unchanged.
 void ChargeStatsFetch(const QueryMetrics& scratch, uint64_t segments_fetched,
                       size_t arity, QueryMetrics* m) {
   if (m == nullptr) return;
   uint64_t header_bytes = 16 + arity * 26;
   uint64_t hit_segments = std::min<uint64_t>(scratch.cache_hits,
                                              segments_fetched);
-  m->get_calls += segments_fetched;
-  m->get_round_trips += scratch.get_round_trips;
-  m->multiget_calls += scratch.multiget_calls;
-  m->cache_hits += scratch.cache_hits;
-  m->cache_misses += scratch.cache_misses;
-  m->cache_evictions += scratch.cache_evictions;
-  m->bytes_from_cache += hit_segments * header_bytes;
-  m->bytes_from_storage += (segments_fetched - hit_segments) * header_bytes;
-  m->values_accessed += segments_fetched * arity;
+  QueryMetrics charged = scratch;
+  charged.get_calls = segments_fetched;
+  charged.values_accessed = segments_fetched * arity;
+  charged.bytes_from_storage = (segments_fetched - hit_segments) * header_bytes;
+  charged.bytes_from_cache = hit_segments * header_bytes;
+  *m += charged;
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // declares who guards what (GUARDED_BY), every internal helper that
 // assumes a held lock says so (REQUIRES), and the CI job that builds with
 //   clang++ -Werror=thread-safety -Wthread-safety-beta
-// turns the DESIGN.md locking map into a build failure when code and
-// contract drift apart. Under GCC (and any compiler without the
+// turns the docs/ARCHITECTURE.md mutex table into a build failure when
+// code and contract drift apart. Under GCC (and any compiler without the
 // capability attributes) every macro expands to nothing, so the
 // annotations are zero-cost documentation there.
 //

@@ -3,7 +3,8 @@
 // statistics). The originals are published government datasets we cannot
 // ship; the generators reproduce their documented shape — table counts,
 // attribute counts, Zipf-skewed foreign keys and small active domains — which
-// §9 identifies as the properties driving Zidian's gains (see DESIGN.md).
+// §9 identifies as the properties driving Zidian's gains (see
+// docs/ARCHITECTURE.md, "Simulator substitutions").
 #ifndef ZIDIAN_WORKLOADS_WORKLOAD_H_
 #define ZIDIAN_WORKLOADS_WORKLOAD_H_
 

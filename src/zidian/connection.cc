@@ -113,16 +113,12 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
   out->parallel_mode =
       threaded ? ParallelMode::kThreads : ParallelMode::kSimulated;
   ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> per_call_pool;
   if (threaded) {
     if (opts.pool != nullptr) {
       pool = opts.pool;
-    } else if (pool_state_ != nullptr) {
+    } else {
       pool = pool_state_->GetOrCreate(workers - 1);
       out->used_shared_pool = true;
-    } else {
-      per_call_pool = std::make_unique<ThreadPool>(workers - 1);
-      pool = per_call_pool.get();
     }
   }
 
@@ -141,7 +137,8 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
     out->route = AnswerInfo::Route::kTaavFallback;
     out->detail = preserving_ ? "route policy forced the TaaV baseline"
                               : preserve_detail_;
-    result = zidian_->AnswerBaseline(
+    TaavExecutor baseline(&zidian_->catalog(), &cluster);
+    result = baseline.Execute(
         spec_,
         TaavExecOptions{.workers = workers,
                         .parallel_mode = out->parallel_mode,
@@ -165,9 +162,6 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
     // so failed_queries and the net_* fault counters stay visible.
     out->metrics.failed_queries += 1;
     out->detail = result.status().ToString();
-  }
-  if (result.ok() && opts.backend_profile != nullptr) {
-    out->sim_seconds = SimSeconds(out->metrics, *opts.backend_profile);
   }
   last_info_ = *out;
   return result;

@@ -33,15 +33,13 @@
 // per-phase wall timings) with measured time, so SimSeconds predictions
 // can be validated against the clock.
 //
-// Threads come from one of three places, in priority order: an
-// ExecOptions::pool the caller owns, the Connection's lazily created
-// shared pool (the default — repeated Execute()s and every PreparedQuery
-// prepared on the same Connection reuse one set of threads, so high-QPS
-// serving does not pay thread startup per query), or a per-call pool as
-// the last resort. AnswerInfo reports the *effective* parallel_mode
-// (kThreads requested with workers <= 1 executes — and reports —
-// kSimulated) and whether the shared pool served the run
-// (used_shared_pool).
+// Threads come from an ExecOptions::pool the caller owns or, by default,
+// from the Connection's lazily created shared pool: repeated Execute()s
+// and every PreparedQuery prepared on the same Connection reuse one set
+// of threads, so high-QPS serving does not pay thread startup per query.
+// AnswerInfo reports the *effective* parallel_mode (kThreads requested
+// with workers <= 1 executes — and reports — kSimulated) and whether the
+// shared pool served the run (used_shared_pool).
 //
 // Concurrency: distinct Connections (and their PreparedQueries) may
 // Execute concurrently against one shared Zidian/Cluster — the
@@ -54,8 +52,8 @@
 // it toggles a cluster-global flag that would leak into concurrently
 // running queries.
 //
-// The old one-shot calls (Zidian::Answer / AnswerSpec / AnswerBaseline)
-// remain as thin shims over this API.
+// Pricing a run is the caller's step: SimSeconds(info.metrics, profile)
+// (storage/backend.h) turns its metrics into simulated seconds.
 #ifndef ZIDIAN_ZIDIAN_CONNECTION_H_
 #define ZIDIAN_ZIDIAN_CONNECTION_H_
 
@@ -81,8 +79,6 @@ enum class RoutePolicy {
 struct ExecOptions {
   int workers = 1;
   RoutePolicy route_policy = RoutePolicy::kAuto;
-  /// When set, AnswerInfo::sim_seconds is filled from this cost profile.
-  const BackendProfile* backend_profile = nullptr;
   /// Run with the cluster's BlockCache neither consulted nor filled (the
   /// cache stays attached and coherent; Put/Delete still invalidate).
   /// All cache_* counters of the run stay zero.
@@ -173,8 +169,8 @@ class PreparedQuery {
   std::string preserve_detail_;
   std::optional<PlannedQuery> planned_;  // engaged iff preserving
   std::string plan_text_;                // rendered once at Prepare time
-  /// The owning Connection's shared pool, kept alive past the Connection
-  /// itself so a PreparedQuery outliving its session stays safe.
+  /// The owning Connection's shared pool (never null), kept alive past the
+  /// Connection itself so a PreparedQuery outliving its session stays safe.
   std::shared_ptr<SharedPoolState> pool_state_;
   AnswerInfo last_info_;
 };

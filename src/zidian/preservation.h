@@ -5,7 +5,8 @@
 //    of ~R' is already contained (Condition I's inductive definition). The
 //    paper's rule (2) chases pk(~R'); we chase the declared primary key when
 //    present and the key attributes X otherwise, which keeps every closure
-//    step executable as an extension ∝ (see DESIGN.md, substitution table).
+//    step executable as an extension ∝ (docs/ARCHITECTURE.md, "Simulator
+//    substitutions").
 //
 //  * Condition I — data preservability: every relation R has a KV schema
 //    whose closure equals att(R). Sufficient and necessary (Theorem 1).

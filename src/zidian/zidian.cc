@@ -9,8 +9,7 @@ Zidian::Zidian(const Catalog* catalog, Cluster* cluster,
     : catalog_(catalog),
       cluster_(cluster),
       store_(cluster, std::move(baav_schema), catalog, options.store),
-      options_(options),
-      baseline_(catalog, cluster) {}
+      options_(options) {}
 
 Connection Zidian::Connect() { return Connection(this); }
 
@@ -52,36 +51,6 @@ Status Zidian::Delete(const std::string& relation, const Tuple& tuple) {
                           store_.ReadForDelete(relation, tuple));
   ZIDIAN_RETURN_NOT_OK(TaavDeleteTuple(cluster_, schema, pk));
   return store_.Install(update);
-}
-
-Result<Relation> Zidian::Answer(const std::string& sql, int workers,
-                                AnswerInfo* info) {
-  ZIDIAN_ASSIGN_OR_RETURN(QuerySpec spec, ParseAndBind(sql, *catalog_));
-  return AnswerSpec(spec, workers, info);
-}
-
-Result<Relation> Zidian::AnswerSpec(const QuerySpec& spec, int workers,
-                                    AnswerInfo* info) {
-  ZIDIAN_ASSIGN_OR_RETURN(PreparedQuery prepared, Connect().PrepareSpec(spec));
-  return prepared.Execute(ExecOptions{.workers = workers}, info);
-}
-
-Result<Relation> Zidian::AnswerBaseline(const QuerySpec& spec, int workers,
-                                        QueryMetrics* m) const {
-  return AnswerBaseline(spec, TaavExecOptions{.workers = workers}, m);
-}
-
-Result<Relation> Zidian::AnswerBaseline(const QuerySpec& spec,
-                                        const TaavExecOptions& opts,
-                                        QueryMetrics* m) const {
-  QueryMetrics local;
-  return baseline_.Execute(spec, opts, m != nullptr ? m : &local);
-}
-
-Result<Relation> Zidian::AnswerBaseline(const std::string& sql, int workers,
-                                        QueryMetrics* m) const {
-  ZIDIAN_ASSIGN_OR_RETURN(QuerySpec spec, ParseAndBind(sql, *catalog_));
-  return AnswerBaseline(spec, workers, m);
 }
 
 }  // namespace zidian

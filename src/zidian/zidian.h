@@ -5,19 +5,15 @@
 //     LoadTaav(db)          store the relations under TaaV (the existing
 //                           SQL-over-NoSQL layout)
 //     BuildBaav(db)         map the database onto the BaaV schema (M4)
-//     Connect()             open a Connection; Prepare(sql) runs the M1
-//                           routing decision and M2 plan generation once,
-//                           Execute(...) runs M3 any number of times (see
-//                           zidian/connection.h for the session API)
-//     Answer(sql, p)        one-shot shim over Connect().Prepare().Execute():
-//                           module M1 decides whether the query can be
-//                           answered on the BaaV store (Condition II); if so
-//                           M2 generates a (scan-free / bounded when
-//                           possible) KBA plan and M3 executes it with the
-//                           interleaved parallel strategy; otherwise the
-//                           query falls back to the TaaV baseline.
-//     AnswerBaseline(...)   the SQL-over-NoSQL baseline path, for
-//                           experiments ("without Zidian").
+//     Connect()             open a Connection, the one query API (see
+//                           zidian/connection.h): Prepare(sql) runs module
+//                           M1's routing decision (answerable on the BaaV
+//                           store, Condition II?) and M2's plan generation
+//                           once; Execute(...) runs M3 any number of times,
+//                           with the interleaved parallel strategy, or the
+//                           TaaV baseline when the query is not result
+//                           preserving or RoutePolicy::kForceBaseline asks
+//                           for the "without Zidian" arm.
 #ifndef ZIDIAN_ZIDIAN_ZIDIAN_H_
 #define ZIDIAN_ZIDIAN_ZIDIAN_H_
 
@@ -82,22 +78,15 @@ struct AnswerInfo {
   /// accounting or real threads. A kThreads request with workers <= 1
   /// runs (and reports) kSimulated — one worker on the calling thread IS
   /// the simulated path. Under kThreads, metrics.wall_seconds carries
-  /// the measured time next to sim_seconds.
+  /// the measured time next to the modeled makespans.
   ParallelMode parallel_mode = ParallelMode::kSimulated;
   /// Whether this run's threads came from the Connection-shared pool
   /// (amortized across executions) rather than an ExecOptions::pool
-  /// override or a per-call pool. Always false under kSimulated.
+  /// override. Always false under kSimulated.
   bool used_shared_pool = false;
   QueryMetrics metrics;
   std::string plan_text;
   std::string detail;
-  /// Filled when ExecOptions::backend_profile was given to Execute().
-  double sim_seconds = 0;
-
-  /// Simulated wall-clock under a backend profile (Table 2/3 "time").
-  double SimSecondsFor(const BackendProfile& profile) const {
-    return SimSeconds(metrics, profile);
-  }
 };
 
 class Zidian {
@@ -125,32 +114,11 @@ class Zidian {
   Status Insert(const std::string& relation, const Tuple& tuple);
   Status Delete(const std::string& relation, const Tuple& tuple);
 
-  /// One-shot pipeline, a shim over Connect(): parse, bind, route, execute
-  /// with `workers` nodes. Prefer Connection/PreparedQuery when the same
-  /// query runs more than once.
-  Result<Relation> Answer(const std::string& sql, int workers,
-                          AnswerInfo* info);
-  Result<Relation> AnswerSpec(const QuerySpec& spec, int workers,
-                              AnswerInfo* info);
-
-  /// The SQL-over-NoSQL baseline (no Zidian), for comparison runs.
-  Result<Relation> AnswerBaseline(const QuerySpec& spec, int workers,
-                                  QueryMetrics* m) const;
-  Result<Relation> AnswerBaseline(const std::string& sql, int workers,
-                                  QueryMetrics* m) const;
-  /// Baseline with full execution options (parallel mode, shared pool) —
-  /// the entry PreparedQuery::Execute uses so the TaaV control arm runs
-  /// on the same substrate as the KBA treatment.
-  Result<Relation> AnswerBaseline(const QuerySpec& spec,
-                                  const TaavExecOptions& opts,
-                                  QueryMetrics* m) const;
-
  private:
   const Catalog* catalog_;
   Cluster* cluster_;
   BaavStore store_;
   ZidianOptions options_;
-  TaavExecutor baseline_;
 };
 
 }  // namespace zidian

@@ -310,7 +310,7 @@ TEST(Metrics, AccumulatesAndFormats) {
   a += b;
   EXPECT_EQ(a.get_calls, 5u);
   EXPECT_EQ(a.CommBytes(), 150u);
-  EXPECT_NE(a.ToString().find("gets=5"), std::string::npos);
+  EXPECT_NE(a.ToString().find("get_calls=5"), std::string::npos);
 }
 
 }  // namespace

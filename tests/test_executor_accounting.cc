@@ -9,6 +9,7 @@
 #include "sql/binder.h"
 #include "storage/backend.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/zidian.h"
 
 namespace zidian {
@@ -34,10 +35,10 @@ class AccountingFixture : public ::testing::Test {
 
 TEST_F(AccountingFixture, ScanFreeRunIssuesExactlyOneGetPerBlock) {
   AnswerInfo info;
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT v.make, t.test_result FROM vehicle v, mot_test t "
       "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 17",
-      1, &info);
+      ExecOptions{.workers = 1}, &info);
   ASSERT_TRUE(r.ok());
   // One get for the vehicle block, one for the test block.
   EXPECT_EQ(info.metrics.get_calls, 2u);
@@ -50,12 +51,14 @@ TEST_F(AccountingFixture, ScanFreeRunIssuesExactlyOneGetPerBlock) {
 }
 
 TEST_F(AccountingFixture, BaselineChargesScanOfEveryInvolvedRelation) {
-  QueryMetrics m;
-  auto r = zidian_->AnswerBaseline(
+  AnswerInfo info;
+  auto r = zidian_->Connect().Execute(
       "SELECT v.make, t.test_result FROM vehicle v, mot_test t "
       "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 17",
-      1, &m);
+      ExecOptions{.workers = 1, .route_policy = RoutePolicy::kForceBaseline},
+      &info);
   ASSERT_TRUE(r.ok());
+  const QueryMetrics& m = info.metrics;
   uint64_t vehicle_rows = workload_.data.at("vehicle").size();
   uint64_t test_rows = workload_.data.at("mot_test").size();
   EXPECT_EQ(m.next_calls, vehicle_rows + test_rows);
@@ -67,13 +70,16 @@ TEST_F(AccountingFixture, ShuffleChargedOnlyWhenParallel) {
   const std::string sql =
       "SELECT v.make, COUNT(*) FROM vehicle v, mot_test t "
       "WHERE v.vehicle_id = t.vehicle_id GROUP BY v.make";
-  QueryMetrics seq, par;
-  ASSERT_TRUE(zidian_->AnswerBaseline(sql, 1, &seq).ok());
-  ASSERT_TRUE(zidian_->AnswerBaseline(sql, 8, &par).ok());
-  EXPECT_EQ(seq.shuffle_bytes, 0u);
-  EXPECT_GT(par.shuffle_bytes, 0u);
+  Connection conn = zidian_->Connect();
+  AnswerInfo seq, par;
+  ExecOptions baseline{.route_policy = RoutePolicy::kForceBaseline};
+  ASSERT_TRUE(conn.Execute(sql, baseline, &seq).ok());
+  baseline.workers = 8;
+  ASSERT_TRUE(conn.Execute(sql, baseline, &par).ok());
+  EXPECT_EQ(seq.metrics.shuffle_bytes, 0u);
+  EXPECT_GT(par.metrics.shuffle_bytes, 0u);
   // Same data read either way.
-  EXPECT_EQ(seq.bytes_from_storage, par.bytes_from_storage);
+  EXPECT_EQ(seq.metrics.bytes_from_storage, par.metrics.bytes_from_storage);
 }
 
 TEST(MakespanAccounting, MakespanGetIsMaxNotTotal) {
@@ -86,11 +92,11 @@ TEST(MakespanAccounting, MakespanGetIsMaxNotTotal) {
   ASSERT_TRUE(z.LoadTaav(w->data).ok());
   ASSERT_TRUE(z.BuildBaav(w->data).ok());
   AnswerInfo info;
-  auto r = z.Answer(
+  auto r = z.Connect().Execute(
       "SELECT ps.partkey, SUM(ps.supplycost) FROM partsupp ps, supplier s, "
       "nation n WHERE ps.suppkey = s.suppkey AND s.nationkey = n.nationkey "
       "AND n.name = 'GERMANY' GROUP BY ps.partkey",
-      4, &info);
+      ExecOptions{.workers = 4}, &info);
   ASSERT_TRUE(r.ok());
   ASSERT_GT(info.metrics.get_calls, 4u);
   // With 4 workers the per-worker maximum must sit strictly between the
@@ -118,8 +124,8 @@ TEST_F(AccountingFixture, StatsPushdownShipsHeaderBytesOnly) {
       "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 17 "
       "GROUP BY v.vehicle_id";
   AnswerInfo with_stats, without;
-  auto a = zidian_->Answer(sql, 1, &with_stats);
-  auto b = plain.Answer(sql, 1, &without);
+  auto a = zidian_->Connect().Execute(sql, ExecOptions{}, &with_stats);
+  auto b = plain.Connect().Execute(sql, ExecOptions{}, &without);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(with_stats.stats_pushdown);
@@ -150,12 +156,15 @@ TEST_P(TemplateInstanceSweep, AllInstancesClassifyAndAgree) {
   Zidian z(&w->catalog, &cluster, w->baav);
   ASSERT_TRUE(z.LoadTaav(w->data).ok());
   ASSERT_TRUE(z.BuildBaav(w->data).ok());
+  Connection conn = z.Connect();
   for (const auto& q : w->queries) {
     AnswerInfo info;
-    auto zr = z.Answer(q.sql, 2, &info);
+    auto zr = conn.Execute(q.sql, ExecOptions{.workers = 2}, &info);
     ASSERT_TRUE(zr.ok()) << q.name << " seed " << seed;
     EXPECT_EQ(info.scan_free, q.expect_scan_free) << q.name;
-    auto br = z.AnswerBaseline(q.sql, 2, nullptr);
+    auto br = conn.Execute(
+        q.sql,
+        ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline});
     ASSERT_TRUE(br.ok());
     Relation a = *zr, b = *br;
     a.SortRows();

@@ -125,13 +125,16 @@ TEST_P(FuzzQueries, ZidianAgreesWithBaselineOnRandomQueries) {
   }
 
   Rng rng(GetParam());
+  Connection conn = z.Connect();
   int scan_free_seen = 0;
   for (int i = 0; i < 40; ++i) {
     std::string sql = RandomQuery(&rng, n_vehicles);
     AnswerInfo info;
-    auto zr = z.Answer(sql, /*workers=*/2, &info);
+    auto zr = conn.Execute(sql, ExecOptions{.workers = 2}, &info);
     ASSERT_TRUE(zr.ok()) << sql << "\n" << zr.status().ToString();
-    auto br = z.AnswerBaseline(sql, 2, nullptr);
+    auto br = conn.Execute(
+        sql,
+        ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline});
     ASSERT_TRUE(br.ok()) << sql;
     scan_free_seen += info.scan_free ? 1 : 0;
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "kba/kba_executor.h"
+#include "kba/kba_plan.h"
 #include "kba/makespan.h"
 #include "ra/taav.h"
 #include "storage/backend.h"
@@ -308,6 +310,52 @@ TEST(TaavScanNetworkTest, TotalsEqualPerTupleCostsSummedPerChunk) {
   }
 }
 
+// ------------------------------------------ stats reads on the network ---
+
+TEST(StatsReadNetworkTest, StatsOnlyExtendPaysTheFullReadsNetworkCost) {
+  // A stats-pushdown read fetches the same segments as a full block read,
+  // so it waits on the same round trips; only its charged bytes shrink to
+  // the headers. Every network counter must therefore match the full
+  // read's, and the overlap it reports cannot exceed what it waited.
+  auto w = MakeMot(0.15, 23);
+  ASSERT_TRUE(w.ok());
+  ClusterOptions co{.num_storage_nodes = 4, .backend = BackendKind::kMem};
+  co.network.link = NetworkLinkOptions{.rtt_us = 50};
+  Cluster cluster(co);
+  // Both reads must reach the nodes, under the cached ctest configuration
+  // too: a bypassed cache is neither consulted nor filled.
+  cluster.SetCacheBypass(true);
+  Zidian z(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(z.BuildBaav(w->data).ok());
+
+  KvInst seeds;
+  seeds.key_cols = {"d"};
+  seeds.rel = Relation(seeds.key_cols);
+  for (int64_t v = 1; v <= 64; ++v) seeds.rel.Add({Value(v)});
+  KbaExecutor exec(&z.store());
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    QueryMetrics full, stats;
+    for (bool stats_only : {false, true}) {
+      auto plan =
+          KbaPlan::Extend(KbaPlan::Const(seeds), "mot_test@vehicle_id", "t",
+                          {{"d", "vehicle_id"}}, stats_only);
+      auto r = exec.Execute(*plan,
+                            KbaExecOptions{.workers = workers,
+                                           .fanout = FanoutMode::kOverlapped},
+                            stats_only ? &stats : &full);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    EXPECT_GT(full.net_service_ns, 0u);
+    EXPECT_EQ(stats.net_service_ns, full.net_service_ns);
+    EXPECT_EQ(stats.net_node_round_trips, full.net_node_round_trips);
+    EXPECT_EQ(stats.net_node_busy_ns, full.net_node_busy_ns);
+    EXPECT_EQ(stats.makespan_net_seconds, full.makespan_net_seconds);
+    EXPECT_LT(stats.bytes_from_storage, full.bytes_from_storage);
+    EXPECT_LE(stats.net_overlap_ns, stats.net_service_ns);
+  }
+}
+
 // ------------------------------------- mode parity, non-uniform network ---
 
 class NetworkParityFixture : public ::testing::TestWithParam<BackendKind> {
@@ -397,15 +445,14 @@ TEST_P(NetworkParityFixture, SimSecondsReflectsTheNetworkLeg) {
   auto prepared = conn.Prepare(workload_.queries[0].sql);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   AnswerInfo info;
-  auto r = prepared->Execute(
-      ExecOptions{.workers = 4, .backend_profile = &SoH()}, &info);
+  auto r = prepared->Execute(ExecOptions{.workers = 4}, &info);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // The network contribution is visible in sim_seconds: stripping the
+  // The network contribution is visible in SimSeconds: stripping the
   // net legs from the metrics must strictly lower the estimate.
   QueryMetrics stripped = info.metrics;
   stripped.makespan_net_seconds = 0;
   stripped.net_queue_seconds = 0;
-  EXPECT_GT(info.sim_seconds, SimSeconds(stripped, SoH()));
+  EXPECT_GT(SimSeconds(info.metrics, SoH()), SimSeconds(stripped, SoH()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, NetworkParityFixture,

@@ -8,6 +8,7 @@
 #include "sql/binder.h"
 #include "storage/cluster.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/planner.h"
 #include "zidian/preservation.h"
 #include "zidian/zidian.h"
@@ -159,7 +160,8 @@ TEST_F(Example1Fixture, Q1IsScanFree) {
 
 TEST_F(Example1Fixture, Q1PlanHasNoScans) {
   AnswerInfo info;
-  auto result = zidian_->Answer(kQ1, /*workers=*/2, &info);
+  auto result =
+      zidian_->Connect().Execute(kQ1, ExecOptions{.workers = 2}, &info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(info.result_preserving);
   EXPECT_TRUE(info.scan_free);
@@ -170,12 +172,17 @@ TEST_F(Example1Fixture, Q1PlanHasNoScans) {
 }
 
 TEST_F(Example1Fixture, Q1MatchesBaseline) {
+  Connection conn = zidian_->Connect();
   AnswerInfo info;
-  auto with_zidian = zidian_->Answer(kQ1, 2, &info);
+  auto with_zidian = conn.Execute(kQ1, ExecOptions{.workers = 2}, &info);
   ASSERT_TRUE(with_zidian.ok()) << with_zidian.status().ToString();
-  QueryMetrics base_m;
-  auto baseline = zidian_->AnswerBaseline(kQ1, 2, &base_m);
+  AnswerInfo base;
+  auto baseline = conn.Execute(
+      kQ1,
+      ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline},
+      &base);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const QueryMetrics& base_m = base.metrics;
 
   Relation a = *with_zidian;
   Relation b = *baseline;
@@ -206,10 +213,12 @@ TEST_F(Example1Fixture, IncrementalMaintenanceKeepsAnswersFresh) {
                   ->Insert("partsupp", {Value(int64_t{500}), Value(int64_t{99}),
                                         Value(123.5), Value(int64_t{42})})
                   .ok());
+  Connection conn = zidian_->Connect();
   AnswerInfo info;
-  auto with_zidian = zidian_->Answer(kQ1, 1, &info);
+  auto with_zidian = conn.Execute(kQ1, ExecOptions{}, &info);
   ASSERT_TRUE(with_zidian.ok()) << with_zidian.status().ToString();
-  auto baseline = zidian_->AnswerBaseline(kQ1, 1, nullptr);
+  auto baseline = conn.Execute(
+      kQ1, ExecOptions{.route_policy = RoutePolicy::kForceBaseline});
   ASSERT_TRUE(baseline.ok());
   Relation a = *with_zidian, b = *baseline;
   a.SortRows();

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "sql/binder.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/zidian.h"
 
 namespace zidian {
@@ -105,10 +106,13 @@ TEST_P(PerQueryDifferential, ZidianEqualsBaseline) {
   ASSERT_LT(GetParam().index, env->workload.queries.size());
   const WorkloadQuery& q = env->workload.queries[GetParam().index];
 
+  Connection conn = env->zidian->Connect();
   AnswerInfo info;
-  auto zr = env->zidian->Answer(q.sql, /*workers=*/3, &info);
+  auto zr = conn.Execute(q.sql, ExecOptions{.workers = 3}, &info);
   ASSERT_TRUE(zr.ok()) << q.name << ": " << zr.status().ToString();
-  auto br = env->zidian->AnswerBaseline(q.sql, 3, nullptr);
+  auto br = conn.Execute(
+      q.sql,
+      ExecOptions{.workers = 3, .route_policy = RoutePolicy::kForceBaseline});
   ASSERT_TRUE(br.ok()) << q.name;
 
   Relation a = *zr, b = *br;
@@ -200,8 +204,8 @@ TEST_P(UpdateSequenceProperty, IncrementalMaintenanceEqualsRebuild) {
         "SELECT v.make, t.test_date FROM vehicle v, mot_test t WHERE "
         "v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7",
         "SELECT SUM(t.cost) FROM mot_test t WHERE t.vehicle_id = 12"}) {
-    auto a = z.Answer(sql, 2, nullptr);
-    auto b = z2.Answer(sql, 2, nullptr);
+    auto a = z.Connect().Execute(sql, ExecOptions{.workers = 2});
+    auto b = z2.Connect().Execute(sql, ExecOptions{.workers = 2});
     ASSERT_TRUE(a.ok()) << sql;
     ASSERT_TRUE(b.ok()) << sql;
     Relation ra = *a, rb = *b;
@@ -239,7 +243,7 @@ TEST(Persistence, ClusterSurvivesSaveLoad) {
     Zidian z(&w->catalog, &cluster, w->baav);
     ASSERT_TRUE(z.LoadTaav(w->data).ok());
     ASSERT_TRUE(z.BuildBaav(w->data).ok());
-    auto r = z.Answer(probe, 1, nullptr);
+    auto r = z.Connect().Execute(probe);
     ASSERT_TRUE(r.ok());
     before = *r;
     ASSERT_TRUE(cluster.SaveToDir(dir).ok());
@@ -249,7 +253,7 @@ TEST(Persistence, ClusterSurvivesSaveLoad) {
     ASSERT_TRUE(cluster.LoadFromDir(dir).ok());
     Zidian z(&w->catalog, &cluster, w->baav);  // no rebuild: storage restored
     AnswerInfo info;
-    auto r = z.Answer(probe, 1, &info);
+    auto r = z.Connect().Execute(probe, ExecOptions{}, &info);
     ASSERT_TRUE(r.ok());
     Relation after = *r;
     before.SortRows();
@@ -275,8 +279,11 @@ class PlannerEdgeCases : public ::testing::Test {
   }
 
   void ExpectAgree(const std::string& sql, int workers = 2) {
-    auto a = zidian_->Answer(sql, workers, nullptr);
-    auto b = zidian_->AnswerBaseline(sql, workers, nullptr);
+    Connection conn = zidian_->Connect();
+    auto a = conn.Execute(sql, ExecOptions{.workers = workers});
+    auto b = conn.Execute(sql, ExecOptions{.workers = workers,
+                                           .route_policy =
+                                               RoutePolicy::kForceBaseline});
     ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << sql;
     Relation ra = *a, rb = *b;
@@ -310,11 +317,11 @@ TEST_F(PlannerEdgeCases, OrPredicateIsResidualButCorrect) {
 }
 
 TEST_F(PlannerEdgeCases, OrderByAndLimitThroughZidianRoute) {
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT t.test_date, t.test_mileage FROM mot_test t, vehicle v "
       "WHERE t.vehicle_id = v.vehicle_id AND v.vehicle_id = 6 "
       "ORDER BY t.test_mileage DESC LIMIT 2",
-      2, nullptr);
+      ExecOptions{.workers = 2});
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 2u);
   EXPECT_GE(r->rows()[0][1].Numeric(), r->rows()[1][1].Numeric());
@@ -322,10 +329,10 @@ TEST_F(PlannerEdgeCases, OrderByAndLimitThroughZidianRoute) {
 
 TEST_F(PlannerEdgeCases, GlobalCountStarScanFree) {
   AnswerInfo info;
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT COUNT(*) FROM mot_test t, vehicle v "
       "WHERE t.vehicle_id = v.vehicle_id AND v.vehicle_id = 9",
-      2, &info);
+      ExecOptions{.workers = 2}, &info);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(info.scan_free);
   EXPECT_EQ(r->rows()[0][0].AsInt(), 5);  // 5 tests per vehicle
@@ -338,10 +345,9 @@ TEST_F(PlannerEdgeCases, DuplicateConstantsAreConsistent) {
 }
 
 TEST_F(PlannerEdgeCases, ContradictoryConstantsYieldEmpty) {
-  auto r = zidian_->Answer(
+  auto r = zidian_->Connect().Execute(
       "SELECT t.test_id FROM mot_test t WHERE t.test_id = 7 AND "
-      "t.test_id = 8",
-      1, nullptr);
+      "t.test_id = 8");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }

@@ -506,12 +506,14 @@ TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
   // Differential consistency after the dust settles: the KBA route and
   // the TaaV baseline must agree per vehicle, and the test count must be
   // the 5 loaded rows plus exactly the inserts admitted for that vehicle.
+  Connection conn = zidian_->Connect();
   for (uint64_t vid : {uint64_t{1}, uint64_t{2}, uint64_t{5}}) {
     std::string sql = AggTemplate().sql(vid);
     AnswerInfo info;
-    auto kba = zidian_->Answer(sql, 1, &info);
+    auto kba = conn.Execute(sql, ExecOptions{}, &info);
     ASSERT_TRUE(kba.ok()) << sql << "\n" << kba.status().ToString();
-    auto base = zidian_->AnswerBaseline(sql, 1, nullptr);
+    auto base = conn.Execute(
+        sql, ExecOptions{.route_policy = RoutePolicy::kForceBaseline});
     ASSERT_TRUE(base.ok()) << sql;
     Relation a = *kba, b = *base;
     a.SortRows();

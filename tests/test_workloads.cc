@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sql/binder.h"
+#include "zidian/connection.h"
 #include "zidian/planner.h"
 #include "zidian/zidian.h"
 #include "workloads/workload.h"
@@ -98,11 +99,14 @@ TEST_P(WorkloadTest, ZidianMatchesBaselineOnEveryQuery) {
   ASSERT_TRUE(z.LoadTaav(w->data).ok());
   ASSERT_TRUE(z.BuildBaav(w->data).ok());
 
+  Connection conn = z.Connect();
   for (const auto& q : w->queries) {
     AnswerInfo info;
-    auto zr = z.Answer(q.sql, /*workers=*/2, &info);
+    auto zr = conn.Execute(q.sql, ExecOptions{.workers = 2}, &info);
     ASSERT_TRUE(zr.ok()) << q.name << ": " << zr.status().ToString();
-    auto br = z.AnswerBaseline(q.sql, 2, nullptr);
+    auto br = conn.Execute(
+        q.sql,
+        ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline});
     ASSERT_TRUE(br.ok()) << q.name << ": " << br.status().ToString();
     ExpectRelationsEqual(*zr, *br, w->name + "/" + q.name);
 

@@ -152,10 +152,12 @@ TEST(Planner, StatsPushdownOnEligibleAggregate) {
   EXPECT_FALSE(planned3->stats_pushdown);
 
   // Both routes agree with the baseline.
-  AnswerInfo info;
-  auto zr = z.AnswerSpec(*spec2, 2, &info);
+  auto prepared = z.Connect().PrepareSpec(*spec2);
+  ASSERT_TRUE(prepared.ok());
+  auto zr = prepared->Execute(ExecOptions{.workers = 2});
   ASSERT_TRUE(zr.ok());
-  auto br = z.AnswerBaseline(*spec2, 2, nullptr);
+  auto br = prepared->Execute(
+      ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline});
   ASSERT_TRUE(br.ok());
   Relation a = *zr, b = *br;
   a.SortRows();
@@ -198,15 +200,20 @@ TEST(Bounded, CostIndependentOfDatasetSize) {
     std::string sql =
         "SELECT v.make, t.test_date, t.test_result FROM vehicle v, mot_test "
         "t WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 7";
+    Connection conn = z.Connect();
     AnswerInfo info;
-    auto zr = z.Answer(sql, 2, &info);
+    auto zr = conn.Execute(sql, ExecOptions{.workers = 2}, &info);
     ASSERT_TRUE(zr.ok());
     EXPECT_TRUE(info.bounded);
     EXPECT_EQ(zr->size(), 5u);  // 5 tests per vehicle at every scale
-    QueryMetrics bm;
-    ASSERT_TRUE(z.AnswerBaseline(sql, 2, &bm).ok());
+    AnswerInfo base;
+    auto br = conn.Execute(
+        sql,
+        ExecOptions{.workers = 2, .route_policy = RoutePolicy::kForceBaseline},
+        &base);
+    ASSERT_TRUE(br.ok());
     zidian_m.push_back(info.metrics);
-    base_m.push_back(bm);
+    base_m.push_back(base.metrics);
   }
   // Zidian: flat across an 8x data growth.
   EXPECT_EQ(zidian_m.front().get_calls, zidian_m.back().get_calls);
@@ -229,10 +236,11 @@ TEST(Parallel, MakespanShrinksWithWorkers) {
   ASSERT_TRUE(z.LoadTaav(w->data).ok());
   ASSERT_TRUE(z.BuildBaav(w->data).ok());
   const std::string& sql = w->queries[10].sql;  // q11, scan-free
+  Connection conn = z.Connect();
   double prev = 1e18;
   for (int p : {1, 2, 4, 8}) {
     AnswerInfo info;
-    auto r = z.Answer(sql, p, &info);
+    auto r = conn.Execute(sql, ExecOptions{.workers = p}, &info);
     ASSERT_TRUE(r.ok());
     double t = SimSeconds(info.metrics, SoH()) - SoH().startup_s;
     EXPECT_LT(t, prev * 1.05) << "p=" << p;
@@ -240,10 +248,12 @@ TEST(Parallel, MakespanShrinksWithWorkers) {
   }
   // Baseline scales too (Theorem 8 holds for both; Zidian must not break
   // horizontal behavior).
-  QueryMetrics m1, m8;
-  ASSERT_TRUE(z.AnswerBaseline(sql, 1, &m1).ok());
-  ASSERT_TRUE(z.AnswerBaseline(sql, 8, &m8).ok());
-  EXPECT_LT(m8.makespan_next, m1.makespan_next);
+  AnswerInfo b1, b8;
+  ExecOptions baseline{.route_policy = RoutePolicy::kForceBaseline};
+  ASSERT_TRUE(conn.Execute(sql, baseline, &b1).ok());
+  baseline.workers = 8;
+  ASSERT_TRUE(conn.Execute(sql, baseline, &b8).ok());
+  EXPECT_LT(b8.metrics.makespan_next, b1.metrics.makespan_next);
 }
 
 // -------------------------------------------------------------------- T2B --
@@ -337,8 +347,9 @@ TEST(Routing, NonPreservedQueryFallsBackToTaav) {
   ASSERT_TRUE(z.BuildBaav(vehicle_only).ok());
 
   AnswerInfo info;
-  auto r = z.Answer(
-      "SELECT v.model FROM vehicle v WHERE v.vehicle_id = 3", 1, &info);
+  auto r = z.Connect().Execute(
+      "SELECT v.model FROM vehicle v WHERE v.vehicle_id = 3", ExecOptions{},
+      &info);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(info.result_preserving);
   EXPECT_EQ(info.route, AnswerInfo::Route::kTaavFallback);
@@ -385,7 +396,7 @@ class ConnectionFixture : public ::testing::Test {
   std::unique_ptr<Zidian> zidian_;
 };
 
-TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotAnswer) {
+TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotExecute) {
   Connection conn = zidian_->Connect();
   auto prepared = conn.Prepare(kScanFreeSql);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
@@ -393,12 +404,12 @@ TEST_F(ConnectionFixture, PreparedQueryReusedMatchesOneShotAnswer) {
   AnswerInfo first, second, one_shot;
   auto r1 = prepared->Execute(ExecOptions{.workers = 2}, &first);
   auto r2 = prepared->Execute(ExecOptions{.workers = 2}, &second);
-  auto rs = zidian_->Answer(kScanFreeSql, 2, &one_shot);
+  auto rs = conn.Execute(kScanFreeSql, ExecOptions{.workers = 2}, &one_shot);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(rs.ok());
 
-  // Re-execution is deterministic and identical to the one-shot facade.
+  // Re-execution is deterministic and identical to the one-shot Execute.
   EXPECT_EQ(Sorted(*r1), Sorted(*r2));
   EXPECT_EQ(Sorted(*r1), Sorted(*rs));
   ExpectSameMetrics(first.metrics, second.metrics);
@@ -421,7 +432,7 @@ TEST_F(ConnectionFixture, ExplainExposesPlanBeforeAndMetricsAfterExecution) {
   EXPECT_GT(prepared->Explain().metrics.get_calls, 0u);
 }
 
-TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesAnswerBaseline) {
+TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesTaavExecutor) {
   auto prepared = zidian_->Connect().Prepare(kScanFreeSql);
   ASSERT_TRUE(prepared.ok());
   AnswerInfo forced;
@@ -431,8 +442,11 @@ TEST_F(ConnectionFixture, RoutePolicyForceBaselineMatchesAnswerBaseline) {
   ASSERT_TRUE(fr.ok());
   EXPECT_EQ(forced.route, AnswerInfo::Route::kTaavFallback);
 
+  auto spec = ParseAndBind(kScanFreeSql, workload_.catalog);
+  ASSERT_TRUE(spec.ok());
   QueryMetrics bm;
-  auto br = zidian_->AnswerBaseline(kScanFreeSql, 2, &bm);
+  auto br = TaavExecutor(&workload_.catalog, cluster_.get())
+                .Execute(*spec, TaavExecOptions{.workers = 2}, &bm);
   ASSERT_TRUE(br.ok());
   EXPECT_EQ(Sorted(*fr), Sorted(*br));
   ExpectSameMetrics(forced.metrics, bm);
@@ -469,19 +483,6 @@ TEST_F(ConnectionFixture, ForceKbaFailsOnNonPreservingQuery) {
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(info.route, AnswerInfo::Route::kTaavFallback);
   EXPECT_EQ(fallback->size(), 1u);
-}
-
-TEST_F(ConnectionFixture, BackendProfileFillsSimSeconds) {
-  auto prepared = zidian_->Connect().Prepare(kScanFreeSql);
-  ASSERT_TRUE(prepared.ok());
-  AnswerInfo info;
-  ASSERT_TRUE(prepared
-                  ->Execute(ExecOptions{.workers = 2,
-                                        .backend_profile = &SoH()},
-                            &info)
-                  .ok());
-  EXPECT_GT(info.sim_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(info.sim_seconds, info.SimSecondsFor(SoH()));
 }
 
 TEST_F(ConnectionFixture, WholeWorkloadAgreesOnMemBackendCluster) {

@@ -1,7 +1,8 @@
-// Fixture: a QueryMetrics whose every counter is registered (see the
-// sibling metrics.cc and docs/ARCHITECTURE.md).
-struct QueryMetrics {
-  uint64_t get_calls = 0;
-  std::vector<uint64_t> node_trips;
-  double wall_seconds = 0;  // nondeterministic: glossary yes, equality no
-};
+// Fixture: a QueryMetrics field table whose every row has a glossary row
+// (see the sibling docs/ARCHITECTURE.md).
+#define ZIDIAN_QUERY_METRICS_FIELDS(X)                          \
+  /* Point lookups. */                                          \
+  X(uint64_t, get_calls, Sum, Compared)                         \
+  X(std::vector<uint64_t>, node_trips, ByNode, Compared)        \
+  /* Nondeterministic: glossary yes, equality no. */            \
+  X(double, wall_seconds, Sum, Ignored)

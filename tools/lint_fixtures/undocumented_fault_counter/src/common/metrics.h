@@ -1,9 +1,8 @@
-// Fixture: the fault counter `net_retries` is registered in CountersEqual
-// (the parity contract is satisfied) but missing from the glossary — the
-// documentation half of the counters check must still bite. This is the
+// Fixture: the fault counter `net_retries` is a row of the field table
+// (so the struct, merge and CountersEqual all carry it) but has no row
+// in the glossary — the documentation check must still bite. This is the
 // drift mode new availability counters (net_faults_injected, net_hedges,
 // ...) are most likely to rot into: wired for determinism, never explained.
-struct QueryMetrics {
-  uint64_t get_calls = 0;
-  uint64_t net_retries = 0;
-};
+#define ZIDIAN_QUERY_METRICS_FIELDS(X)                          \
+  X(uint64_t, get_calls, Sum, Compared)                         \
+  X(uint64_t, net_retries, Sum, Compared)

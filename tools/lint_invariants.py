@@ -1,20 +1,14 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: mechanical enforcement of contracts that live in
-prose (DESIGN.md, docs/ARCHITECTURE.md) but that nothing else checks.
+prose (docs/ARCHITECTURE.md) but that nothing else checks.
 
 Checks, each a CI failure when violated:
 
-  counters   Every QueryMetrics field (src/common/metrics.h) must be
-             compared by CountersEqual (src/common/metrics.cc) and
-             documented in the docs/ARCHITECTURE.md glossary table. Two
-             sanctioned exemption lists: the nondeterministic wall_*
-             timings (they measure the machine, not the query) and the
-             schedule-shape fields (SCHEDULE_SHAPE_FIELDS below: they
-             describe how the fan-out overlapped its round trips, which
-             varies between the serial and async read APIs by design).
-             Both must appear in the glossary but must NOT be compared by
-             CountersEqual — comparing either would break the
-             kSimulated/kThreads (and sync/async) determinism contract.
+  counters   Every row of the QueryMetrics field table
+             (ZIDIAN_QUERY_METRICS_FIELDS in src/common/metrics.h) must
+             have a row in the docs/ARCHITECTURE.md glossary table. The
+             struct, its merge, CountersEqual and ToString are all
+             expanded from that one table, so they cannot drift apart.
 
   wall-clock Delegated to the AST analyzer (tools/analyze/analyze.py,
              --check wall-clock): wall-clock reads and raw std RNG
@@ -57,18 +51,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ANALYZE_DIR = REPO_ROOT / "tools" / "analyze"
 RAW_MUTEX_RE = re.compile(r"\bstd::(recursive_|shared_|timed_|recursive_timed_)?mutex\b")
 MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?(?:Shared)?Mutex\s+(\w+)\s*;", re.M)
-FIELD_RE = re.compile(
-    r"^\s*(?:uint64_t|double|std::vector<uint64_t>)\s+(\w+)\s*(?:=[^;]*)?;",
-    re.M)
-
-# QueryMetrics fields that describe HOW the overlapped fan-out scheduled
-# its round trips (not WHAT logical work was done): glossaried like every
-# field, but exempt from the CountersEqual parity contract — a serial and
-# an overlapped run of the same query legitimately differ here and
-# nowhere else. Growing this set is an API decision, not a convenience:
-# a new counter belongs in CountersEqual unless it is, like these,
-# definitionally fan-out-schedule-shaped.
-SCHEDULE_SHAPE_FIELDS = {"net_overlap_ns", "net_inflight_max"}
+# The field table's #define and its rows, X(type, name, merge, compare).
+FIELD_TABLE_RE = re.compile(
+    r"#define ZIDIAN_QUERY_METRICS_FIELDS\(X\)((?:[^\n]*\\\n)*[^\n]*)")
+TABLE_ROW_RE = re.compile(r"\bX\(\s*[^,()]+,\s*(\w+)\s*,")
 
 
 def strip_comments(text):
@@ -99,71 +85,22 @@ class Violation:
 
 # --------------------------------------------------------------- counters ---
 
-def query_metrics_fields(metrics_h_text):
-    """Field names of struct QueryMetrics, in declaration order."""
-    text = strip_comments(metrics_h_text)
-    m = re.search(r"struct QueryMetrics\s*\{(.*?)^\};", text, re.S | re.M)
-    if m is None:
-        return None
-    return FIELD_RE.findall(m.group(1))
-
-
 def check_counters(root):
-    violations = []
     metrics_h = root / "src" / "common" / "metrics.h"
-    metrics_cc = root / "src" / "common" / "metrics.cc"
     glossary_md = root / "docs" / "ARCHITECTURE.md"
     if not metrics_h.is_file():
-        return violations  # nothing to check in this tree
-    fields = query_metrics_fields(metrics_h.read_text())
-    if fields is None:
+        return []  # nothing to check in this tree
+    table = FIELD_TABLE_RE.search(strip_comments(metrics_h.read_text()))
+    fields = TABLE_ROW_RE.findall(table.group(1)) if table else []
+    if not fields:
         return [Violation("counters", metrics_h,
-                          "could not find struct QueryMetrics")]
-
-    equal_body = ""
-    if metrics_cc.is_file():
-        m = re.search(r"bool CountersEqual\([^)]*\)\s*\{(.*?)^\}",
-                      strip_comments(metrics_cc.read_text()), re.S | re.M)
-        if m is not None:
-            equal_body = m.group(1)
-        else:
-            violations.append(Violation("counters", metrics_cc,
-                                        "could not find CountersEqual"))
-    else:
-        violations.append(Violation("counters", metrics_cc,
-                                    "missing (CountersEqual lives here)"))
-
+                          "could not find the QueryMetrics field table "
+                          "(ZIDIAN_QUERY_METRICS_FIELDS)")]
     glossary = glossary_md.read_text() if glossary_md.is_file() else ""
-
-    for field in fields:
-        compared = re.search(rf"\ba\.{field}\b", equal_body) is not None
-        if field.startswith("wall_"):
-            if compared:
-                violations.append(Violation(
-                    "counters", metrics_cc,
-                    f"wall timing '{field}' must NOT be compared by "
-                    "CountersEqual (wall_* measures the machine, not the "
-                    "query)"))
-        elif field in SCHEDULE_SHAPE_FIELDS:
-            if compared:
-                violations.append(Violation(
-                    "counters", metrics_cc,
-                    f"schedule-shape field '{field}' must NOT be compared "
-                    "by CountersEqual (it varies between the serial and "
-                    "overlapped fan-out APIs by design — comparing it "
-                    "would break the sync/async parity contract)"))
-        elif not compared:
-            violations.append(Violation(
-                "counters", metrics_cc,
-                f"QueryMetrics counter '{field}' is not compared by "
-                "CountersEqual — register it (or it silently escapes the "
-                "kSimulated/kThreads parity contract)"))
-        if f"`{field}`" not in glossary:
-            violations.append(Violation(
-                "counters", glossary_md,
-                f"QueryMetrics field '{field}' is missing from the "
-                "docs/ARCHITECTURE.md glossary table"))
-    return violations
+    return [Violation("counters", glossary_md,
+                      f"QueryMetrics field '{field}' is missing from the "
+                      "docs/ARCHITECTURE.md glossary table")
+            for field in fields if f"| `{field}` |" not in glossary]
 
 
 # -------------------------------------------------------------- wall-clock ---
@@ -258,7 +195,6 @@ def check_mutex(root):
 # one violation there (empty set = the fixture must pass clean).
 FIXTURES = {
     "clean": frozenset(),
-    "unregistered_counter": frozenset({"counters"}),
     "undocumented_fault_counter": frozenset({"counters"}),
     "stray_wall_clock": frozenset({"wall-clock"}),
     "unannotated_mutex": frozenset({"mutex"}),
