@@ -135,8 +135,11 @@ Status BaavStore::BuildInstance(const KvSchema& kv, const Relation& data) {
                          n = std::max(n, static_cast<uint64_t>(seg) + 1);
                        });
   ZIDIAN_RETURN_NOT_OK(st);
-  // The counts are re-seeded below; until then they would be stale.
-  block_sizes_.erase(kv.name);
+  {
+    // The counts are re-seeded below; until then they would be stale.
+    MutexLock lock(sizes_mu_);
+    block_sizes_.erase(kv.name);
+  }
 
   // Group by X (the mapping of §4.1: project on XY, group by X). Bag
   // semantics are preserved; the block codec compresses duplicates.
@@ -170,6 +173,7 @@ Status BaavStore::BuildInstance(const KvSchema& kv, const Relation& data) {
       ZIDIAN_RETURN_NOT_OK(cluster_->Delete(k));
     }
   }
+  MutexLock lock(sizes_mu_);
   block_sizes_[kv.name] = std::move(sizes);
   return Status::OK();
 }
@@ -484,20 +488,29 @@ Status BaavStore::ScanInstance(
 }
 
 Result<uint64_t> BaavStore::Degree(const KvSchema& kv) const {
-  auto it = block_sizes_.find(kv.name);
-  if (it == block_sizes_.end()) {
-    std::map<uint64_t, uint64_t> sizes;
-    QueryMetrics scratch;
-    Status st = ScanInstance(
-        kv, &scratch, [&](const Tuple&, const std::vector<Tuple>& rows) {
-          if (!rows.empty()) ++sizes[rows.size()];
-        });
-    // A failed scan proves nothing about the degree: propagate and leave
-    // the counts unseeded so a later healthy scan can still answer.
-    if (!st.ok()) return st;
-    it = block_sizes_.emplace(kv.name, std::move(sizes)).first;
+  auto max_size = [](const std::map<uint64_t, uint64_t>& sizes) {
+    return sizes.empty() ? uint64_t{0} : sizes.rbegin()->first;
+  };
+  {
+    MutexLock lock(sizes_mu_);
+    auto it = block_sizes_.find(kv.name);
+    if (it != block_sizes_.end()) return max_size(it->second);
   }
-  return it->second.empty() ? 0 : it->second.rbegin()->first;
+  // Unmeasured: scan without the lock, so concurrent callers do not queue
+  // behind a full instance scan. No write runs alongside readers, so two
+  // racing scans count the same blocks and the first to finish seeds.
+  std::map<uint64_t, uint64_t> sizes;
+  QueryMetrics scratch;
+  Status st = ScanInstance(
+      kv, &scratch, [&](const Tuple&, const std::vector<Tuple>& rows) {
+        if (!rows.empty()) ++sizes[rows.size()];
+      });
+  // A failed scan proves nothing about the degree: propagate and leave
+  // the counts unseeded so a later healthy scan can still answer.
+  if (!st.ok()) return st;
+  MutexLock lock(sizes_mu_);
+  return max_size(block_sizes_.try_emplace(kv.name, std::move(sizes))
+                      .first->second);
 }
 
 Result<uint64_t> BaavStore::MaxDegree() const {
@@ -509,57 +522,77 @@ Result<uint64_t> BaavStore::MaxDegree() const {
   return deg;
 }
 
-Result<BaavStore::Maintenance> BaavStore::ReadAffected(
+Status BaavStore::ReadAffected(
     const std::string& relation, const Tuple& tuple,
-    void (*edit)(std::vector<Tuple>* rows, Tuple y)) const {
-  Maintenance update;
-  std::vector<Tuple> ys;
+    void (*edit)(std::vector<Tuple>* rows, Tuple y),
+    Maintenance* pending) const {
+  // Locate (or queue for fetching) every affected block before touching
+  // `pending`, so a failed projection or read leaves it as it was.
+  Maintenance fetch;
+  std::vector<std::pair<size_t, Tuple>> edits;  // staged slot, Y-projection
   for (const auto* kv : schema_.ForRelation(relation)) {
-    BlockUpdate block;
-    block.kv = kv;
-    ZIDIAN_ASSIGN_OR_RETURN(block.key,
+    ZIDIAN_ASSIGN_OR_RETURN(Tuple key,
                             ProjectTuple(*kv, tuple, kv->key_attrs));
     ZIDIAN_ASSIGN_OR_RETURN(Tuple y,
                             ProjectTuple(*kv, tuple, kv->value_attrs));
-    ys.push_back(std::move(y));
-    update.push_back(std::move(block));
+    auto staged = std::find_if(
+        pending->begin(), pending->end(), [&](const BlockUpdate& b) {
+          return b.kv == kv && b.key == key;
+        });
+    size_t slot = size_t(staged - pending->begin());
+    if (staged == pending->end()) {
+      slot = pending->size() + fetch.size();
+      BlockUpdate block;
+      block.kv = kv;
+      block.key = std::move(key);
+      fetch.push_back(std::move(block));
+    }
+    edits.emplace_back(slot, std::move(y));
   }
   std::vector<BlockRef> refs;
-  refs.reserve(update.size());
-  for (const auto& block : update) refs.push_back({block.kv, &block.key});
+  refs.reserve(fetch.size());
+  for (const auto& block : fetch) refs.push_back({block.kv, &block.key});
   // Unmetered, like every maintenance access; kFill, so the cache ends up
   // holding what a full read of these blocks would have left behind.
   ZIDIAN_ASSIGN_OR_RETURN(
       std::vector<FetchedBlock> fetched,
       FetchBlocks(refs, nullptr, FanoutMode::kOverlapped, nullptr));
-  for (size_t i = 0; i < update.size(); ++i) {
-    update[i].rows = std::move(fetched[i].rows);
-    update[i].old_size = update[i].rows.size();
-    update[i].old_segments = fetched[i].segments;
-    edit(&update[i].rows, std::move(ys[i]));
+  for (size_t i = 0; i < fetch.size(); ++i) {
+    fetch[i].rows = std::move(fetched[i].rows);
+    fetch[i].old_size = fetch[i].rows.size();
+    fetch[i].old_segments = fetched[i].segments;
+    pending->push_back(std::move(fetch[i]));
   }
-  return update;
+  for (auto& [slot, y] : edits) edit(&(*pending)[slot].rows, std::move(y));
+  return Status::OK();
 }
 
-Result<BaavStore::Maintenance> BaavStore::ReadForInsert(
-    const std::string& relation, const Tuple& tuple) const {
-  return ReadAffected(relation, tuple, [](std::vector<Tuple>* rows, Tuple y) {
-    rows->push_back(std::move(y));
-  });
+Status BaavStore::ReadForInsert(const std::string& relation,
+                                const Tuple& tuple,
+                                Maintenance* pending) const {
+  return ReadAffected(
+      relation, tuple,
+      [](std::vector<Tuple>* rows, Tuple y) { rows->push_back(std::move(y)); },
+      pending);
 }
 
-Result<BaavStore::Maintenance> BaavStore::ReadForDelete(
-    const std::string& relation, const Tuple& tuple) const {
-  return ReadAffected(relation, tuple, [](std::vector<Tuple>* rows, Tuple y) {
-    auto it = std::find(rows->begin(), rows->end(), y);
-    if (it != rows->end()) rows->erase(it);
-  });
+Status BaavStore::ReadForDelete(const std::string& relation,
+                                const Tuple& tuple,
+                                Maintenance* pending) const {
+  return ReadAffected(
+      relation, tuple,
+      [](std::vector<Tuple>* rows, Tuple y) {
+        auto it = std::find(rows->begin(), rows->end(), y);
+        if (it != rows->end()) rows->erase(it);
+      },
+      pending);
 }
 
 Status BaavStore::Install(const Maintenance& update) {
   for (const auto& block : update) {
     Status st =
         WriteBlock(*block.kv, block.key, block.rows, block.old_segments);
+    MutexLock lock(sizes_mu_);
     if (!st.ok()) {
       // The block's state is uncertain now: let the next Degree rescan.
       block_sizes_.erase(block.kv->name);
@@ -586,13 +619,15 @@ Status BaavStore::Install(const Maintenance& update) {
 
 Status BaavStore::ApplyInsert(const std::string& relation,
                               const Tuple& tuple) {
-  ZIDIAN_ASSIGN_OR_RETURN(Maintenance update, ReadForInsert(relation, tuple));
+  Maintenance update;
+  ZIDIAN_RETURN_NOT_OK(ReadForInsert(relation, tuple, &update));
   return Install(update);
 }
 
 Status BaavStore::ApplyDelete(const std::string& relation,
                               const Tuple& tuple) {
-  ZIDIAN_ASSIGN_OR_RETURN(Maintenance update, ReadForDelete(relation, tuple));
+  Maintenance update;
+  ZIDIAN_RETURN_NOT_OK(ReadForDelete(relation, tuple, &update));
   return Install(update);
 }
 

@@ -13,8 +13,10 @@
 // The store also implements:
 //  * the relational->BaaV mapping (BuildInstance / BuildAll, §4.1),
 //  * incremental maintenance under insert/delete in O(|Δ| · deg(~D)) (§8.2):
-//    one overlapped read round over every derived instance (plus one for
-//    split blocks), then an install that only writes,
+//    mutations stage into a pending Maintenance, each reading only the
+//    blocks it does not hold yet in one overlapped round over every
+//    derived instance (plus one for split blocks); one install then writes
+//    every staged block once,
 //  * degree tracking (deg of each instance, §4.1) for boundedness checks,
 //  * header-only statistics access for grouped aggregates (§8.2).
 #ifndef ZIDIAN_BAAV_BAAV_STORE_H_
@@ -29,7 +31,9 @@
 #include "baav/block.h"
 #include "baav/kv_schema.h"
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
@@ -59,7 +63,8 @@ class BaavStore {
   /// the instance (empty on a fresh build), so stale segments and blocks
   /// are deleted without a single read round trip. Seeds the instance's
   /// block-size counts (Degree).
-  Status BuildInstance(const KvSchema& kv, const Relation& data);
+  Status BuildInstance(const KvSchema& kv, const Relation& data)
+      EXCLUDES(sizes_mu_);
 
   /// Maps a whole database: builds every KV instance whose relation appears
   /// in `db` (relation name -> data).
@@ -119,8 +124,9 @@ class BaavStore {
   /// error and caches nothing — it must not poison the counts with a
   /// partial scan (the planner reads this for §6.1 boundedness; a
   /// silently-low degree would claim bounded evaluation for an instance
-  /// nobody measured).
-  Result<uint64_t> Degree(const KvSchema& kv) const;
+  /// nobody measured). Safe to call from concurrent readers: the scan runs
+  /// unlocked and the first finished scan seeds the counts.
+  Result<uint64_t> Degree(const KvSchema& kv) const EXCLUDES(sizes_mu_);
   /// deg over all instances; first scan failure propagates.
   Result<uint64_t> MaxDegree() const;
 
@@ -134,25 +140,30 @@ class BaavStore {
     uint64_t old_segments = 0;
     std::vector<Tuple> rows;
   };
+  /// The blocks a batch of mutations rewrites, each once, with every
+  /// staged edit applied.
   using Maintenance = std::vector<BlockUpdate>;
 
   /// Maintenance read phase for one inserted/deleted tuple of `relation`
-  /// (values in relation-schema column order): fetches the affected block
-  /// of every KV instance derived from it in one overlapped MultiGet
-  /// fan-out, plus one overflow round only when a block is split, and
-  /// computes each new block. Unmetered; misses fill the BlockCache like
-  /// any full read. Writes nothing, so a failed read leaves the store as
-  /// it was.
-  Result<Maintenance> ReadForInsert(const std::string& relation,
-                                    const Tuple& tuple) const;
-  Result<Maintenance> ReadForDelete(const std::string& relation,
-                                    const Tuple& tuple) const;
+  /// (values in relation-schema column order), staged into `pending`: the
+  /// affected block of every KV instance derived from the relation that
+  /// `pending` does not hold yet is fetched in one overlapped MultiGet
+  /// fan-out, plus one overflow round only when such a block is split;
+  /// then the edit applies to the staged rows, so a mutation sees every
+  /// edit staged before it. A block `pending` already holds costs no read.
+  /// Unmetered; misses fill the BlockCache like any full read. Writes
+  /// nothing; on error `pending` is left as it was.
+  Status ReadForInsert(const std::string& relation, const Tuple& tuple,
+                       Maintenance* pending) const;
+  Status ReadForDelete(const std::string& relation, const Tuple& tuple,
+                       Maintenance* pending) const;
   /// Maintenance install phase: writes every block of `update` (Put /
   /// Delete only — no read, no stall) and applies the size changes to the
   /// degree counts. O(deg) per instance.
-  Status Install(const Maintenance& update);
+  Status Install(const Maintenance& update) EXCLUDES(sizes_mu_);
 
-  /// Incremental maintenance (§8.2): the read phase, then the install.
+  /// Incremental maintenance (§8.2) of one mutation: the read phase, then
+  /// the install.
   Status ApplyInsert(const std::string& relation, const Tuple& tuple);
   Status ApplyDelete(const std::string& relation, const Tuple& tuple);
 
@@ -199,10 +210,11 @@ class BaavStore {
       const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
       FanoutStats* fanout_stats) const;
   /// The shared read phase: fetches the derived instances' blocks for
-  /// `tuple` and applies `edit` with the tuple's Y-projection to each.
-  Result<Maintenance> ReadAffected(
-      const std::string& relation, const Tuple& tuple,
-      void (*edit)(std::vector<Tuple>* rows, Tuple y)) const;
+  /// `tuple` that `pending` lacks and applies `edit` with the tuple's
+  /// Y-projection to each staged block.
+  Status ReadAffected(const std::string& relation, const Tuple& tuple,
+                      void (*edit)(std::vector<Tuple>* rows, Tuple y),
+                      Maintenance* pending) const;
   /// Rewrites the whole block for a key (re-splitting as needed) over
   /// the `old_segments` segments it had, deleting the ones no longer
   /// used. Never reads: the caller knows the old segment count.
@@ -215,7 +227,10 @@ class BaavStore {
   BaavStoreOptions options_;
   /// instance -> (block size in tuples -> number of blocks of that size);
   /// an instance is absent until BuildInstance or Degree measures it.
-  mutable std::map<std::string, std::map<uint64_t, uint64_t>> block_sizes_;
+  /// Concurrent prepares read (and may seed) it through Degree.
+  mutable Mutex sizes_mu_;
+  mutable std::map<std::string, std::map<uint64_t, uint64_t>> block_sizes_
+      GUARDED_BY(sizes_mu_);
 };
 
 }  // namespace zidian

@@ -24,29 +24,28 @@ std::string TaavKey(const std::string& table, const Tuple& pk_values) {
   return key;
 }
 
-Status TaavLoadRelation(Cluster* cluster, const TableSchema& schema,
-                        const Relation& data) {
-  std::vector<int> pk_idx;
-  for (const auto& pk : schema.primary_key()) {
-    int i = data.ColumnIndex(pk);
-    if (i < 0) return Status::InvalidArgument("pk column missing: " + pk);
-    pk_idx.push_back(i);
+TaavEntry EncodeTaavEntry(const TableSchema& schema, const Tuple& tuple) {
+  Tuple pk;
+  pk.reserve(schema.primary_key().size());
+  for (const auto& k : schema.primary_key()) {
+    pk.push_back(tuple[static_cast<size_t>(schema.ColumnIndex(k))]);
   }
-  for (const auto& row : data.rows()) {
-    Tuple pk;
-    pk.reserve(pk_idx.size());
-    for (int i : pk_idx) pk.push_back(row[static_cast<size_t>(i)]);
-    std::string value;
-    EncodeTuplePayload(row, &value);
-    ZIDIAN_RETURN_NOT_OK(
-        cluster->Put(TaavKey(schema.name(), pk), value, nullptr));
-  }
-  return Status::OK();
+  TaavEntry entry{TaavKey(schema.name(), pk), {}};
+  EncodeTuplePayload(tuple, &entry.value);
+  return entry;
 }
 
-Status TaavDeleteTuple(Cluster* cluster, const TableSchema& schema,
-                       const Tuple& pk_values) {
-  return cluster->Delete(TaavKey(schema.name(), pk_values));
+Status TaavLoadRelation(Cluster* cluster, const TableSchema& schema,
+                        const Relation& data) {
+  if (data.columns() != schema.AttributeNames()) {
+    return Status::InvalidArgument("columns do not match table " +
+                                   schema.name());
+  }
+  for (const auto& row : data.rows()) {
+    TaavEntry entry = EncodeTaavEntry(schema, row);
+    ZIDIAN_RETURN_NOT_OK(cluster->Put(entry.key, entry.value, nullptr));
+  }
+  return Status::OK();
 }
 
 Result<Relation> TaavScanTable(const Cluster& cluster,

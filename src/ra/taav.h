@@ -36,14 +36,21 @@ std::string TaavPrefix(const std::string& table);
 /// Encodes the TaaV key of a tuple given its primary-key values.
 std::string TaavKey(const std::string& table, const Tuple& pk_values);
 
+/// One tuple's TaaV pair: the key its primary key encodes and the payload
+/// of all its attributes.
+struct TaavEntry {
+  std::string key;
+  std::string value;
+};
+
+/// Encodes `tuple` (attributes in schema order) as its TaaV pair. A
+/// tuple's TaaV delete removes `.key`.
+TaavEntry EncodeTaavEntry(const TableSchema& schema, const Tuple& tuple);
+
 /// Writes `data` (columns matching schema order, unqualified) into the
 /// cluster under TaaV.
 Status TaavLoadRelation(Cluster* cluster, const TableSchema& schema,
                         const Relation& data);
-
-/// Deletes one tuple by primary key.
-Status TaavDeleteTuple(Cluster* cluster, const TableSchema& schema,
-                       const Tuple& pk_values);
 
 /// Scans the full table into a relation with columns qualified as
 /// "alias.column". Meters one next() per key, one get() per tuple and all

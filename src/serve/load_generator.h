@@ -37,9 +37,9 @@ struct ServeOp;
 
 /// One entry of the query mix. Exactly one of `sql` / `write` is set:
 /// a read template renders SQL for a sampled key (executed through the
-/// session's prepared-statement cache), a write template applies a
-/// mutation through the Zidian maintenance API (executed under the
-/// server's exclusive write gate).
+/// session's prepared-statement cache), a write template applies
+/// mutations through the Zidian maintenance API (staged in a write batch
+/// the server commits atomically).
 struct ServeTemplate {
   std::string name;
   /// Relative sampling weight within the mix (need not sum to 1).
@@ -48,10 +48,13 @@ struct ServeTemplate {
   /// rank 1 hottest). Must be a pure function — it is called once per
   /// occurrence, possibly from several session threads.
   std::function<std::string(uint64_t key)> sql;
-  /// Write op: applies the mutation for this op (the ServeOp carries the
+  /// Write op: applies the mutations for this op (the ServeOp carries the
   /// sampled key and a per-stream sequence number for unique-id
-  /// construction). Executed single-writer: the server holds the
-  /// exclusive side of its write gate across the call.
+  /// construction). Executed single-writer inside a Zidian::WriteBatch:
+  /// Insert / Delete stage, and their maintenance reads may overlap read
+  /// queries. The server commits the batch under the exclusive side of
+  /// its write gate when the call returns OK, and writes nothing when it
+  /// fails, so readers see all of the op's mutations or none.
   std::function<Status(Zidian& zidian, const ServeOp& op)> write;
 
   bool is_write() const { return static_cast<bool>(write); }

@@ -93,11 +93,20 @@ void Server::SessionLoop(AdmissionQueue* queue, int64_t epoch_ns,
         options_.load.mix[static_cast<size_t>(item.op.template_idx)];
     bool ok = false;
     if (t.is_write()) {
-      // BaaV maintenance mutates blocks and degree statistics: exclusive
-      // gate, no read (or prepare) in flight anywhere.
-      WriterMutexLock gate(write_gate_);
+      // The template stages its mutations without any gate: their reads
+      // may overlap read queries, and no write is in flight, since only
+      // the holder of writer_mu_ commits. The commit mutates blocks and
+      // degree statistics: exclusive gate, no read (or prepare) in flight
+      // anywhere. A failed template commits nothing.
+      MutexLock writer(writer_mu_);
       ++writes_admitted_;
+      Zidian::WriteBatch batch(zidian_);
       Status write_status = t.write(*zidian_, item.op);
+      if (write_status.ok()) {
+        WriterMutexLock gate(write_gate_);
+        write_status = batch.Commit();
+        if (write_status.ok()) ++writes_committed_;
+      }
       ok = write_status.ok();
       // A failed maintenance write is a failed query, not a silent no-op:
       // the backend Status now propagates here (through Cluster::Put /
@@ -199,10 +208,12 @@ Result<ServeResult> Server::Run() {
     result.metrics += s.metrics;
   }
   {
-    // The session threads have joined; the lock is for the capability
+    // The session threads have joined; the locks are for the capability
     // contract, not for contention.
+    MutexLock writer(writer_mu_);
     WriterMutexLock gate(write_gate_);
     result.writes_admitted = writes_admitted_;
+    result.writes_committed = writes_committed_;
   }
   return result;
 }

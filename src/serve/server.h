@@ -26,11 +26,15 @@
 //    every Execute meters into its own AnswerInfo so per-query
 //    QueryMetrics stay isolated however sessions interleave on the
 //    shared BlockCache.
-//  * Write templates (BaaV maintenance) take the exclusive side of the
-//    server's write gate while reads hold it shared — the Cluster's
-//    "writes must not overlap reads" single-writer contract holds by
-//    construction, and prepares (which read degree statistics that
-//    maintenance updates) run under the shared side too.
+//  * Write templates run one at a time, serialised on `writer_mu_`, each
+//    inside a Zidian::WriteBatch: the template only stages its mutations,
+//    and their maintenance reads run alongside read queries without any
+//    gate (reads may overlap reads). Only the batch's Commit() takes the
+//    exclusive side of the write gate, which reads and prepares (planning
+//    reads degree statistics that the commit updates) hold shared — so
+//    the Cluster's "writes must not overlap reads" single-writer contract
+//    holds by construction, and a reader sees every template wholly
+//    applied or not at all.
 //  * Latency is recorded per session and merged after the session
 //    threads join; nothing is shared while hot (latency_recorder.h).
 #ifndef ZIDIAN_SERVE_SERVER_H_
@@ -122,7 +126,8 @@ struct ServeResult {
   uint64_t rejected = 0;  ///< open-loop arrivals that found the queue full
   uint64_t completed = 0;
   uint64_t failed = 0;
-  uint64_t writes_admitted = 0;  ///< ops run under the exclusive gate
+  uint64_t writes_admitted = 0;   ///< write templates run
+  uint64_t writes_committed = 0;  ///< of those, batches committed
   double wall_seconds = 0;       ///< generator start -> last session joined
   LatencyRecorder latency;       ///< merged across sessions
   QueryMetrics metrics;          ///< merged across sessions
@@ -145,19 +150,24 @@ class Server {
   /// per-session tallies. Synchronous; safe to call repeatedly (each run
   /// is independent, though the shared BlockCache stays warm across
   /// runs — warm-up runs exploit exactly that).
-  Result<ServeResult> Run() EXCLUDES(write_gate_);
+  Result<ServeResult> Run() EXCLUDES(writer_mu_, write_gate_);
 
  private:
   void SessionLoop(AdmissionQueue* queue, int64_t epoch_ns,
-                   SessionStats* stats) EXCLUDES(write_gate_);
+                   SessionStats* stats) EXCLUDES(writer_mu_, write_gate_);
 
   Zidian* zidian_;
   ServeOptions options_;
-  /// The reader/writer gate that keeps BaaV maintenance single-writer
-  /// under concurrent sessions: read queries (and their prepares) hold
-  /// it shared, write templates exclusive.
+  /// Serialises write templates: held across a template and its commit,
+  /// so one write batch is open at a time and no other write can land
+  /// between a batch's reads and its commit.
+  Mutex writer_mu_;
+  uint64_t writes_admitted_ GUARDED_BY(writer_mu_) = 0;
+  /// The reader/writer gate that keeps writes off the read path: read
+  /// queries (and their prepares) hold it shared, a write batch's
+  /// Commit() exclusive — for the puts alone, not the template's reads.
   SharedMutex write_gate_;
-  uint64_t writes_admitted_ GUARDED_BY(write_gate_) = 0;
+  uint64_t writes_committed_ GUARDED_BY(write_gate_) = 0;
 };
 
 }  // namespace serve

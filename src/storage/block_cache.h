@@ -8,7 +8,7 @@
 // Invalidation contract: the cache never answers stale data as long as
 // every mutation flows through Cluster::Put / Cluster::Delete, which
 // erase the touched key. BaavStore's incremental maintenance
-// (ApplyInsert / ApplyDelete -> Install -> WriteBlock) writes through
+// (Install -> WriteBlock, from a write batch's commit) writes through
 // those entry points, so maintained blocks stay coherent without any
 // cache-specific hooks in the BaaV layer. Writing directly to a node (Cluster::node(i))
 // bypasses invalidation and is for tests/tools only.

@@ -28,29 +28,69 @@ Status Zidian::BuildBaav(const std::map<std::string, Relation>& db) {
   return Status::OK();
 }
 
-// Both mutations run BaaV maintenance's read phase before any write, so a
-// failed read (an unreachable node) changes neither layout.
 Status Zidian::Insert(const std::string& relation, const Tuple& tuple) {
-  ZIDIAN_ASSIGN_OR_RETURN(TableSchema schema, catalog_->Get(relation));
-  ZIDIAN_ASSIGN_OR_RETURN(BaavStore::Maintenance update,
-                          store_.ReadForInsert(relation, tuple));
-  Relation one(schema.AttributeNames());
-  one.Add(tuple);
-  ZIDIAN_RETURN_NOT_OK(TaavLoadRelation(cluster_, schema, one));
-  return store_.Install(update);
+  return Mutate(relation, tuple, /*insert=*/true);
 }
 
 Status Zidian::Delete(const std::string& relation, const Tuple& tuple) {
-  ZIDIAN_ASSIGN_OR_RETURN(TableSchema schema, catalog_->Get(relation));
-  Tuple pk;
-  for (const auto& k : schema.primary_key()) {
-    int i = schema.ColumnIndex(k);
-    pk.push_back(tuple[static_cast<size_t>(i)]);
+  return Mutate(relation, tuple, /*insert=*/false);
+}
+
+Status Zidian::Mutate(const std::string& relation, const Tuple& tuple,
+                      bool insert) {
+  if (batch_ != nullptr) return batch_->Stage(relation, tuple, insert);
+  WriteBatch one(this);
+  ZIDIAN_RETURN_NOT_OK(one.Stage(relation, tuple, insert));
+  return one.Commit();
+}
+
+Zidian::WriteBatch::WriteBatch(Zidian* zidian) : zidian_(zidian) {
+  if (zidian_->batch_ != nullptr) {
+    status_ = Status::InvalidArgument("a write batch is already open");
+    return;
   }
-  ZIDIAN_ASSIGN_OR_RETURN(BaavStore::Maintenance update,
-                          store_.ReadForDelete(relation, tuple));
-  ZIDIAN_RETURN_NOT_OK(TaavDeleteTuple(cluster_, schema, pk));
-  return store_.Install(update);
+  zidian_->batch_ = this;
+}
+
+Zidian::WriteBatch::~WriteBatch() { Close(); }
+
+void Zidian::WriteBatch::Close() {
+  if (zidian_->batch_ == this) zidian_->batch_ = nullptr;
+}
+
+Status Zidian::WriteBatch::Stage(const std::string& relation,
+                                 const Tuple& tuple, bool insert) {
+  ZIDIAN_RETURN_NOT_OK(status_);
+  status_ = StageOne(relation, tuple, insert);
+  return status_;
+}
+
+// The BaaV read phase runs before the TaaV write is staged, and both land
+// only at Commit, so a failed mutation leaves both layouts as they were.
+Status Zidian::WriteBatch::StageOne(const std::string& relation,
+                                    const Tuple& tuple, bool insert) {
+  ZIDIAN_ASSIGN_OR_RETURN(TableSchema schema,
+                          zidian_->catalog_->Get(relation));
+  if (tuple.size() != schema.arity()) {
+    return Status::InvalidArgument("tuple arity mismatch for " + relation);
+  }
+  const BaavStore& store = zidian_->store_;
+  ZIDIAN_RETURN_NOT_OK(insert ? store.ReadForInsert(relation, tuple, &baav_)
+                              : store.ReadForDelete(relation, tuple, &baav_));
+  taav_.push_back({EncodeTaavEntry(schema, tuple), insert});
+  return Status::OK();
+}
+
+Status Zidian::WriteBatch::Commit() {
+  Close();
+  ZIDIAN_RETURN_NOT_OK(status_);
+  status_ = Status::InvalidArgument("write batch already committed");
+  Cluster* cluster = zidian_->cluster_;
+  for (const auto& [entry, put] : taav_) {
+    ZIDIAN_RETURN_NOT_OK(put ? cluster->Put(entry.key, entry.value, nullptr)
+                             : cluster->Delete(entry.key));
+  }
+  return zidian_->store_.Install(baav_);
 }
 
 }  // namespace zidian

@@ -5,6 +5,8 @@
 //     LoadTaav(db)          store the relations under TaaV (the existing
 //                           SQL-over-NoSQL layout)
 //     BuildBaav(db)         map the database onto the BaaV schema (M4)
+//     Insert(...)/Delete(...)  keep both layouts in sync (§8.2); inside a
+//                           WriteBatch they stage, and Commit() writes
 //     Connect()             open a Connection, the one query API (see
 //                           zidian/connection.h): Prepare(sql) runs module
 //                           M1's routing decision (answerable on the BaaV
@@ -20,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baav/baav_store.h"
 #include "common/metrics.h"
@@ -109,16 +112,68 @@ class Zidian {
   /// Maps `db` onto the BaaV schema (module M4's data plane).
   Status BuildBaav(const std::map<std::string, Relation>& db);
 
-  /// Keeps both layouts in sync with one tuple-level update (§8.2). The
-  /// BaaV read phase runs first: when it fails, neither layout changes.
+  /// A staged write batch, open for its scope. While it is open, Insert
+  /// and Delete stage their mutation instead of writing it: each runs
+  /// BaaV maintenance's read phase at once, for the blocks the batch does
+  /// not hold yet, and applies its edit to the staged blocks, so a later
+  /// mutation sees the earlier ones (a Delete then an Insert of one row
+  /// reads each block once). Commit() writes both layouts: the TaaV puts
+  /// and deletes in staging order, then every staged block once. A batch
+  /// one of whose mutations failed, or that is destroyed without a
+  /// commit, writes nothing. One batch is open per Zidian at a time (a
+  /// second one fails with InvalidArgument), and a write batch is a
+  /// writer: writers must not overlap each other, and Commit() must not
+  /// overlap reads (the Cluster's single-writer contract). The read phase
+  /// only reads, so it may overlap read queries.
+  class WriteBatch {
+   public:
+    explicit WriteBatch(Zidian* zidian);
+    ~WriteBatch();
+    WriteBatch(const WriteBatch&) = delete;
+    WriteBatch& operator=(const WriteBatch&) = delete;
+
+    /// Writes every staged mutation and closes the batch: Insert and
+    /// Delete in its scope afterwards write at once. Returns the first
+    /// failed mutation's error instead, writing nothing.
+    Status Commit();
+
+   private:
+    friend class Zidian;
+    /// Stages one mutation; the first failure fails the batch.
+    Status Stage(const std::string& relation, const Tuple& tuple,
+                 bool insert);
+    Status StageOne(const std::string& relation, const Tuple& tuple,
+                    bool insert);
+    void Close();
+
+    Zidian* zidian_;
+    Status status_;
+    BaavStore::Maintenance baav_;
+    /// A staged TaaV write: put the tuple's pair, or delete its key.
+    struct TaavWrite {
+      TaavEntry entry;
+      bool put;
+    };
+    /// TaaV writes in staging order.
+    std::vector<TaavWrite> taav_;
+  };
+
+  /// Keeps both layouts in sync with one tuple-level update (§8.2). Inside
+  /// an open WriteBatch the mutation is staged (its BaaV reads run now,
+  /// its writes at Commit); otherwise it runs as a batch of one, read
+  /// phase first, so a failed read changes neither layout.
   Status Insert(const std::string& relation, const Tuple& tuple);
   Status Delete(const std::string& relation, const Tuple& tuple);
 
  private:
+  Status Mutate(const std::string& relation, const Tuple& tuple, bool insert);
+
   const Catalog* catalog_;
   Cluster* cluster_;
   BaavStore store_;
   ZidianOptions options_;
+  /// The open WriteBatch, if any; touched only by the writer.
+  WriteBatch* batch_ = nullptr;
 };
 
 }  // namespace zidian

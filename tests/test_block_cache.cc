@@ -2,7 +2,7 @@
 // hit/miss/round-trip metering and write invalidation at the cluster
 // level, and end-to-end coherence on both engines — a cached Execute must
 // be byte-identical to an uncached one before and after incremental
-// maintenance (ApplyInsert / ApplyDelete via Zidian::Insert / Delete).
+// maintenance (Zidian::Insert / Delete).
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -1,22 +1,23 @@
 // Incremental BaaV maintenance (§8.2) against a fresh rebuild, and its
 // round-trip budget:
-//  * seeded random Insert/Delete sequences on MOT, TPC-H and AIRCA leave
-//    every instance's blocks and Degree equal to a fresh BuildAll on a
-//    separate cluster — one case with a tiny split threshold, so blocks
-//    grow and shrink across segment boundaries;
+//  * seeded random batches of 1-3 Insert/Delete mutations on MOT, TPC-H
+//    and AIRCA leave every instance's blocks and Degree equal to a fresh
+//    BuildAll on a separate cluster — one case with a tiny split
+//    threshold, so blocks grow and shrink across segment boundaries;
 //  * Degree stays exact when blocks shrink or vanish, and when the store
 //    never measured the instance (a restored cluster);
-//  * a failed maintenance read changes neither layout;
-//  * BuildAll reads nothing, and one mutation reads in one MultiGet per
-//    node per round, counted at the KvBackend seam.
+//  * a failed maintenance read, a failed mutation in a WriteBatch, or an
+//    uncommitted batch changes neither layout;
+//  * BuildAll reads nothing, one mutation reads in one MultiGet per node
+//    per round, and a Delete + Insert of one row in one WriteBatch reads
+//    its blocks in one round and writes each segment once, counted at the
+//    KvBackend seam.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -24,9 +25,12 @@
 
 #include "common/coding.h"
 #include "common/rng.h"
+#include "ra/taav.h"
 #include "storage/cluster.h"
 #include "storage/mem_backend.h"
+#include "test_support.h"
 #include "workloads/workload.h"
+#include "zidian/connection.h"
 #include "zidian/zidian.h"
 
 namespace zidian {
@@ -105,23 +109,34 @@ TEST_P(MaintenanceProperty, RandomUpdatesEqualFreshBuild) {
   ASSERT_FALSE(relations.empty());
 
   // Random inserts (copies of existing rows under a fresh key, so they join
-  // existing blocks) and deletes, mirrored on a shadow database.
+  // existing blocks) and deletes, mirrored on a shadow database, in
+  // batches of 1-3 mutations: a later mutation of a batch may edit a block
+  // an earlier one staged, or delete a row it inserted. A lone mutation
+  // runs without a WriteBatch half of the time.
   std::map<std::string, Relation> shadow = w->data;
   Rng rng(c.seed);
-  for (int op = 0; op < 120; ++op) {
-    const std::string& name = relations[rng.Next() % relations.size()];
-    auto schema = w->catalog.Get(name);
-    ASSERT_TRUE(schema.ok());
-    auto& rows = shadow.at(name).rows();
-    size_t pick = size_t(rng.Next() % rows.size());
-    if (rows.size() <= 1 || rng.Chance(0.5)) {
-      Tuple t = WithFreshKey(*schema, rows[pick], op);
-      ASSERT_TRUE(z.Insert(name, t).ok()) << name << " op " << op;
-      rows.push_back(std::move(t));
-    } else {
-      Tuple t = rows[pick];
-      ASSERT_TRUE(z.Delete(name, t).ok()) << name << " op " << op;
-      rows.erase(rows.begin() + long(pick));
+  for (int op = 0; op < 120;) {
+    const int mutations = 1 + int(rng.Next() % 3);
+    std::optional<Zidian::WriteBatch> batch;
+    if (mutations > 1 || rng.Chance(0.5)) batch.emplace(&z);
+    for (int i = 0; i < mutations; ++i, ++op) {
+      const std::string& name = relations[rng.Next() % relations.size()];
+      auto schema = w->catalog.Get(name);
+      ASSERT_TRUE(schema.ok());
+      auto& rows = shadow.at(name).rows();
+      size_t pick = size_t(rng.Next() % rows.size());
+      if (rows.size() <= 1 || rng.Chance(0.5)) {
+        Tuple t = WithFreshKey(*schema, rows[pick], op);
+        ASSERT_TRUE(z.Insert(name, t).ok()) << name << " op " << op;
+        rows.push_back(std::move(t));
+      } else {
+        Tuple t = rows[pick];
+        ASSERT_TRUE(z.Delete(name, t).ok()) << name << " op " << op;
+        rows.erase(rows.begin() + long(pick));
+      }
+    }
+    if (batch) {
+      ASSERT_TRUE(batch->Commit().ok()) << "op " << op;
     }
   }
 
@@ -153,27 +168,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.workload +
              (info.param.split_threshold > 0 ? "_split" : "");
     });
-
-/// A snapshot directory of this process's own, removed afterwards: a
-/// suite's plain and `_cached` runs go concurrently and must not overwrite
-/// each other's node files.
-class ScopedDir {
- public:
-  explicit ScopedDir(const std::string& name)
-      : path_((std::filesystem::path(::testing::TempDir()) /
-               ("maintenance-" + name + "-" + std::to_string(::getpid())))
-                  .string()) {
-    std::filesystem::create_directories(path_);
-  }
-  ~ScopedDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // ------------------------------------------------------- exact Degree ---
 
@@ -217,7 +211,7 @@ TEST(MaintenanceDegree, InsertOnARestoredClusterKeepsTheScannedDegree) {
   ASSERT_TRUE(w.ok());
   const KvSchema* kv = InstanceKeyedBy(w->baav, "mot_test", "vehicle_id");
   ASSERT_NE(kv, nullptr);
-  ScopedDir dir("restored");
+  ScopedDir dir("maintenance-restored");
   {
     Cluster built(ClusterOptions{.num_storage_nodes = 3});
     Zidian z(&w->catalog, &built, w->baav);
@@ -248,24 +242,10 @@ TEST(MaintenanceDegree, InsertOnARestoredClusterKeepsTheScannedDegree) {
 
 // ------------------------------------------- a failed read writes nothing ---
 
-using Pairs = std::vector<std::pair<std::string, std::string>>;
-
-std::vector<Pairs> NodePairs(const Cluster& cluster) {
-  std::vector<Pairs> nodes(static_cast<size_t>(cluster.num_nodes()));
-  for (int n = 0; n < cluster.num_nodes(); ++n) {
-    auto it = cluster.node(n).NewIterator();
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      nodes[static_cast<size_t>(n)].emplace_back(std::string(it->key()),
-                                                 std::string(it->value()));
-    }
-  }
-  return nodes;
-}
-
 TEST(MaintenanceFaults, FailedReadPhaseChangesNeitherLayout) {
   auto w = MakeMot(0.05, 17);
   ASSERT_TRUE(w.ok());
-  ScopedDir dir("faults");
+  ScopedDir dir("maintenance-faults");
   {
     Cluster healthy(ClusterOptions{.num_storage_nodes = 4,
                                    .backend = BackendKind::kMem});
@@ -294,16 +274,102 @@ TEST(MaintenanceFaults, FailedReadPhaseChangesNeitherLayout) {
   EXPECT_TRUE(NodePairs(cluster) == before);
 }
 
+// ------------------------------------------------- the batch contract ---
+
+/// COUNT(*) of `vehicle`'s mot_test rows on the KBA route and on the TaaV
+/// baseline.
+std::pair<int64_t, int64_t> CountTests(Zidian* z, int64_t vehicle) {
+  const std::string sql =
+      "SELECT COUNT(*) FROM mot_test t WHERE t.vehicle_id = " +
+      std::to_string(vehicle);
+  Connection conn = z->Connect();
+  auto kba = conn.Execute(sql, ExecOptions{});
+  auto base = conn.Execute(
+      sql, ExecOptions{.route_policy = RoutePolicy::kForceBaseline});
+  EXPECT_TRUE(kba.ok() && base.ok()) << sql;
+  if (!kba.ok() || !base.ok() || kba->size() != 1 || base->size() != 1) {
+    return {-1, -1};
+  }
+  return {int64_t(kba->rows()[0][0].Numeric()),
+          int64_t(base->rows()[0][0].Numeric())};
+}
+
+TEST(MaintenanceBatch, FailedOrUncommittedBatchesWriteNothing) {
+  auto w = MakeMot(0.05, 3);
+  ASSERT_TRUE(w.ok());
+  Cluster cluster(ClusterOptions{.num_storage_nodes = 3,
+                                 .backend = BackendKind::kMem});
+  Zidian z(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(z.LoadTaav(w->data).ok());
+  ASSERT_TRUE(z.BuildBaav(w->data).ok());
+  const std::vector<Pairs> before = NodePairs(cluster);
+  const Relation& tests = w->data.at("mot_test");
+  const Tuple row = tests.rows()[0];
+  Tuple longer = row;
+  longer.push_back(Value(int64_t{1}));
+  const std::string taav_key = TaavKey(
+      "mot_test", {row[static_cast<size_t>(tests.ColumnIndex("test_id"))]});
+  auto loaded_value = cluster.Get(taav_key, nullptr);
+  ASSERT_TRUE(loaded_value.ok()) << loaded_value.status().ToString();
+  const std::string taav_value = *loaded_value;
+  const int64_t vehicle =
+      row[static_cast<size_t>(tests.ColumnIndex("vehicle_id"))].AsInt();
+  const auto [loaded, loaded_base] = CountTests(&z, vehicle);
+  ASSERT_GT(loaded, 1);
+  ASSERT_EQ(loaded, loaded_base);
+
+  {
+    Zidian::WriteBatch batch(&z);
+    ASSERT_TRUE(z.Delete("mot_test", row).ok());
+  }  // destroyed without a commit
+  EXPECT_TRUE(NodePairs(cluster) == before);
+  {
+    Zidian::WriteBatch batch(&z);
+    ASSERT_TRUE(z.Delete("mot_test", row).ok());
+    EXPECT_TRUE(z.Insert("mot_test", longer).IsInvalidArgument());
+    Zidian::WriteBatch second(&z);  // one batch at a time
+    EXPECT_TRUE(second.Commit().IsInvalidArgument());
+    // The failed mutation fails the batch: its Delete is not written.
+    EXPECT_TRUE(batch.Commit().IsInvalidArgument());
+  }
+  EXPECT_TRUE(NodePairs(cluster) == before);
+  // A tuple that does not fit the relation writes neither layout.
+  EXPECT_TRUE(z.Insert("mot_test", longer).IsInvalidArgument());
+  EXPECT_TRUE(NodePairs(cluster) == before);
+
+  {
+    Zidian::WriteBatch batch(&z);
+    ASSERT_TRUE(z.Delete("mot_test", row).ok());
+    ASSERT_TRUE(batch.Commit().ok());
+    EXPECT_TRUE(batch.Commit().IsInvalidArgument());  // closed
+  }
+  // The committed Delete removed the row from both layouts: its TaaV key
+  // is gone, and both routes count one test fewer for its vehicle.
+  const std::vector<Pairs> committed = NodePairs(cluster);
+  EXPECT_FALSE(committed == before);
+  EXPECT_TRUE(cluster.Get(taav_key, nullptr).status().IsNotFound());
+  EXPECT_EQ(CountTests(&z, vehicle), std::make_pair(loaded - 1, loaded - 1));
+
+  ASSERT_TRUE(z.Insert("mot_test", row).ok());  // no batch open: at once
+  EXPECT_FALSE(NodePairs(cluster) == committed);
+  auto stored = cluster.Get(taav_key, nullptr);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(*stored, taav_value);
+  EXPECT_EQ(CountTests(&z, vehicle), std::make_pair(loaded, loaded));
+}
+
 // --------------------------------------------- round trips, by count ---
 
-/// Reads one node served. A block read's first round asks for segment 0
-/// of every block, its overflow round for segments 1 and up, so each
-/// batch is classified by the segment numbers it carries.
+/// Reads one node served, and its BaaV segment writes. A block read's
+/// first round asks for segment 0 of every block, its overflow round for
+/// segments 1 and up, so each batch is classified by the segment numbers
+/// it carries.
 struct NodeReads {
   uint64_t gets = 0;
   uint64_t first_rounds = 0;     // batches of segment-0 keys only
   uint64_t overflow_rounds = 0;  // batches of overflow-segment keys only
   uint64_t mixed = 0;            // anything else
+  std::map<std::string, uint64_t> segment_writes;  // BaaV key -> Put/Delete
 };
 
 class CountingBackend : public MemBackend {
@@ -312,6 +378,14 @@ class CountingBackend : public MemBackend {
   Result<std::string> Get(std::string_view key) const override {
     ++reads_->gets;
     return MemBackend::Get(key);
+  }
+  Status Put(std::string_view key, std::string_view value) override {
+    CountWrite(key);
+    return MemBackend::Put(key, value);
+  }
+  Status Delete(std::string_view key) override {
+    CountWrite(key);
+    return MemBackend::Delete(key);
   }
   void MultiGet(std::span<const BatchedKey> keys,
                 std::vector<std::optional<std::string>>* out) const override {
@@ -335,6 +409,10 @@ class CountingBackend : public MemBackend {
   }
 
  private:
+  void CountWrite(std::string_view key) {
+    if (key.front() == 'B') ++reads_->segment_writes[std::string(key)];
+  }
+
   NodeReads* reads_;
 };
 
@@ -362,7 +440,7 @@ class MaintenanceRoundTrips : public ::testing::Test {
 
   /// Checks the reads since the last call: no single-key Get, and at most
   /// one batch per node per round. Returns the batches of each round
-  /// summed over the nodes, and resets the counts.
+  /// summed over the nodes, and resets the read counts.
   std::pair<uint64_t, uint64_t> TakeRounds() {
     std::pair<uint64_t, uint64_t> total{0, 0};
     for (auto& r : reads_) {
@@ -372,9 +450,69 @@ class MaintenanceRoundTrips : public ::testing::Test {
       EXPECT_LE(r.overflow_rounds, 1u);
       total.first += r.first_rounds;
       total.second += r.overflow_rounds;
-      r = NodeReads{};
+      r.gets = r.first_rounds = r.overflow_rounds = r.mixed = 0;
     }
     return total;
+  }
+
+  /// Writes per BaaV segment key (node-qualified) since the last call.
+  std::map<std::string, uint64_t> TakeSegmentWrites() {
+    std::map<std::string, uint64_t> writes;
+    for (size_t n = 0; n < reads_.size(); ++n) {
+      for (const auto& [key, count] : reads_[n].segment_writes) {
+        writes[std::to_string(n) + ":" + key] = count;
+      }
+      reads_[n].segment_writes.clear();
+    }
+    return writes;
+  }
+
+  /// Runs the benchmark's update shape — a row's Delete, then an Insert of
+  /// a copy with one non-key integer's low bit flipped — first in one
+  /// WriteBatch, then back as two separate mutations, and checks each
+  /// one's traffic.
+  void CheckBatchedUpdate(bool split) {
+    TakeRounds();
+    TakeSegmentWrites();
+    const Tuple row = Row(0);
+    Tuple changed = row;
+    const int col = w_->data.at("mot_test").ColumnIndex("test_mileage");
+    changed[col] = Value(int64_t{row[col].AsInt() ^ 1});
+    const std::pair<uint64_t, uint64_t> none{0, 0};
+    {
+      Zidian::WriteBatch batch(zidian_.get());
+      ASSERT_TRUE(zidian_->Delete("mot_test", row).ok());
+      // One round over every block (at most one batch per node), plus the
+      // overflow round only when a block is split.
+      auto rounds = TakeRounds();
+      EXPECT_GE(rounds.first, 1u);
+      if (split) {
+        EXPECT_GE(rounds.second, 1u);
+      } else {
+        EXPECT_EQ(rounds.second, 0u);
+      }
+      // The Insert edits the blocks the Delete staged: no read at all.
+      ASSERT_TRUE(zidian_->Insert("mot_test", changed).ok());
+      EXPECT_EQ(TakeRounds(), none);
+      EXPECT_TRUE(TakeSegmentWrites().empty()) << "staging wrote";
+      ASSERT_TRUE(batch.Commit().ok());
+    }
+    EXPECT_EQ(TakeRounds(), none);  // the commit only writes
+    const auto batched = TakeSegmentWrites();
+    ASSERT_FALSE(batched.empty());
+    for (const auto& [key, count] : batched) EXPECT_EQ(count, 1u) << key;
+
+    // The same update as two mutations writes every segment twice.
+    ASSERT_TRUE(zidian_->Delete("mot_test", changed).ok());
+    TakeRounds();
+    ASSERT_TRUE(zidian_->Insert("mot_test", row).ok());
+    TakeRounds();
+    const auto separate = TakeSegmentWrites();
+    ASSERT_EQ(separate.size(), batched.size());
+    for (const auto& [key, count] : separate) {
+      EXPECT_EQ(batched.count(key), 1u) << key;
+      EXPECT_EQ(count, 2u) << key;
+    }
   }
 
   Tuple Row(size_t i) const { return w_->data.at("mot_test").rows()[i]; }
@@ -415,6 +553,16 @@ TEST_F(MaintenanceRoundTrips, SplitBlocksAddOneOverflowRound) {
   EXPECT_GE(rounds.second, 1u);
   ASSERT_TRUE(zidian_->store().ApplyInsert("mot_test", Row(0)).ok());
   TakeRounds();
+}
+
+TEST_F(MaintenanceRoundTrips, BatchedUpdateReadsOnceAndWritesEachSegmentOnce) {
+  Build(256 << 10);
+  CheckBatchedUpdate(/*split=*/false);
+}
+
+TEST_F(MaintenanceRoundTrips, BatchedSplitUpdateAddsOnlyTheOverflowRound) {
+  Build(96);  // every multi-row block spans several segments
+  CheckBatchedUpdate(/*split=*/true);
 }
 
 }  // namespace

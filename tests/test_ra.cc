@@ -238,14 +238,20 @@ TEST_F(TaavFixture, BaselineExecutesJoinAggregate) {
 }
 
 TEST_F(TaavFixture, DeleteRemovesTuple) {
-  ASSERT_TRUE(
-      TaavDeleteTuple(&cluster_, *catalog_.Find("r"), {Value(int64_t{7})})
-          .ok());
+  const TableSchema& r = *catalog_.Find("r");
+  TaavEntry entry = EncodeTaavEntry(r, {Value(int64_t{7}), Value(int64_t{2})});
+  EXPECT_EQ(entry.key, TaavKey("r", {Value(int64_t{7})}));
+  auto stored = cluster_.Get(entry.key, nullptr);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(*stored, entry.value);  // the loaded pair, byte for byte
+
+  ASSERT_TRUE(cluster_.Delete(entry.key).ok());
   QueryMetrics m;
-  auto rel = TaavScanTable(cluster_, *catalog_.Find("r"), "r", &m,
-                           nullptr, 1, FanoutMode::kSerial);
+  auto rel = TaavScanTable(cluster_, r, "r", &m, nullptr, 1,
+                           FanoutMode::kSerial);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->size(), 19u);
+  for (const auto& row : rel->rows()) EXPECT_NE(row[0].AsInt(), 7);
 }
 
 }  // namespace

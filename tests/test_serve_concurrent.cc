@@ -9,8 +9,14 @@
 //  * distinct Connections sharing one injected ExecOptions::pool;
 //  * the SharedPoolState growth-retires regression (use-after-free when a
 //    concurrent Execute raises `workers` mid-flight);
-//  * a read/write mix: BaaV maintenance under the exclusive write gate
-//    racing readers, with post-run KBA-vs-baseline agreement;
+//  * a read/write mix: write templates staging BaaV maintenance alongside
+//    readers and committing under the exclusive write gate, with post-run
+//    KBA-vs-baseline agreement;
+//  * the benchmark's update shape (a Delete then an Insert of one row)
+//    racing COUNT(*) reads: no read sees the update half applied;
+//  * a template whose second mutation fails writes nothing;
+//  * concurrent first prepares on a restored cluster, which all seed the
+//    store's degree counts (TSan checks the counts' lock);
 //  * open-loop rejection accounting on a saturated admission queue.
 //
 // Registered in the plain, *_cached AND TSan ctest configurations. In the
@@ -34,6 +40,7 @@
 #include "serve/load_generator.h"
 #include "serve/server.h"
 #include "storage/cluster.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/zidian.h"
@@ -458,9 +465,10 @@ TEST_F(ServeConcurrentFixture, SharedPoolGrowthRacingExecutesIsSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// BaaV maintenance under the exclusive write gate, racing read sessions:
-// after the run both layouts must agree (KBA vs baseline differential)
-// and every admitted insert must be visible on both routes.
+// Write templates racing read sessions: their maintenance reads overlap
+// the readers, their commits take the exclusive write gate. After the run
+// both layouts must agree (KBA vs baseline differential) and every
+// admitted insert must be visible on both routes.
 TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
   ServeTemplate insert_test;
   insert_test.name = "insert_mot_test";
@@ -500,6 +508,7 @@ TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
   auto result = server.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->writes_admitted, expected_writes);
+  EXPECT_EQ(result->writes_committed, expected_writes);
   EXPECT_EQ(result->completed, result->offered);
   EXPECT_EQ(result->failed, 0u);
 
@@ -525,6 +534,190 @@ TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
       tests += uint64_t(row[1].Numeric());  // the COUNT(*) column
     }
     EXPECT_EQ(tests, 5u + inserts_per_vehicle[vid]) << "vehicle " << vid;
+  }
+}
+
+/// `sql`'s rows on the KBA route and on the TaaV baseline, each sorted.
+std::pair<std::string, std::string> BothRoutes(Zidian* zidian,
+                                               const std::string& sql) {
+  Connection conn = zidian->Connect();
+  auto kba = conn.Execute(sql, ExecOptions{});
+  auto base = conn.Execute(
+      sql, ExecOptions{.route_policy = RoutePolicy::kForceBaseline});
+  EXPECT_TRUE(kba.ok() && base.ok()) << sql;
+  if (!kba.ok() || !base.ok()) return {};
+  kba->SortRows();
+  base->SortRows();
+  return {kba->ToString(1u << 20), base->ToString(1u << 20)};
+}
+
+// A template whose second mutation fails must leave both layouts as they
+// were: its first mutation, a Delete of an existing row, stays staged and
+// is never written.
+TEST_F(ServeConcurrentFixture, FailedTemplateLeavesBothLayoutsUnchanged) {
+  const Tuple row = workload_.data.at("mot_test").rows()[0];
+  const std::string sql = PointTemplate().sql(1);  // the row's vehicle
+  const auto answers = BothRoutes(zidian_.get(), sql);
+  EXPECT_EQ(answers.first, answers.second);
+  const std::vector<Pairs> before = NodePairs(*cluster_);
+
+  Status second;
+  ServeTemplate update;
+  update.name = "delete_then_bad_insert";
+  update.write = [&](Zidian& zidian, const ServeOp&) {
+    ZIDIAN_RETURN_NOT_OK(zidian.Delete("mot_test", row));
+    second = zidian.Insert("no_such_relation", row);
+    return second;
+  };
+  ServeOptions options;
+  options.sessions = 1;
+  options.load.streams = 1;
+  options.load.ops_per_stream = 1;
+  options.load.mix = {update};
+  Server server(zidian_.get(), options);
+  auto result = server.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(second.ok());
+  EXPECT_EQ(result->failed, 1u);
+  EXPECT_EQ(result->completed, 0u);
+  EXPECT_EQ(result->metrics.failed_queries, 1u);
+  EXPECT_EQ(result->writes_admitted, 1u);
+  EXPECT_EQ(result->writes_committed, 0u);
+  EXPECT_TRUE(NodePairs(*cluster_) == before);
+  EXPECT_EQ(BothRoutes(zidian_.get(), sql), answers);
+}
+
+// The benchmark's update shape, served: a write template deletes a hot
+// vehicle's mot_test row, then inserts a copy with one non-key column's
+// low bit flipped, racing COUNT(*) point reads of the same vehicles. The
+// template's maintenance reads overlap the readers, but its two mutations
+// commit together, so no read may count the row deleted and not yet
+// re-inserted. Every round trip costs 200 us, which keeps the span
+// between the two mutations long enough for readers to land in it, were
+// they let in.
+TEST(ServeUpdates, ReadsNeverSeeAnUpdateHalfApplied) {
+  auto w = MakeMot(0.2, 91);
+  ASSERT_TRUE(w.ok());
+  ClusterOptions co{.num_storage_nodes = 4};
+  co.network.link = NetworkLinkOptions{.rtt_us = 200};
+  Cluster cluster(co);
+  Zidian zidian(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(zidian.LoadTaav(w->data).ok());
+  ASSERT_TRUE(zidian.BuildBaav(w->data).ok());
+
+  constexpr uint64_t kHot = 4;
+  const Relation& tests = w->data.at("mot_test");
+  const int vid = tests.ColumnIndex("vehicle_id");
+  const int mileage = tests.ColumnIndex("test_mileage");
+  // Each hot vehicle's current rows; only the (serialised) writer
+  // touches them during the run.
+  std::map<uint64_t, std::vector<Tuple>> current;
+  for (const Tuple& t : tests.rows()) {
+    uint64_t v = uint64_t(t[vid].AsInt());
+    if (v <= kHot) current[v].push_back(t);
+  }
+  ASSERT_EQ(current.size(), kHot);
+  const size_t loaded = current.at(1).size();
+
+  ServeTemplate count;
+  count.name = "count";
+  count.weight = 4;
+  count.sql = [](uint64_t key) {
+    return "SELECT COUNT(*) FROM mot_test t WHERE t.vehicle_id = " +
+           std::to_string(key);
+  };
+  ServeTemplate update;
+  update.name = "update";
+  update.weight = 1;
+  update.write = [&](Zidian& z, const ServeOp& op) {
+    std::vector<Tuple>& rows = current.at(op.key);
+    Tuple& row = rows[op.seq % rows.size()];
+    Tuple changed = row;
+    changed[mileage] = Value(int64_t{row[mileage].AsInt() ^ 1});
+    ZIDIAN_RETURN_NOT_OK(z.Delete("mot_test", row));
+    ZIDIAN_RETURN_NOT_OK(z.Insert("mot_test", changed));
+    row = std::move(changed);
+    return Status::OK();
+  };
+
+  std::atomic<uint64_t> reads{0}, torn{0};
+  ServeOptions options;
+  options.sessions = 4;
+  options.load.streams = 4;
+  options.load.ops_per_stream = 60;
+  options.load.seed = 5;
+  options.load.zipf_keys = kHot;
+  options.load.mix = {count, update};
+  options.on_result = [&](const ServeOp&, const Relation& rows,
+                          const AnswerInfo&) {
+    reads.fetch_add(1);
+    if (rows.size() != 1 || rows.rows()[0][0].Numeric() != double(loaded)) {
+      torn.fetch_add(1);
+    }
+  };
+  Server server(&zidian, options);
+  auto result = server.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->failed, 0u);
+  EXPECT_EQ(result->completed, result->offered);
+  EXPECT_GT(result->writes_committed, 0u);
+  EXPECT_EQ(reads.load() + result->writes_admitted, result->completed);
+  EXPECT_EQ(torn.load(), 0u) << "of " << reads.load() << " reads";
+
+  // Both layouts hold every vehicle's latest rows.
+  for (uint64_t v = 1; v <= kHot; ++v) {
+    const std::string sql =
+        "SELECT t.test_id, t.test_mileage FROM mot_test t "
+        "WHERE t.vehicle_id = " + std::to_string(v);
+    auto [kba, base] = BothRoutes(&zidian, sql);
+    EXPECT_EQ(kba, base) << sql;
+    Relation expected({"t.test_id", "t.test_mileage"});
+    for (const Tuple& t : current.at(v)) {
+      expected.Add({t[tests.ColumnIndex("test_id")], t[mileage]});
+    }
+    expected.SortRows();
+    EXPECT_EQ(kba, expected.ToString(1u << 20)) << sql;
+  }
+}
+
+// A Zidian over a restored cluster has never measured its instances'
+// degrees, so the sessions' first prepares each scan an instance and seed
+// its block-size counts, concurrently: under ThreadSanitizer this checks
+// that the counts are read and seeded under their lock. The seeded counts
+// must equal a fresh scan's.
+TEST(ServeRestoredCluster, ConcurrentFirstPreparesSeedDegreeCounts) {
+  auto w = MakeMot(0.25, 91);
+  ASSERT_TRUE(w.ok());
+  ScopedDir dir("serve-restored");
+  {
+    Cluster built(ClusterOptions{.num_storage_nodes = 4});
+    Zidian z(&w->catalog, &built, w->baav);
+    ASSERT_TRUE(z.LoadTaav(w->data).ok());
+    ASSERT_TRUE(z.BuildBaav(w->data).ok());
+    ASSERT_TRUE(built.SaveToDir(dir.path()).ok());
+  }
+  Cluster cluster(ClusterOptions{.num_storage_nodes = 4});
+  ASSERT_TRUE(cluster.LoadFromDir(dir.path()).ok());
+  Zidian restored(&w->catalog, &cluster, w->baav);  // no rebuild
+
+  ServeOptions options;
+  options.sessions = 4;
+  options.load.streams = 4;
+  options.load.ops_per_stream = 20;
+  options.load.zipf_keys = w->data.at("vehicle").size();
+  options.load.mix = {PointTemplate()};
+  Server server(&restored, options);
+  auto result = server.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->completed, 80u);
+  EXPECT_EQ(result->failed, 0u);
+
+  BaavStore rescan(&cluster, w->baav, &w->catalog);
+  for (const auto& kv : w->baav.all()) {
+    auto seeded = restored.store().Degree(kv);
+    auto scanned = rescan.Degree(kv);
+    ASSERT_TRUE(seeded.ok() && scanned.ok()) << kv.name;
+    EXPECT_EQ(*seeded, *scanned) << kv.name;
   }
 }
 
