@@ -13,18 +13,23 @@
 // against the clock: ExecOptions::parallel_mode × workers ∈ {1,2,4,8} on
 // an extend-heavy plan, over a uniform NetworkModel link that prices only
 // the round trip (NetworkLinkOptions::rtt_us), standing in for the
-// network RTT a remote store would charge. kThreads overlaps its
-// per-worker MultiGets where kSimulated pays them back-to-back, so
-// measured wall-clock falls with p as makespan_get predicts. Each cell
-// also splits its wall time into the fetch region (the per-worker
-// MultiGets and block decode) and the SQL-layer compute. Counters must be
-// identical between the modes on every cell.
+// network RTT a remote store would charge. The sweep measures worker
+// scaling, so each worker runs the serial stall schedule
+// (FanoutMode::kSerial, the control arm): under the default overlapped
+// schedule one worker already overlaps its per-node batches, leaving
+// nothing for more workers to win. kThreads overlaps its per-worker
+// MultiGets where kSimulated pays them back-to-back, so measured
+// wall-clock falls with p as makespan_get predicts. Each cell also splits
+// its wall time into the fetch region (the per-worker MultiGets, block
+// decode and emit) and the SQL-layer compute. Counters must be identical
+// between the modes on every cell.
 //
-// A second sweep runs the same contract over the TaaV baseline: the
-// threaded per-tuple get scan overlaps its per-get round-trip stalls
-// where the sequential scan pays them back-to-back, so the baseline leg
-// must show the same wall-clock-falls-with-p shape with identical
-// counters — treatment and control on one substrate.
+// A second sweep runs the same contract over the TaaV baseline, also on
+// the serial schedule: the threaded per-tuple get scan overlaps its
+// per-get round-trip stalls where the sequential scan pays them
+// back-to-back, so the baseline leg must show the same
+// wall-clock-falls-with-p shape with identical counters — treatment and
+// control on one substrate.
 //
 // A third sweep exercises the NetworkModel (storage/network_model.h):
 // node counts × batching on/off under one priced network. A batched
@@ -156,8 +161,11 @@ SweepCell RunCell(Instance& inst, const KbaPlan& plan, ParallelMode mode,
   for (int r = 0; r < repeats; ++r) {
     QueryMetrics m;
     auto start = std::chrono::steady_clock::now();
-    auto res = exec.Execute(
-        plan, KbaExecOptions{.workers = workers, .parallel_mode = mode}, &m);
+    auto res = exec.Execute(plan,
+                            KbaExecOptions{.workers = workers,
+                                           .parallel_mode = mode,
+                                           .fanout = FanoutMode::kSerial},
+                            &m);
     double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -278,7 +286,8 @@ bool TaavSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
         auto res = prepared->Execute(
             ExecOptions{.workers = p,
                         .route_policy = RoutePolicy::kForceBaseline,
-                        .parallel_mode = mode},
+                        .parallel_mode = mode,
+                        .fanout = FanoutMode::kSerial},
             &info);
         double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)

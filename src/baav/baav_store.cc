@@ -311,7 +311,7 @@ Result<std::vector<uint64_t>> BaavStore::FetchSegments(
   return segments;
 }
 
-Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
+Result<std::vector<BaavStore::FetchedBlock>> BaavStore::MultiGetBlocks(
     const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
     FanoutStats* fanout_stats) const {
   std::vector<FetchedBlock> out(refs.size());
@@ -340,20 +340,6 @@ Result<std::vector<BaavStore::FetchedBlock>> BaavStore::FetchBlocks(
           refs[i].key->size();
     }
   }
-  return out;
-}
-
-Result<std::vector<std::vector<Tuple>>> BaavStore::MultiGetBlocks(
-    const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-    FanoutMode fanout, FanoutStats* fanout_stats) const {
-  std::vector<BlockRef> refs;
-  refs.reserve(keys.size());
-  for (const auto& key : keys) refs.push_back({&kv, &key});
-  ZIDIAN_ASSIGN_OR_RETURN(std::vector<FetchedBlock> blocks,
-                          FetchBlocks(refs, m, fanout, fanout_stats));
-  std::vector<std::vector<Tuple>> out;
-  out.reserve(blocks.size());
-  for (auto& b : blocks) out.push_back(std::move(b.rows));
   return out;
 }
 
@@ -522,10 +508,9 @@ Result<uint64_t> BaavStore::MaxDegree() const {
   return deg;
 }
 
-Status BaavStore::ReadAffected(
-    const std::string& relation, const Tuple& tuple,
-    void (*edit)(std::vector<Tuple>* rows, Tuple y),
-    Maintenance* pending) const {
+Status BaavStore::ReadAffected(const std::string& relation,
+                               const Tuple& tuple, bool insert,
+                               Maintenance* pending) const {
   // Locate (or queue for fetching) every affected block before touching
   // `pending`, so a failed projection or read leaves it as it was.
   Maintenance fetch;
@@ -556,36 +541,49 @@ Status BaavStore::ReadAffected(
   // holding what a full read of these blocks would have left behind.
   ZIDIAN_ASSIGN_OR_RETURN(
       std::vector<FetchedBlock> fetched,
-      FetchBlocks(refs, nullptr, FanoutMode::kOverlapped, nullptr));
+      MultiGetBlocks(refs, nullptr, FanoutMode::kOverlapped, nullptr));
   for (size_t i = 0; i < fetch.size(); ++i) {
     fetch[i].rows = std::move(fetched[i].rows);
     fetch[i].old_size = fetch[i].rows.size();
     fetch[i].old_segments = fetched[i].segments;
-    pending->push_back(std::move(fetch[i]));
   }
-  for (auto& [slot, y] : edits) edit(&(*pending)[slot].rows, std::move(y));
+  auto rows_of = [&](size_t slot) -> std::vector<Tuple>& {
+    return slot < pending->size() ? (*pending)[slot].rows
+                                  : fetch[slot - pending->size()].rows;
+  };
+  // A delete must find its row in every affected block before any block
+  // changes: the edits target distinct blocks, so checking them all first
+  // keeps a NotFound from staging half of the mutation.
+  if (!insert) {
+    for (const auto& [slot, y] : edits) {
+      const auto& rows = rows_of(slot);
+      if (std::find(rows.begin(), rows.end(), y) == rows.end()) {
+        return Status::NotFound("deleted " + relation + " tuple is not stored");
+      }
+    }
+  }
+  for (auto& [slot, y] : edits) {
+    auto& rows = rows_of(slot);
+    if (insert) {
+      rows.push_back(std::move(y));
+    } else {
+      rows.erase(std::find(rows.begin(), rows.end(), y));
+    }
+  }
+  for (auto& block : fetch) pending->push_back(std::move(block));
   return Status::OK();
 }
 
 Status BaavStore::ReadForInsert(const std::string& relation,
                                 const Tuple& tuple,
                                 Maintenance* pending) const {
-  return ReadAffected(
-      relation, tuple,
-      [](std::vector<Tuple>* rows, Tuple y) { rows->push_back(std::move(y)); },
-      pending);
+  return ReadAffected(relation, tuple, /*insert=*/true, pending);
 }
 
 Status BaavStore::ReadForDelete(const std::string& relation,
                                 const Tuple& tuple,
                                 Maintenance* pending) const {
-  return ReadAffected(
-      relation, tuple,
-      [](std::vector<Tuple>* rows, Tuple y) {
-        auto it = std::find(rows->begin(), rows->end(), y);
-        if (it != rows->end()) rows->erase(it);
-      },
-      pending);
+  return ReadAffected(relation, tuple, /*insert=*/false, pending);
 }
 
 Status BaavStore::Install(const Maintenance& update) {

@@ -76,24 +76,38 @@ class BaavStore {
   Result<std::vector<Tuple>> GetBlock(const KvSchema& kv, const Tuple& key,
                                       QueryMetrics* m) const;
 
-  /// Batched block fetch (§7.2): all first segments in one Cluster::MultiGet
-  /// round, overflow segments in a second, both under the stall schedule
-  /// `fanout`. Returns one row vector per key, aligned with `keys` (empty
-  /// for absent keys). Meters one get per segment key but only one round
-  /// trip per touched storage node — the batched hot path the interleaved
-  /// extension strategy runs on. Rows and every CountersEqual field are
-  /// the same under either schedule; an overlapped round's hidden network
-  /// time is merged into `fanout_stats` (nullable) for the caller's
-  /// ChargeFanoutOverlap fold.
-  Result<std::vector<std::vector<Tuple>>> MultiGetBlocks(
-      const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
-      FanoutMode fanout, FanoutStats* fanout_stats) const;
+  /// One block to fetch: an instance and a key (X values) in it.
+  struct BlockRef {
+    const KvSchema* kv;
+    const Tuple* key;
+  };
+  /// A fetched block: its rows and the number of segments holding it
+  /// (0 when the key is absent).
+  struct FetchedBlock {
+    std::vector<Tuple> rows;
+    uint64_t segments = 0;
+  };
 
-  /// Batched header-only fetch: MultiGetBlocks' counterpart for the stats
-  /// pushdown path, over the same two rounds. One BlockStats per key,
-  /// aligned with `keys` (per-Y-column aggregates; zero rows when absent).
-  /// Meters one get per segment but only the header bytes / one value per
-  /// column, and its misses never fill the BlockCache.
+  /// Batched block fetch (§7.2) over blocks of any number of instances:
+  /// all first segments in one Cluster::MultiGet round, overflow segments
+  /// in a second, both under the stall schedule `fanout`. Returns one
+  /// block per ref, aligned with `refs` (no rows for absent keys). Meters
+  /// one get per segment key and the values read, but only one round trip
+  /// per touched storage node — the batched path the interleaved extension
+  /// rounds and the maintenance read phase run on. Rows and every
+  /// CountersEqual field are the same under either schedule; an overlapped
+  /// round's hidden network time is merged into `fanout_stats` (nullable)
+  /// for the caller's ChargeFanoutOverlap fold.
+  Result<std::vector<FetchedBlock>> MultiGetBlocks(
+      const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
+      FanoutStats* fanout_stats) const;
+
+  /// Batched header-only fetch of one instance's blocks: MultiGetBlocks'
+  /// counterpart for the stats pushdown path, over the same two rounds.
+  /// One BlockStats per key, aligned with `keys` (per-Y-column aggregates;
+  /// zero rows when absent). Meters one get per segment but only the
+  /// header bytes / one value per column, and its misses never fill the
+  /// BlockCache.
   Result<std::vector<BlockStats>> MultiGetBlockStats(
       const KvSchema& kv, const std::vector<Tuple>& keys, QueryMetrics* m,
       FanoutMode fanout, FanoutStats* fanout_stats) const;
@@ -152,7 +166,10 @@ class BaavStore {
   /// then the edit applies to the staged rows, so a mutation sees every
   /// edit staged before it. A block `pending` already holds costs no read.
   /// Unmetered; misses fill the BlockCache like any full read. Writes
-  /// nothing; on error `pending` is left as it was.
+  /// nothing; on error `pending` is left as it was. ReadForDelete returns
+  /// NotFound when some affected block holds no row equal to the tuple's
+  /// Y-projection: the tuple is not stored, and erasing nothing from one
+  /// layout while TaaV drops the key by primary key would split them.
   Status ReadForInsert(const std::string& relation, const Tuple& tuple,
                        Maintenance* pending) const;
   Status ReadForDelete(const std::string& relation, const Tuple& tuple,
@@ -183,17 +200,6 @@ class BaavStore {
   /// Projects a relation-order tuple onto the given attribute names.
   Result<Tuple> ProjectTuple(const KvSchema& kv, const Tuple& tuple,
                              const std::vector<std::string>& attrs) const;
-  /// One block to fetch: an instance and a key (X values) in it.
-  struct BlockRef {
-    const KvSchema* kv;
-    const Tuple* key;
-  };
-  /// A fetched block: its rows and the number of segments holding it
-  /// (0 when the key is absent).
-  struct FetchedBlock {
-    std::vector<Tuple> rows;
-    uint64_t segments = 0;
-  };
   /// The two-round fetch every block read runs on: the first segments of
   /// `refs` in one Cluster::MultiGet fan-out, then the overflow segments of
   /// split blocks in a second, both under `fanout`. After each round
@@ -204,17 +210,11 @@ class BaavStore {
       const std::vector<BlockRef>& refs, QueryMetrics* m, CacheFill fill,
       FanoutMode fanout, FanoutStats* fanout_stats,
       const std::function<Status(size_t, std::string_view)>& decode) const;
-  /// FetchSegments with every block decoded into rows; meters the values
-  /// read. MultiGetBlocks and the maintenance read phase run on it.
-  Result<std::vector<FetchedBlock>> FetchBlocks(
-      const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
-      FanoutStats* fanout_stats) const;
   /// The shared read phase: fetches the derived instances' blocks for
-  /// `tuple` that `pending` lacks and applies `edit` with the tuple's
-  /// Y-projection to each staged block.
+  /// `tuple` that `pending` lacks, then appends the tuple's Y-projection
+  /// to each staged block (`insert`) or erases one equal row from each.
   Status ReadAffected(const std::string& relation, const Tuple& tuple,
-                      void (*edit)(std::vector<Tuple>* rows, Tuple y),
-                      Maintenance* pending) const;
+                      bool insert, Maintenance* pending) const;
   /// Rewrites the whole block for a key (re-splitting as needed) over
   /// the `old_segments` segments it had, deleting the ones no longer
   /// used. Never reads: the caller knows the old segment count.

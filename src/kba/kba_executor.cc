@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
 #include <unordered_map>
 
@@ -48,7 +49,7 @@ Result<KvInst> KbaExecutor::Execute(const KbaPlan& plan,
   }
   ZIDIAN_ASSIGN_OR_RETURN(KvInst out, Eval(plan, ctx, m));
   // Scans and compute are spread evenly under the no-skew assumption;
-  // extension gets recorded their true per-worker maxima inside Eval.
+  // fetch rounds recorded their true per-worker maxima inside Eval.
   SpreadMakespans(ctx.workers, m);
   return out;
 }
@@ -82,7 +83,7 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
     }
 
     case KbaOp::kExtend:
-      return EvalExtend(plan, ctx, m);
+      return EvalExtends(plan, ctx, m);
 
     case KbaOp::kShift: {
       ZIDIAN_ASSIGN_OR_RETURN(KvInst in, Eval(*plan.children[0], ctx, m));
@@ -260,204 +261,341 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
   return Status::Internal("unknown KBA op");
 }
 
-Result<KvInst> KbaExecutor::EvalExtend(const KbaPlan& plan, const ExecCtx& ctx,
-                                       QueryMetrics* m) const {
-  const int workers = ctx.workers;
-  const KvSchema* kv = store_->schema().Find(plan.kv_name);
-  if (kv == nullptr) return Status::NotFound("kv " + plan.kv_name);
-  if (plan.key_bindings.size() != kv->key_attrs.size()) {
+namespace {
+
+/// One extension of a fetch round: its target instance, the child columns
+/// binding the target's key (in X order), and its fetched blocks by key.
+struct RoundNode {
+  const KbaPlan* plan = nullptr;
+  const KvSchema* kv = nullptr;
+  std::vector<std::string> key_cols;
+  struct Block {
+    size_t worker = 0;  ///< the worker owning the block's storage node
+    /// Y tuples, or for a stats-only extension one row of partial
+    /// statistics (none when the block is absent).
+    std::vector<Tuple> rows;
+  };
+  /// One block per distinct key in the round's input.
+  std::unordered_map<Tuple, Block, TupleHasher> blocks;
+};
+
+/// Validates an extension's bindings and returns the child columns that
+/// bind the target's key attributes, in X order.
+Result<std::vector<std::string>> KeyColumns(const KbaPlan& plan,
+                                            const KvSchema& kv) {
+  if (plan.key_bindings.size() != kv.key_attrs.size()) {
     return Status::InvalidArgument("extend bindings must cover X of " +
-                                   kv->name);
+                                   kv.name);
   }
-  ZIDIAN_ASSIGN_OR_RETURN(KvInst child, Eval(*plan.children[0], ctx, m));
-
-  // Child columns feeding each key attribute, in X order.
-  std::vector<int> bind_idx(kv->key_attrs.size(), -1);
+  std::vector<std::string> cols(kv.key_attrs.size());
   for (const auto& [child_col, key_attr] : plan.key_bindings) {
-    int ci = child.rel.ColumnIndex(child_col);
-    if (ci < 0) {
-      return Status::InvalidArgument("extend child column missing: " +
-                                     child_col);
-    }
-    for (size_t k = 0; k < kv->key_attrs.size(); ++k) {
-      if (kv->key_attrs[k] == key_attr) bind_idx[k] = ci;
+    for (size_t k = 0; k < kv.key_attrs.size(); ++k) {
+      if (kv.key_attrs[k] == key_attr) cols[k] = child_col;
     }
   }
-  for (size_t k = 0; k < bind_idx.size(); ++k) {
-    if (bind_idx[k] < 0) {
+  for (size_t k = 0; k < cols.size(); ++k) {
+    if (cols[k].empty()) {
       return Status::InvalidArgument("extend key attr unbound: " +
-                                     kv->key_attrs[k]);
+                                     kv.key_attrs[k]);
     }
   }
+  return cols;
+}
 
-  // Interleaved strategy (§7.2): re-partition child rows by the target's
-  // key distribution (shuffle), then issue per-key point gets on the worker
-  // that owns the key.
-  ChargeShuffleBytes(child.rel.ByteSize(), workers, m);
-
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHasher> by_key;
-  for (size_t r = 0; r < child.rel.rows().size(); ++r) {
-    Tuple key;
-    key.reserve(bind_idx.size());
-    for (int i : bind_idx) {
-      key.push_back(child.rel.rows()[r][static_cast<size_t>(i)]);
+/// Where `cols` sit in `rel`.
+Result<std::vector<size_t>> ColumnIndexes(
+    const Relation& rel, const std::vector<std::string>& cols) {
+  std::vector<size_t> idx;
+  idx.reserve(cols.size());
+  for (const auto& c : cols) {
+    int ci = rel.ColumnIndex(c);
+    if (ci < 0) {
+      return Status::InvalidArgument("extend child column missing: " + c);
     }
-    by_key[std::move(key)].push_back(r);
+    idx.push_back(static_cast<size_t>(ci));
   }
+  return idx;
+}
 
+/// The values of `row` at `idx`: an extension's key for one child row.
+Tuple KeyOf(const Tuple& row, const std::vector<size_t>& idx) {
+  Tuple key;
+  key.reserve(idx.size());
+  for (size_t i : idx) key.push_back(row[i]);
+  return key;
+}
+
+/// Runs `task` for workers 0..workers-1: on `pool` when there is one, in
+/// a loop otherwise. Each task writes only its own slot.
+void RunWorkers(ThreadPool* pool, size_t workers,
+                const std::function<void(size_t)>& task) {
+  if (pool != nullptr) {
+    pool->ParallelFor(workers, task);
+  } else {
+    for (size_t w = 0; w < workers; ++w) task(w);
+  }
+}
+
+/// A block's partial statistics as the one row a stats-only extension
+/// emits after the key: #rows, then #count/#min/#max/#sum per Y column.
+std::vector<Tuple> StatsRows(const BlockStats& stats) {
+  if (stats.row_count == 0) return {};
+  Tuple row{Value(static_cast<int64_t>(stats.row_count))};
+  for (const auto& col : stats.columns) {
+    row.push_back(Value(static_cast<int64_t>(col.count)));
+    row.push_back(col.numeric ? Value(col.min) : Value::Null());
+    row.push_back(col.numeric ? Value(col.max) : Value::Null());
+    row.push_back(col.numeric ? Value(col.sum) : Value::Null());
+  }
+  return {std::move(row)};
+}
+
+/// One extension's emit (∝ after its round's fetch): every row of `child`
+/// joined with each fetched tuple of its key's block. Each worker emits
+/// the keys whose blocks it fetched into its own slot, reading only
+/// shared-immutable state; slots concatenate in worker order, whatever
+/// the scheduler did.
+Result<KvInst> EmitExtension(const RoundNode& node, const KvInst& child,
+                             ThreadPool* pool, size_t workers,
+                             QueryMetrics* m) {
+  const KbaPlan& plan = *node.plan;
+  const KvSchema& kv = *node.kv;
   KvInst out;
   out.key_cols = child.AllCols();
-  std::vector<std::string> fetched_x = QualifyAll(plan.alias, kv->key_attrs);
-  std::vector<std::string> new_cols;
+  std::vector<std::string> new_cols = QualifyAll(plan.alias, kv.key_attrs);
   if (plan.stats_only) {
-    new_cols = fetched_x;
-    new_cols.push_back(plan.alias + "." + std::string(kStatsRowsCol));
-    for (const auto& y : kv->value_attrs) {
-      new_cols.push_back(plan.alias + "." + y + std::string(kStatsCountSuffix));
-      new_cols.push_back(plan.alias + "." + y + std::string(kStatsMinSuffix));
-      new_cols.push_back(plan.alias + "." + y + std::string(kStatsMaxSuffix));
-      new_cols.push_back(plan.alias + "." + y + std::string(kStatsSumSuffix));
+    const std::string a = plan.alias + ".";
+    new_cols.push_back(a + std::string(kStatsRowsCol));
+    for (const auto& y : kv.value_attrs) {
+      new_cols.push_back(a + y + std::string(kStatsCountSuffix));
+      new_cols.push_back(a + y + std::string(kStatsMinSuffix));
+      new_cols.push_back(a + y + std::string(kStatsMaxSuffix));
+      new_cols.push_back(a + y + std::string(kStatsSumSuffix));
     }
   } else {
-    new_cols = fetched_x;
-    auto y_cols = QualifyAll(plan.alias, kv->value_attrs);
+    auto y_cols = QualifyAll(plan.alias, kv.value_attrs);
     new_cols.insert(new_cols.end(), y_cols.begin(), y_cols.end());
   }
   // Columns that already flowed in are not duplicated; instead the fetched
-  // value must *equal* the existing one (this aligns a re-fetch of an alias
-  // through a second KV schema — a lossless self-join on the shared
+  // value must *equal* the existing one (this aligns a re-fetch of an
+  // alias through a second KV schema — a lossless self-join on the shared
   // attributes, including the primary key the planner guaranteed).
   std::set<std::string> existing(out.key_cols.begin(), out.key_cols.end());
-  std::vector<bool> keep_new(new_cols.size(), true);
-  std::vector<std::pair<size_t, int>> dup_checks;  // (add pos, child col)
+  std::vector<size_t> kept_pos;
+  std::vector<std::pair<size_t, int>> dup_checks;  // (fetched pos, child col)
   for (size_t i = 0; i < new_cols.size(); ++i) {
-    if (existing.count(new_cols[i])) {
-      keep_new[i] = false;
-      int ci = child.rel.ColumnIndex(new_cols[i]);
-      if (ci >= 0) dup_checks.emplace_back(i, ci);
+    if (existing.count(new_cols[i]) == 0) {
+      kept_pos.push_back(i);
+      out.value_cols.push_back(new_cols[i]);
+      continue;
     }
-  }
-  for (size_t i = 0; i < new_cols.size(); ++i) {
-    if (keep_new[i]) out.value_cols.push_back(new_cols[i]);
+    int ci = child.rel.ColumnIndex(new_cols[i]);
+    if (ci >= 0) dup_checks.emplace_back(i, ci);
   }
   out.rel = Relation(out.AllCols());
 
-  std::vector<size_t> kept_pos;
-  for (size_t i = 0; i < keep_new.size(); ++i) {
-    if (keep_new[i]) kept_pos.push_back(i);
+  // Child rows by key; each key goes to the worker that fetched its block,
+  // in the order of this hash map (filled in row order).
+  ZIDIAN_ASSIGN_OR_RETURN(std::vector<size_t> idx,
+                          ColumnIndexes(child.rel, node.key_cols));
+  std::unordered_map<Tuple, std::vector<size_t>, TupleHasher> by_key;
+  for (size_t r = 0; r < child.rel.rows().size(); ++r) {
+    by_key[KeyOf(child.rel.rows()[r], idx)].push_back(r);
   }
-  // Appends the (filtered, aligned) extension rows for one fetched block
-  // into `dst`, metering the values into `wm`. Runs inside a worker task:
-  // everything it reads is shared-immutable, everything it writes is that
-  // worker's own slot.
-  auto emit = [&](Relation* dst, QueryMetrics* wm,
-                  const std::vector<size_t>& row_ids,
-                  const std::vector<Tuple>& additions) {
-    for (size_t r : row_ids) {
-      const Tuple& base = child.rel.rows()[r];
-      for (const auto& add : additions) {
-        bool aligned = true;
-        for (const auto& [pos, ci] : dup_checks) {
-          if (!(add[pos] == base[static_cast<size_t>(ci)])) {
-            aligned = false;
-            break;
+  struct Item {
+    const Tuple* key;
+    const std::vector<size_t>* row_ids;
+    const std::vector<Tuple>* rows;
+  };
+  std::vector<std::vector<Item>> items(workers);
+  for (const auto& [key, row_ids] : by_key) {
+    auto it = node.blocks.find(key);
+    if (it == node.blocks.end()) {
+      return Status::Internal("extension key missing from its round: " +
+                              kv.name);
+    }
+    items[it->second.worker].push_back({&key, &row_ids, &it->second.rows});
+  }
+
+  struct Slot {
+    Relation partial;
+    uint64_t compute_values = 0;
+  };
+  std::vector<Slot> slots(workers);
+  RunWorkers(pool, workers, [&](size_t w) {
+    Slot& slot = slots[w];
+    slot.partial = Relation(out.rel.columns());
+    for (const Item& item : items[w]) {
+      // A fetched tuple is X (the key itself), then one row of the block;
+      // `fetched` reads its value at `pos` without materializing it.
+      const Tuple& key = *item.key;
+      for (size_t r : *item.row_ids) {
+        const Tuple& base = child.rel.rows()[r];
+        for (const Tuple& y : *item.rows) {
+          auto fetched = [&](size_t pos) -> const Value& {
+            return pos < key.size() ? key[pos] : y[pos - key.size()];
+          };
+          bool aligned = true;
+          for (const auto& [pos, ci] : dup_checks) {
+            if (!(fetched(pos) == base[static_cast<size_t>(ci)])) {
+              aligned = false;
+              break;
+            }
           }
+          if (!aligned) continue;
+          Tuple t;
+          t.reserve(base.size() + kept_pos.size());
+          t.insert(t.end(), base.begin(), base.end());
+          for (size_t i : kept_pos) t.push_back(fetched(i));
+          slot.compute_values += t.size();
+          slot.partial.Add(std::move(t));
         }
-        if (!aligned) continue;
-        Tuple t = base;
-        for (size_t i : kept_pos) t.push_back(add[i]);
-        if (wm != nullptr) wm->compute_values += t.size();
-        dst->Add(std::move(t));
       }
     }
-  };
-
-  // Assign each distinct key to the worker owning its block, then issue one
-  // batched request per worker against the target instance — never a
-  // single-key get. Each worker's MultiGet fans out to at most one round
-  // trip per storage node it touches.
-  std::vector<std::vector<const std::vector<size_t>*>> worker_rows(
-      static_cast<size_t>(workers));
-  std::vector<std::vector<Tuple>> worker_keys(static_cast<size_t>(workers));
-  for (const auto& [key, row_ids] : by_key) {
-    size_t w = static_cast<size_t>(store_->NodeForBlock(*kv, key) % workers);
-    worker_keys[w].push_back(key);
-    worker_rows[w].push_back(&row_ids);
+  });
+  for (auto& slot : slots) {
+    if (m != nullptr) m->compute_values += slot.compute_values;
+    for (auto& row : slot.partial.rows()) out.rel.Add(std::move(row));
   }
+  return out;
+}
 
-  // One task per worker; each owns a slot with its own metric delta and
-  // partial result. kSimulated runs the same tasks in a loop — one code
-  // path, so the two modes cannot diverge in rows or counters.
-  struct WorkerSlot {
+}  // namespace
+
+Result<KvInst> KbaExecutor::EvalExtends(const KbaPlan& top,
+                                        const ExecCtx& ctx,
+                                        QueryMetrics* m) const {
+  // The chain of consecutive full extensions ending at `top`, bottom
+  // first. A stats-only extension fetches headers, not blocks, so it is a
+  // chain (and a round) of its own.
+  auto full_extend = [](const KbaPlan& p) {
+    return p.op == KbaOp::kExtend && !p.stats_only;
+  };
+  std::vector<const KbaPlan*> chain{&top};
+  while (full_extend(*chain.back()) &&
+         full_extend(*chain.back()->children[0])) {
+    chain.push_back(chain.back()->children[0].get());
+  }
+  std::reverse(chain.begin(), chain.end());
+  ZIDIAN_ASSIGN_OR_RETURN(KvInst in, Eval(*chain.front()->children[0], ctx, m));
+  for (size_t next = 0; next < chain.size();) {
+    ZIDIAN_ASSIGN_OR_RETURN(in, EvalRound(chain, &next, std::move(in), ctx, m));
+  }
+  return in;
+}
+
+Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
+                                      size_t* next, KvInst in,
+                                      const ExecCtx& ctx,
+                                      QueryMetrics* m) const {
+  const size_t workers = static_cast<size_t>(ctx.workers);
+  // Interleaved strategy (§7.2): every distinct key of every extension in
+  // the round goes to the worker owning its block's storage node, and
+  // each worker fetches all of its blocks, across the round's instances,
+  // in one batched request — never a single-key get.
+  struct FetchSlot {
+    std::vector<BaavStore::BlockRef> refs;
+    std::vector<std::vector<Tuple>*> dest;  ///< where each ref's rows land
     QueryMetrics m;
-    Relation partial;
     Status status;
-    /// Schedule shape of this worker's fan-outs under kOverlapped; never
+    /// Schedule shape of this worker's fan-out under kOverlapped; never
     /// merged into `m` (ChargeFanoutOverlap folds it at query level).
     FanoutStats fanout;
   };
-  std::vector<WorkerSlot> slots(static_cast<size_t>(workers));
-  const std::vector<std::string> out_cols = out.AllCols();
-  auto run_worker = [&](size_t w) {
-    WorkerSlot& slot = slots[w];
-    slot.partial = Relation(out_cols);
-    const auto& keys = worker_keys[w];
-    if (keys.empty()) return;
-    QueryMetrics* wm = m != nullptr ? &slot.m : nullptr;
+  std::vector<FetchSlot> slots(workers);
+  // Fetch slots point into the nodes' block maps: no reallocation.
+  std::vector<RoundNode> nodes;
+  nodes.reserve(chain.size() - *next);
+  for (; *next < chain.size(); ++*next) {
+    const KbaPlan& plan = *chain[*next];
+    // chain[*next] opens the round. A later extension joins it while every
+    // column binding its key is a column of the round's input, so its keys
+    // are known before any block of the round arrives...
+    if (!nodes.empty() &&
+        !std::all_of(plan.key_bindings.begin(), plan.key_bindings.end(),
+                     [&](const auto& b) {
+                       return in.rel.ColumnIndex(b.first) >= 0;
+                     })) {
+      break;
+    }
+    RoundNode& node = nodes.emplace_back();
+    node.plan = &plan;
+    node.kv = store_->schema().Find(plan.kv_name);
+    if (node.kv == nullptr) return Status::NotFound("kv " + plan.kv_name);
+    ZIDIAN_ASSIGN_OR_RETURN(node.key_cols, KeyColumns(plan, *node.kv));
+    ZIDIAN_ASSIGN_OR_RETURN(std::vector<size_t> idx,
+                            ColumnIndexes(in.rel, node.key_cols));
+    // Keys in first-appearance order, each once.
+    std::vector<std::pair<const Tuple, RoundNode::Block>*> fresh;
+    for (const auto& row : in.rel.rows()) {
+      auto [it, added] = node.blocks.try_emplace(KeyOf(row, idx));
+      if (added) fresh.push_back(&*it);
+    }
+    // ...and it has no more distinct keys than the extension that opened
+    // the round. Over-fetch rule: a joined extension's block is fetched
+    // even for a key whose every row a lower extension of the round drops
+    // (an absent block, a failed alignment), since the round cannot know
+    // that before its blocks arrive; the emit then skips it. The bound
+    // applies to each joined extension on its own, so a round of k
+    // extensions reads at most k-1 speculative blocks per block of the
+    // opening extension.
+    if (nodes.size() > 1 && node.blocks.size() > nodes.front().blocks.size()) {
+      nodes.pop_back();
+      break;
+    }
+    for (auto* entry : fresh) {
+      entry->second.worker = static_cast<size_t>(
+          store_->NodeForBlock(*node.kv, entry->first) % ctx.workers);
+      FetchSlot& slot = slots[entry->second.worker];
+      slot.refs.push_back({node.kv, &entry->first});
+      slot.dest.push_back(&entry->second.rows);
+    }
+  }
 
-    if (plan.stats_only) {
-      auto stats =
-          store_->MultiGetBlockStats(*kv, keys, wm, ctx.fanout, &slot.fanout);
+  // One task per worker; each owns a slot with its own metric delta and
+  // writes only the blocks it owns. kSimulated runs the same tasks in a
+  // loop — one code path, so the two modes cannot diverge in rows or
+  // counters.
+  const bool stats_only = nodes.front().plan->stats_only;
+  auto fetch = [&](size_t w) {
+    FetchSlot& slot = slots[w];
+    if (slot.refs.empty()) return;
+    QueryMetrics* wm = m != nullptr ? &slot.m : nullptr;
+    if (stats_only) {
+      std::vector<Tuple> keys;
+      keys.reserve(slot.refs.size());
+      for (const auto& ref : slot.refs) keys.push_back(*ref.key);
+      auto stats = store_->MultiGetBlockStats(*nodes.front().kv, keys, wm,
+                                              ctx.fanout, &slot.fanout);
       if (!stats.ok()) {
         slot.status = stats.status();
         return;
       }
       for (size_t i = 0; i < keys.size(); ++i) {
-        if (stats.value()[i].row_count == 0) continue;
-        Tuple add = keys[i];  // fetched X = the key itself
-        add.push_back(Value(static_cast<int64_t>(stats.value()[i].row_count)));
-        for (const auto& col : stats.value()[i].columns) {
-          add.push_back(Value(static_cast<int64_t>(col.count)));
-          add.push_back(col.numeric ? Value(col.min) : Value::Null());
-          add.push_back(col.numeric ? Value(col.max) : Value::Null());
-          add.push_back(col.numeric ? Value(col.sum) : Value::Null());
-        }
-        emit(&slot.partial, wm, *worker_rows[w][i], {add});
+        *slot.dest[i] = StatsRows(stats.value()[i]);
       }
-    } else {
-      auto blocks =
-          store_->MultiGetBlocks(*kv, keys, wm, ctx.fanout, &slot.fanout);
-      if (!blocks.ok()) {
-        slot.status = blocks.status();
-        return;
-      }
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (blocks.value()[i].empty()) continue;
-        std::vector<Tuple> additions;
-        additions.reserve(blocks.value()[i].size());
-        for (const auto& y : blocks.value()[i]) {
-          Tuple add = keys[i];
-          add.insert(add.end(), y.begin(), y.end());
-          additions.push_back(std::move(add));
-        }
-        emit(&slot.partial, wm, *worker_rows[w][i], additions);
-      }
+      return;
+    }
+    auto blocks =
+        store_->MultiGetBlocks(slot.refs, wm, ctx.fanout, &slot.fanout);
+    if (!blocks.ok()) {
+      slot.status = blocks.status();
+      return;
+    }
+    for (size_t i = 0; i < slot.refs.size(); ++i) {
+      *slot.dest[i] = std::move(blocks.value()[i].rows);
     }
   };
-
   auto start = std::chrono::steady_clock::now();
-  if (ctx.pool != nullptr) {
-    ctx.pool->ParallelFor(static_cast<size_t>(workers), run_worker);
-  } else {
-    for (size_t w = 0; w < static_cast<size_t>(workers); ++w) run_worker(w);
-  }
+  RunWorkers(ctx.pool, workers, fetch);
   if (m != nullptr) m->wall_fetch_seconds += SecondsSince(start);
 
-  // Deterministic merge in worker order: counters sum, rows concatenate,
-  // and the slowest worker's storage-reaching gets enter makespan_get.
-  // Every worker's delta merges BEFORE any failure surfaces — a query
-  // that dies with exhausted retries still reports the retry/hedge
-  // traffic it paid (the availability accounting depends on this).
+  // Deterministic merge in worker order: counters sum, and the round's
+  // slowest worker enters makespan_get and the network leg once — every
+  // extension of the round stalls together. Every worker's delta merges
+  // BEFORE any failure surfaces — a query that dies with exhausted
+  // retries still reports the retry/hedge traffic it paid (the
+  // availability accounting depends on this).
   std::vector<QueryMetrics> deltas;
   std::vector<FanoutStats> fanouts;
   deltas.reserve(slots.size());
@@ -468,9 +606,6 @@ Result<KvInst> KbaExecutor::EvalExtend(const KbaPlan& plan, const ExecCtx& ctx,
     if (m != nullptr) *m += slot.m;
     deltas.push_back(slot.m);
     fanouts.push_back(slot.fanout);
-    for (auto& row : slot.partial.rows()) {
-      out.rel.Add(std::move(row));
-    }
   }
   if (m != nullptr) {
     m->makespan_get += MaxWorkerStorageGets(deltas);
@@ -478,7 +613,17 @@ Result<KvInst> KbaExecutor::EvalExtend(const KbaPlan& plan, const ExecCtx& ctx,
     ChargeFanoutOverlap(deltas, fanouts, m);
   }
   ZIDIAN_RETURN_NOT_OK(failure);
-  return out;
+
+  // Each extension emits in plan order from the round's blocks, after
+  // re-partitioning its child by the target's key (shuffle).
+  start = std::chrono::steady_clock::now();
+  for (const RoundNode& node : nodes) {
+    ChargeShuffleBytes(in.rel.ByteSize(), ctx.workers, m);
+    ZIDIAN_ASSIGN_OR_RETURN(in,
+                            EmitExtension(node, in, ctx.pool, workers, m));
+  }
+  if (m != nullptr) m->wall_fetch_seconds += SecondsSince(start);
+  return in;
 }
 
 Result<KvInst> KbaExecutor::EvalGroupAggFromStats(const KbaPlan& plan,

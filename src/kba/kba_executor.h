@@ -5,29 +5,60 @@
 // instance (charged as shuffle), each worker issues point gets only for the
 // keys it owns, and joins happen where the data lands.
 //
+// Extensions are fetched in rounds, one round per dependency level. A
+// chain of consecutive full (non-stats) extensions is cut into rounds
+// bottom-up: an extension joins the open round when every column binding
+// its key is a column of the round's input (so its keys are known before
+// any block of the round arrives) and it has no more distinct keys in
+// that input than the extension that opened the round. The round fetches
+// all of its blocks at once — one BaavStore::MultiGetBlocks per worker
+// over blocks of several instances, charged to makespan_get,
+// makespan_net_seconds and the fan-out overlap once per round — and then
+// each extension, the opening one included, emits in plan order from the
+// fetched blocks (shuffle charge, alignment checks, compute_values): a
+// round changes when blocks arrive, not which rows come back or in what
+// order. A selection ends a chain, a stats-only extension is a round of
+// its own, and a lone extension is a round of one.
+//
+// Over-fetch rule: a joined extension's block is fetched even for a key
+// whose every row a lower extension of the same round drops (an absent
+// block, a failed alignment). The key bound holds for each joined
+// extension on its own, so a round of k extensions may read up to k-1
+// speculative blocks per block of the opening extension: mot-q1 on an
+// absent vehicle reads 2 blocks where one extension at a time reads 1,
+// mot-q6 reads 3, and mot-q6 on a vehicle with no mot_test row still
+// reads its observation block (3 against 2). A speculative read can reach
+// a storage node that one extension at a time never contacts, so with
+// that node unreachable such a query fails with kUnavailable instead of
+// returning its empty answer.
+//
 // Parallelism runs in one of two modes (common/thread_pool.h):
 //  * kSimulated — one thread; `workers` only divides the cost model. The
 //    per-worker maxima land in QueryMetrics::makespan_* exactly as before.
-//  * kThreads — `workers` real threads on a ThreadPool. Each extension
-//    issues its per-worker batched MultiGets concurrently, and selections
+//  * kThreads — `workers` real threads on a ThreadPool. Each round issues
+//    its per-worker batched MultiGets concurrently, and emits / selections
 //    / projections / join probes run chunk-per-worker (ra/eval.h parallel
 //    variants).
 //
 // Orthogonally, KbaExecOptions::fanout is the stall schedule each
 // worker's batched Cluster::MultiGet runs over the storage nodes it
-// touches (storage/cluster.h): kSerial keeps one per-node request in
-// flight at a time, kOverlapped issues every touched node's batch before
-// stalling once, to the latest completion; blocks are decoded after the
-// fan-out returns under either. The two schedules meter identically —
-// only the schedule-shape metrics (net_overlap_ns / net_inflight_max),
-// the modeled makespan and the wall clock may differ.
+// touches (storage/cluster.h): kOverlapped (the default) issues every
+// touched node's batch before stalling once, to the latest completion, so
+// a round over several nodes pays about its slowest batch; kSerial, the
+// control arm, keeps one per-node request in flight at a time. Blocks are
+// decoded after the fan-out returns under either. The two schedules meter
+// identically — only the schedule-shape metrics (net_overlap_ns /
+// net_inflight_max), the modeled makespan and the wall clock may differ.
 //
 // Determinism contract: both modes — and both fan-out schedules — return
 // byte-identical rows in the same order and identical QueryMetrics
-// counters. Every parallel region gives
-// each worker its own pre-allocated output slot and its own QueryMetrics
-// delta; slots merge in worker order after the join, so no counter or row
-// ever depends on thread scheduling. (The one caveat: cache_evictions is
+// counters. Rounds are cut from the plan and the round input's columns
+// and distinct key counts, none of which depends on the mode, the
+// schedule or the worker count, so every run fetches the same blocks in
+// the same rounds. Every parallel region gives each worker its own
+// pre-allocated output slot and its own QueryMetrics delta; slots merge
+// in worker order after the join, so no counter or row ever depends on
+// thread scheduling. (The one caveat: cache_evictions is
 // scheduling-dependent when the run itself evicts, because concurrent
 // fills can reorder LRU residency — size the cache above the working set
 // when asserting exact equality.) Wall-clock lands in wall_seconds /
@@ -53,7 +84,7 @@ struct KbaExecOptions {
   ThreadPool* pool = nullptr;
   /// Per-worker stall schedule over the touched storage nodes (see the
   /// header comment). Rows and CountersEqual metrics are invariant.
-  FanoutMode fanout = FanoutMode::kSerial;
+  FanoutMode fanout = FanoutMode::kOverlapped;
 };
 
 class KbaExecutor {
@@ -70,13 +101,23 @@ class KbaExecutor {
   struct ExecCtx {
     int workers = 1;
     ThreadPool* pool = nullptr;
-    FanoutMode fanout = FanoutMode::kSerial;
+    FanoutMode fanout = FanoutMode::kOverlapped;
   };
 
   Result<KvInst> Eval(const KbaPlan& plan, const ExecCtx& ctx,
                       QueryMetrics* m) const;
-  Result<KvInst> EvalExtend(const KbaPlan& plan, const ExecCtx& ctx,
-                            QueryMetrics* m) const;
+  /// Evaluates the chain of consecutive extensions ending at `top`, cut
+  /// into fetch rounds (see the header comment).
+  Result<KvInst> EvalExtends(const KbaPlan& top, const ExecCtx& ctx,
+                             QueryMetrics* m) const;
+  /// One fetch round over `in`: opens at chain[*next] (bottom first),
+  /// takes the following extensions that may join (see the header
+  /// comment), fetches all their blocks in one batched request per worker,
+  /// then runs each extension's emit in plan order. Advances `*next` past
+  /// the round.
+  Result<KvInst> EvalRound(const std::vector<const KbaPlan*>& chain,
+                           size_t* next, KvInst in, const ExecCtx& ctx,
+                           QueryMetrics* m) const;
   /// Combines per-block partial statistics into the final groups. Folds
   /// chunk-per-worker on ctx.pool (the stats-pushdown path threads like
   /// every other region; groups emit in first-appearance order).

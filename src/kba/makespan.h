@@ -44,9 +44,9 @@ inline void ChargeShuffleBytes(size_t bytes, int workers, QueryMetrics* m) {
   m->shuffle_bytes += static_cast<uint64_t>(bytes * remote);
 }
 
-/// The makespan_get contribution of one extension: the slowest worker's
+/// The makespan_get contribution of one fetch round: the slowest worker's
 /// storage-reaching gets (Theorem 8's per-worker maximum). `per_worker`
-/// holds each worker's metric delta for the extend.
+/// holds each worker's metric delta for the round.
 inline double MaxWorkerStorageGets(const std::vector<QueryMetrics>& per_worker)
     REQUIRES(!pool_busy) {
   uint64_t worst = 0;
@@ -54,7 +54,7 @@ inline double MaxWorkerStorageGets(const std::vector<QueryMetrics>& per_worker)
   return static_cast<double>(worst);
 }
 
-/// The makespan_net_seconds contribution of one extension: the slowest
+/// The makespan_net_seconds contribution of one fetch round: the slowest
 /// worker's modeled network time. Deterministic because net_service_ns is
 /// integer nanoseconds summed per worker.
 inline double MaxWorkerNetSeconds(const std::vector<QueryMetrics>& per_worker)
@@ -113,8 +113,8 @@ inline void FinalizeNetworkQueue(QueryMetrics* m) REQUIRES(!pool_busy) {
 
 /// Recomputes the evenly-spread makespan components from the totals in
 /// `m` under the no-skew assumption: scans, compute and bytes divide by
-/// p. makespan_get is NOT touched — extension records its true per-worker
-/// maxima via MaxWorkerStorageGets as the plan executes.
+/// p. makespan_get is NOT touched — each fetch round records its true
+/// per-worker maxima via MaxWorkerStorageGets as the plan executes.
 inline void SpreadMakespans(int workers, QueryMetrics* m) REQUIRES(!pool_busy) {
   if (m == nullptr) return;
   int p = std::max(1, workers);
@@ -122,7 +122,7 @@ inline void SpreadMakespans(int workers, QueryMetrics* m) REQUIRES(!pool_busy) {
   m->makespan_compute = static_cast<double>(m->compute_values) / p;
   m->makespan_bytes =
       static_cast<double>(m->bytes_from_storage + m->shuffle_bytes) / p;
-  // makespan_net_seconds is NOT touched either — extension records its
+  // makespan_net_seconds is NOT touched either — each round records its
   // true per-worker maxima via MaxWorkerNetSeconds — but the queueing
   // delay is refreshed from the final per-node busy totals.
   FinalizeNetworkQueue(m);

@@ -92,8 +92,9 @@ struct TaavExecOptions {
   /// pool of workers-1 threads.
   ThreadPool* pool = nullptr;
   /// Per-worker stall schedule for the scans' per-tuple gets (see
-  /// TaavScanTable). Rows and CountersEqual metrics are invariant.
-  FanoutMode fanout = FanoutMode::kSerial;
+  /// TaavScanTable); kOverlapped by default, kSerial the control arm.
+  /// Rows and CountersEqual metrics are invariant.
+  FanoutMode fanout = FanoutMode::kOverlapped;
 };
 
 /// Baseline executor: evaluates a bound query directly over TaaV storage.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -44,25 +45,12 @@ bool AdmissionQueue::TryPush(const AdmittedOp& item) {
   return true;
 }
 
-void AdmissionQueue::PushBlocking(const AdmittedOp& item) {
-  {
-    MutexLock lock(mu_);
-    while (!closed_ && queue_.size() >= depth_) can_push_.Wait(mu_);
-    if (closed_) return;
-    queue_.push_back(item);
-  }
-  can_pop_.NotifyOne();
-}
-
 bool AdmissionQueue::Pop(AdmittedOp* out) {
-  {
-    MutexLock lock(mu_);
-    while (!closed_ && queue_.empty()) can_pop_.Wait(mu_);
-    if (queue_.empty()) return false;  // closed and drained
-    *out = queue_.front();
-    queue_.pop_front();
-  }
-  can_push_.NotifyOne();
+  MutexLock lock(mu_);
+  while (!closed_ && queue_.empty()) can_pop_.Wait(mu_);
+  if (queue_.empty()) return false;  // closed and drained
+  *out = queue_.front();
+  queue_.pop_front();
   return true;
 }
 
@@ -72,14 +60,30 @@ void AdmissionQueue::Close() {
     closed_ = true;
   }
   can_pop_.NotifyAll();
-  can_push_.NotifyAll();
+}
+
+ClosedLoopFeed::ClosedLoopFeed(const std::vector<ServeOp>& feed, size_t depth,
+                               int64_t epoch_ns)
+    : feed_(feed),
+      depth_(std::max<size_t>(1, depth)),
+      epoch_ns_(epoch_ns),
+      admitted_(feed.size(), 0) {}
+
+bool ClosedLoopFeed::Pop(AdmittedOp* out) {
+  MutexLock lock(mu_);
+  if (next_ == feed_.size()) return false;
+  const size_t i = next_++;
+  *out = AdmittedOp{feed_[i], admitted_[i]};
+  // Taking op i frees the queue slot op i + depth would have entered.
+  if (i + depth_ < feed_.size()) admitted_[i + depth_] = NowNs() - epoch_ns_;
+  return true;
 }
 
 Server::Server(Zidian* zidian, ServeOptions options)
     : zidian_(zidian), options_(std::move(options)) {}
 
-void Server::SessionLoop(AdmissionQueue* queue, int64_t epoch_ns,
-                         SessionStats* stats) {
+void Server::SessionLoop(const std::function<bool(AdmittedOp*)>& next,
+                         int64_t epoch_ns, SessionStats* stats) {
   // One Connection per session, with a prepared-statement cache keyed by
   // rendered SQL: under Zipfian skew the hot keys' statements prepare
   // once and execute many times, exactly the Prepare-once contract the
@@ -88,7 +92,7 @@ void Server::SessionLoop(AdmissionQueue* queue, int64_t epoch_ns,
   std::unordered_map<std::string, PreparedQuery> statements;
 
   AdmittedOp item;
-  while (queue->Pop(&item)) {
+  while (next(&item)) {
     const ServeTemplate& t =
         options_.load.mix[static_cast<size_t>(item.op.template_idx)];
     bool ok = false;
@@ -179,22 +183,27 @@ Result<ServeResult> Server::Run() {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(sessions));
   const int64_t epoch_ns = NowNs();
+  ClosedLoopFeed closed_loop(feed, options_.queue_depth, epoch_ns);
+  std::function<bool(AdmittedOp*)> next;
+  if (open_loop) {
+    next = [&queue](AdmittedOp* out) { return queue.Pop(out); };
+  } else {
+    next = [&closed_loop](AdmittedOp* out) { return closed_loop.Pop(out); };
+  }
   for (int s = 0; s < sessions; ++s) {
     SessionStats* stats = &result.per_session[static_cast<size_t>(s)];
     threads.emplace_back(
-        [this, &queue, epoch_ns, stats] { SessionLoop(&queue, epoch_ns, stats); });
+        [this, &next, epoch_ns, stats] { SessionLoop(next, epoch_ns, stats); });
   }
 
-  // The generator runs on the calling thread. Open loop: release each op
-  // at its scheduled arrival and count a rejection when the bounded queue
-  // is full — offered load the server did not absorb. Saturation: feed as
-  // fast as the sessions drain, arrival stamped at admission.
-  for (const ServeOp& op : feed) {
-    if (open_loop) {
+  // Open loop: the generator runs on the calling thread, releases each op
+  // at its scheduled arrival and counts a rejection when the bounded
+  // queue is full — offered load the server did not absorb. Saturation:
+  // the sessions drain the ClosedLoopFeed by themselves.
+  if (open_loop) {
+    for (const ServeOp& op : feed) {
       SleepUntilNs(epoch_ns + op.arrival_ns);
       if (!queue.TryPush(AdmittedOp{op, op.arrival_ns})) result.rejected++;
-    } else {
-      queue.PushBlocking(AdmittedOp{op, NowNs() - epoch_ns});
     }
   }
   queue.Close();

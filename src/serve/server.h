@@ -12,7 +12,9 @@
 //        v
 //   [admission queue]          bounded; open-loop arrivals that find it
 //        |                     full are REJECTED and counted — offered
-//        |                     load the server did not absorb
+//        |                     load the server did not absorb. Saturation
+//        |                     mode: a ClosedLoopFeed the sessions take
+//        |                     ops from directly, queue_depth ahead
 //        v
 //   session 0..N-1             one thread + Connection + statement cache
 //        |                     + LatencyRecorder + QueryMetrics each
@@ -57,19 +59,17 @@
 namespace zidian {
 namespace serve {
 
-/// An operation the generator admitted: the scheduled op plus its
-/// effective arrival instant (ns from the run epoch) — the open-loop
-/// latency baseline, which deliberately includes any time spent waiting
-/// in the admission queue.
+/// An admitted operation: the scheduled op plus its effective arrival
+/// instant (ns from the run epoch) — the latency baseline, which
+/// deliberately includes any time spent waiting in the admission queue.
 struct AdmittedOp {
   ServeOp op;
   int64_t arrival_ns = 0;
 };
 
-/// Bounded MPMC admission queue between the load generator and the
-/// session threads. TryPush is the open-loop entry (full queue = caller
-/// counts a rejection and drops the op), PushBlocking the saturation
-/// entry (generator throttles to the service capacity).
+/// Bounded MPMC admission queue between the open-loop load generator and
+/// the session threads: a full queue rejects the arrival (the caller
+/// counts it and drops the op).
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(size_t depth);
@@ -77,8 +77,6 @@ class AdmissionQueue {
   /// Enqueues unless the queue is at depth or closed; returns whether
   /// the op was admitted.
   bool TryPush(const AdmittedOp& item) EXCLUDES(mu_);
-  /// Blocks until there is room (or the queue closes, dropping the op).
-  void PushBlocking(const AdmittedOp& item) EXCLUDES(mu_);
   /// Blocks for the next op; returns false once the queue is closed AND
   /// drained (the session-thread exit signal).
   bool Pop(AdmittedOp* out) EXCLUDES(mu_);
@@ -89,16 +87,42 @@ class AdmissionQueue {
   const size_t depth_;
   Mutex mu_;
   CondVar can_pop_;
-  CondVar can_push_;
   std::deque<AdmittedOp> queue_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
+};
+
+/// The saturation (closed-loop) feed: sessions take the schedule's ops in
+/// order straight from the schedule, each stamped with the instant a
+/// bounded queue of `depth` would have admitted it — when the op `depth`
+/// places ahead of it was taken (run start for the first `depth` ops).
+/// No generator thread stands between one op and the next, so its
+/// wake-up latency never idles a session.
+class ClosedLoopFeed {
+ public:
+  ClosedLoopFeed(const std::vector<ServeOp>& feed, size_t depth,
+                 int64_t epoch_ns);
+
+  /// The next op and its admission instant (ns from `epoch_ns`); false
+  /// once every op was taken.
+  bool Pop(AdmittedOp* out) EXCLUDES(mu_);
+
+ private:
+  const std::vector<ServeOp>& feed_;
+  const size_t depth_;
+  const int64_t epoch_ns_;
+  Mutex mu_;
+  size_t next_ GUARDED_BY(mu_) = 0;
+  /// Admission instant of each op, written when the op `depth_` places
+  /// ahead of it is taken.
+  std::vector<int64_t> admitted_ GUARDED_BY(mu_);
 };
 
 struct ServeOptions {
   /// Session (executor) threads, each with its own Connection.
   int sessions = 4;
   /// Admission-queue depth: how much backlog the server absorbs before
-  /// rejecting open-loop arrivals.
+  /// rejecting open-loop arrivals. In saturation mode, the backlog the
+  /// closed loop keeps in front of the sessions (ClosedLoopFeed).
   size_t queue_depth = 64;
   LoadOptions load;
   /// Execution options applied to every read query (workers,
@@ -145,16 +169,19 @@ class Server {
   Server(Zidian* zidian, ServeOptions options);
 
   /// Runs one complete serving experiment: spawns the session threads,
-  /// feeds the generated schedule through the admission queue (paced in
-  /// open-loop mode, blocking in saturation mode), joins, and merges the
-  /// per-session tallies. Synchronous; safe to call repeatedly (each run
-  /// is independent, though the shared BlockCache stays warm across
-  /// runs — warm-up runs exploit exactly that).
+  /// feeds them the generated schedule (paced through the admission
+  /// queue in open-loop mode, through a ClosedLoopFeed in saturation
+  /// mode), joins, and merges the per-session tallies. Synchronous; safe
+  /// to call repeatedly (each run is independent, though the shared
+  /// BlockCache stays warm across runs — warm-up runs exploit exactly
+  /// that).
   Result<ServeResult> Run() EXCLUDES(writer_mu_, write_gate_);
 
  private:
-  void SessionLoop(AdmissionQueue* queue, int64_t epoch_ns,
-                   SessionStats* stats) EXCLUDES(writer_mu_, write_gate_);
+  /// Serves ops from `next` until it returns false.
+  void SessionLoop(const std::function<bool(AdmittedOp*)>& next,
+                   int64_t epoch_ns, SessionStats* stats)
+      EXCLUDES(writer_mu_, write_gate_);
 
   Zidian* zidian_;
   ServeOptions options_;

@@ -97,9 +97,9 @@ enum class CacheFill {
 /// CountersEqual counters are bit-identical across all four combinations.
 enum class FanoutMode {
   kSerial,      ///< each batch issued when the previous one completed (the
-                ///< default; the control arm of the overlapped schedule)
+                ///< control arm of the overlapped schedule)
   kOverlapped,  ///< every batch issued at one instant, one stall to the
-                ///< latest completion
+                ///< latest completion (the executors' default)
 };
 
 struct ClusterOptions {

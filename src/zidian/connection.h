@@ -93,13 +93,14 @@ struct ExecOptions {
   ThreadPool* pool = nullptr;
   /// Per-worker stall schedule over the storage nodes, on BOTH routes —
   /// the one parameter of each worker's read fan-out (Cluster::MultiGet
-  /// on the KBA route, the per-tuple gets of the TaaV scan). kSerial
-  /// (default) keeps one per-node request in flight at a time;
-  /// kOverlapped issues every touched node's requests before stalling
-  /// once. Rows and CountersEqual metrics are invariant — only the
+  /// per KBA fetch round, the per-tuple gets of the TaaV scan).
+  /// kOverlapped (default) issues every touched node's requests before
+  /// stalling once, so a KBA round pays about its slowest node; kSerial,
+  /// the control arm, keeps one per-node request in flight at a time.
+  /// Rows and CountersEqual metrics are invariant — only the
   /// schedule-shape metrics (net_overlap_ns / net_inflight_max), the
   /// modeled makespan and the wall clock move.
-  FanoutMode fanout = FanoutMode::kSerial;
+  FanoutMode fanout = FanoutMode::kOverlapped;
 };
 
 /// The lazily created ThreadPool one Connection shares across every

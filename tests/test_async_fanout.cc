@@ -9,10 +9,13 @@
 // (net_overlap_ns / net_inflight_max), which CountersEqual ignores, may
 // differ between FanoutMode::kSerial and kOverlapped — and those must
 // themselves be deterministic: equal across parallel modes for a fixed
-// partition.
+// partition. The last fixture pins the KBA executor's fetch rounds
+// (kba/kba_executor.h): which extensions share a round, what a round
+// reads, and that it stalls once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,11 +24,13 @@
 #include "common/thread_pool.h"
 #include "kba/kba_executor.h"
 #include "kba/kba_plan.h"
+#include "sql/binder.h"
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
+#include "zidian/planner.h"
 #include "zidian/zidian.h"
 
 namespace zidian {
@@ -186,8 +191,10 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
     for (int workers : {1, 2, 4, 8}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
       AnswerInfo serial;
-      auto ref = prepared->Execute(
-          ExecOptions{.workers = workers, .route_policy = policy}, &serial);
+      auto ref = prepared->Execute(ExecOptions{.workers = workers,
+                                               .route_policy = policy,
+                                               .fanout = FanoutMode::kSerial},
+                                   &serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       std::string reference_rows = ref->ToString(1u << 20);
       // The serial fan-out never reports schedule shape.
@@ -253,13 +260,17 @@ class AsyncParityFixture : public ::testing::TestWithParam<BackendKind> {
 };
 
 TEST_P(AsyncParityFixture, KbaRouteSyncVsAsyncSweep) {
-  // mot-q6, the deepest extension chain in the sweep: per-worker batched
-  // MultiGets through BaavStore::MultiGetBlocks under both schedules. The
-  // MOT seed queries extend from a single seed block, so each batch
-  // touches few nodes; positive overlap is asserted by the wide
-  // direct-plan sweep below, parity here.
-  SweepRoute(RoutePolicy::kAuto, /*query_index=*/5, /*repeats=*/30,
-             /*expect_overlap=*/false);
+  // mot-q1 and mot-q6 (the deepest extension chain in the sweep): every
+  // extension is keyed by the constant, so each query is one fetch round
+  // of per-worker batched MultiGets through BaavStore::MultiGetBlocks,
+  // under both schedules. The MOT seed queries extend from a single seed
+  // block, so each batch touches few nodes; positive overlap is asserted
+  // by the wide direct-plan sweep below, parity here.
+  for (size_t query_index : {0, 5}) {
+    SCOPED_TRACE(workload_.queries[query_index].name);
+    SweepRoute(RoutePolicy::kAuto, query_index, /*repeats=*/30,
+               /*expect_overlap=*/false);
+  }
 }
 
 TEST_P(AsyncParityFixture, BaselineRouteSyncVsAsyncSweep) {
@@ -297,8 +308,10 @@ TEST_P(AsyncParityFixture, ExtendHeavyPlanSyncVsAsyncSweep) {
     for (int workers : {1, 2, 4, 8}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
       QueryMetrics serial;
-      auto ref = exec.Execute(*plan, KbaExecOptions{.workers = workers},
-                              &serial);
+      auto ref = exec.Execute(
+          *plan,
+          KbaExecOptions{.workers = workers, .fanout = FanoutMode::kSerial},
+          &serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       EXPECT_EQ(serial.net_overlap_ns, 0u);
 
@@ -365,8 +378,9 @@ TEST_P(AsyncParityFixture, EveryQueryShapeAgreesAcrossFanoutModes) {
     }
     for (int workers : {1, 8}) {
       AnswerInfo serial;
-      auto ref =
-          prepared->Execute(ExecOptions{.workers = workers}, &serial);
+      auto ref = prepared->Execute(
+          ExecOptions{.workers = workers, .fanout = FanoutMode::kSerial},
+          &serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       for (ParallelMode mode :
            {ParallelMode::kSimulated, ParallelMode::kThreads}) {
@@ -394,6 +408,201 @@ INSTANTIATE_TEST_SUITE_P(Engines, AsyncParityFixture,
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
                          });
+
+// ------------------------------------------------------- fetch rounds ---
+
+// Extensions keyed by columns of their round's input share one fetch
+// round (kba/kba_executor.h): each worker fetches their blocks in one
+// batched request and stalls once. Default options throughout, except
+// that the BlockCache is bypassed so every block read reaches a node
+// under the cache-enabled ctest configuration too.
+class FetchRoundsFixture : public ::testing::Test {
+ protected:
+  static constexpr int64_t kVehicle = 3;
+  static constexpr uint64_t kRttNs = 5000;  // NetworkedClusterOptions
+
+  void SetUp() override {
+    auto w = MakeMot(0.15, 23);
+    ASSERT_TRUE(w.ok());
+    workload_ = std::move(w).value();
+    cluster_ = std::make_unique<Cluster>(NetworkedClusterOptions());
+    zidian_ = std::make_unique<Zidian>(&workload_.catalog, cluster_.get(),
+                                       workload_.baav);
+    ASSERT_TRUE(zidian_->LoadTaav(workload_.data).ok());
+    ASSERT_TRUE(zidian_->BuildBaav(workload_.data).ok());
+  }
+
+  /// mot-q1 (two extensions keyed by the constant) for one vehicle.
+  static std::string Q1(int64_t vehicle, const std::string& extra = "") {
+    return "SELECT v.make, v.model, t.test_date, t.test_result, "
+           "t.test_mileage FROM vehicle v, mot_test t "
+           "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = " +
+           std::to_string(vehicle) + extra;
+  }
+  /// mot-q6 (three extensions keyed by the constant) for one vehicle.
+  static std::string Q6(int64_t vehicle) {
+    return "SELECT v.model, SUM(t.cost), COUNT(o.obs_id) "
+           "FROM vehicle v, mot_test t, observation o "
+           "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = o.vehicle_id "
+           "AND v.vehicle_id = " +
+           std::to_string(vehicle) + " GROUP BY v.model";
+  }
+
+  Result<Relation> Run(const std::string& sql, ExecOptions opts,
+                       AnswerInfo* info) {
+    opts.bypass_cache = true;
+    return zidian_->Connect().Execute(sql, opts, info);
+  }
+
+  /// The gets, values and bytes of reading `instances`' blocks for one
+  /// key one at a time — what one extension per round reads.
+  QueryMetrics BlockByBlock(const std::vector<std::string>& instances,
+                            int64_t vehicle) {
+    QueryMetrics m;
+    cluster_->SetCacheBypass(true);
+    for (const auto& name : instances) {
+      const KvSchema* kv = zidian_->store().schema().Find(name);
+      EXPECT_NE(kv, nullptr) << name;
+      if (kv == nullptr) continue;
+      EXPECT_TRUE(zidian_->store().GetBlock(*kv, {Value(vehicle)}, &m).ok());
+    }
+    cluster_->SetCacheBypass(false);
+    return m;
+  }
+
+  Workload workload_;
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<Zidian> zidian_;
+};
+
+TEST_F(FetchRoundsFixture, ConstantKeyedExtensionsShareOneRound) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {Q1(kVehicle), {"vehicle@vehicle_id", "mot_test@vehicle_id"}},
+      {Q6(kVehicle),
+       {"vehicle@vehicle_id", "mot_test@vehicle_id", "observation@vehicle_id"}},
+  };
+  for (const auto& [sql, instances] : cases) {
+    SCOPED_TRACE(sql);
+    AnswerInfo info;
+    auto r = Run(sql, ExecOptions{}, &info);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GT(r->size(), 0u);
+    const QueryMetrics& m = info.metrics;
+    EXPECT_EQ(m.multiget_calls, 1u);
+    // The same blocks as one extension at a time: one get per block.
+    const QueryMetrics ref = BlockByBlock(instances, kVehicle);
+    EXPECT_EQ(m.get_calls, instances.size());
+    EXPECT_EQ(m.get_calls, ref.get_calls);
+    EXPECT_EQ(m.values_accessed, ref.values_accessed);
+    EXPECT_EQ(m.bytes_from_storage, ref.bytes_from_storage);
+    EXPECT_LE(m.get_round_trips, ref.get_round_trips);
+
+    // One stall: the overlapped round's modeled leg is its slowest node
+    // batch — the round trip plus the busiest node's work.
+    uint64_t busiest = 0;
+    for (uint64_t b : m.net_node_busy_ns) busiest = std::max(busiest, b);
+    EXPECT_EQ(uint64_t(std::llround(m.makespan_net_seconds * 1e9)) -
+                  m.net_overlap_ns,
+              kRttNs + busiest);
+    // The serial control arm pays every node batch back to back.
+    AnswerInfo serial;
+    ASSERT_TRUE(
+        Run(sql, ExecOptions{.fanout = FanoutMode::kSerial}, &serial).ok());
+    EXPECT_EQ(serial.metrics.net_overlap_ns, 0u);
+    EXPECT_EQ(uint64_t(std::llround(serial.metrics.makespan_net_seconds * 1e9)),
+              serial.metrics.net_service_ns);
+    // Vehicle 3's blocks sit on two nodes, so there is time to hide.
+    ASSERT_GT(m.net_inflight_max, 1u);
+    EXPECT_GT(m.net_overlap_ns, 0u);
+    EXPECT_GT(serial.metrics.makespan_net_seconds,
+              m.makespan_net_seconds - double(m.net_overlap_ns) / 1e9);
+  }
+}
+
+TEST_F(FetchRoundsFixture, ExtensionKeyedByAFetchedColumnStartsANewRound) {
+  // mot-q4: the seed is a test id, and the vehicle block's key is the
+  // vehicle id that the mot_test block carries.
+  const std::string sql =
+      "SELECT t.test_date, t.test_result, v.make, v.fuel_type "
+      "FROM mot_test t, vehicle v WHERE t.vehicle_id = v.vehicle_id "
+      "AND t.test_id = 7";
+  auto spec = ParseAndBind(sql, workload_.catalog);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto planned =
+      GenerateKbaPlan(*spec, workload_.catalog, zidian_->store(), {});
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const KbaPlan& top = *planned->plan;
+  ASSERT_EQ(top.op, KbaOp::kExtend);
+  EXPECT_EQ(top.kv_name, "vehicle@vehicle_id");
+  using Bindings = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(top.key_bindings, (Bindings{{"t.vehicle_id", "vehicle_id"}}));
+  ASSERT_EQ(top.children[0]->op, KbaOp::kExtend);
+  EXPECT_EQ(top.children[0]->kv_name, "mot_test@test_id");
+
+  AnswerInfo info;
+  auto r = Run(sql, ExecOptions{}, &info);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->size(), 1u);
+  EXPECT_EQ(info.metrics.get_calls, 2u);
+  EXPECT_EQ(info.metrics.multiget_calls, 2u);  // two dependency levels
+  EXPECT_EQ(info.metrics.get_round_trips, 2u);
+}
+
+TEST_F(FetchRoundsFixture, SelectionBetweenExtensionsEndsTheRound) {
+  // Vehicle 3 has one make; asking for another one selects every row away
+  // after the vehicle block, so the mot_test block above the selection is
+  // never fetched.
+  const Relation& vehicles = workload_.data.at("vehicle");
+  const size_t make_col = size_t(vehicles.ColumnIndex("make"));
+  const std::string make = vehicles.rows()[kVehicle - 1][make_col].AsString();
+  const std::string other = make == "FORD" ? "BMW" : "FORD";
+  const std::string sql = Q1(kVehicle, " AND v.make = '" + other + "'");
+  AnswerInfo info;
+  auto r = Run(sql, ExecOptions{}, &info);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(info.plan_text.find("select"), std::string::npos)
+      << info.plan_text;
+  EXPECT_EQ(r->size(), 0u);
+  EXPECT_EQ(info.metrics.get_calls, 1u);
+  EXPECT_EQ(info.metrics.multiget_calls, 1u);
+
+  auto base = Run(sql, ExecOptions{.route_policy = RoutePolicy::kForceBaseline},
+                  nullptr);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_EQ(base->size(), 0u);
+}
+
+TEST_F(FetchRoundsFixture, AbsentSeedKeyFetchesEveryBlockOfItsRound) {
+  // The over-fetch rule: a round fetches every block its input keys,
+  // before it knows that a lower block is absent. Answering one extension
+  // at a time would have stopped after the first absent block: q1 and q6
+  // on a vehicle past the data read 1 block that way, and q6 on a vehicle
+  // without a test reads 2 (vehicle, mot_test).
+  constexpr int64_t kAbsent = 100000;
+  // Every generated vehicle has a test: add a copy of vehicle 3 without one.
+  constexpr int64_t kUntested = 100001;
+  const Relation& vehicles = workload_.data.at("vehicle");
+  Tuple untested = vehicles.rows()[kVehicle - 1];
+  untested[size_t(vehicles.ColumnIndex("vehicle_id"))] = Value(kUntested);
+  ASSERT_TRUE(zidian_->Insert("vehicle", untested).ok());
+
+  const std::vector<std::pair<std::string, uint64_t>> cases = {
+      {Q1(kAbsent), 2}, {Q6(kAbsent), 3}, {Q6(kUntested), 3}};
+  for (const auto& [sql, gets] : cases) {
+    SCOPED_TRACE(sql);
+    AnswerInfo info;
+    auto r = Run(sql, ExecOptions{}, &info);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->size(), 0u);
+    EXPECT_EQ(info.metrics.get_calls, gets);
+    EXPECT_EQ(info.metrics.multiget_calls, 1u);
+
+    auto base = Run(
+        sql, ExecOptions{.route_policy = RoutePolicy::kForceBaseline}, nullptr);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_EQ(base->size(), 0u);
+  }
+}
 
 }  // namespace
 }  // namespace zidian

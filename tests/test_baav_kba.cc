@@ -297,10 +297,11 @@ TEST(BaavStoreSplit, HeaderCountsWrittenSegments) {
       ASSERT_TRUE(rows.ok()) << "threshold " << threshold << " rows " << n
                              << ": " << rows.status().ToString();
       EXPECT_EQ(rows->size(), static_cast<size_t>(n));
-      auto batched = store.MultiGetBlocks(kv, {{Value(int64_t{1})}}, nullptr,
+      const Tuple key{Value(int64_t{1})};
+      auto batched = store.MultiGetBlocks({{&kv, &key}}, nullptr,
                                           FanoutMode::kOverlapped, nullptr);
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      EXPECT_EQ((*batched)[0].size(), static_cast<size_t>(n));
+      EXPECT_EQ((*batched)[0].rows.size(), static_cast<size_t>(n));
     }
   }
 }

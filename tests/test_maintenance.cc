@@ -358,6 +358,48 @@ TEST(MaintenanceBatch, FailedOrUncommittedBatchesWriteNothing) {
   EXPECT_EQ(CountTests(&z, vehicle), std::make_pair(loaded, loaded));
 }
 
+TEST(MaintenanceBatch, DeletingARowThatIsNotStoredWritesNothing) {
+  // TaaV deletes by primary key, BaaV blocks by value: a Delete whose
+  // tuple differs from the stored row in one attribute would drop the row
+  // from TaaV and from no block. It must fail and write nothing instead.
+  auto w = MakeMot(0.05, 3);
+  ASSERT_TRUE(w.ok());
+  Cluster cluster(ClusterOptions{.num_storage_nodes = 3,
+                                 .backend = BackendKind::kMem});
+  Zidian z(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(z.LoadTaav(w->data).ok());
+  ASSERT_TRUE(z.BuildBaav(w->data).ok());
+  const std::vector<Pairs> before = NodePairs(cluster);
+  const Relation& tests = w->data.at("mot_test");
+  const size_t vehicle_col = size_t(tests.ColumnIndex("vehicle_id"));
+  const size_t mileage_col = size_t(tests.ColumnIndex("test_mileage"));
+  auto first = std::find_if(
+      tests.rows().begin(), tests.rows().end(),
+      [&](const Tuple& t) { return t[vehicle_col].AsInt() == 1; });
+  ASSERT_NE(first, tests.rows().end());
+  const Tuple row = *first;
+  Tuple altered = row;
+  altered[mileage_col] = Value(row[mileage_col].AsInt() + 1);
+  const auto [loaded, loaded_base] = CountTests(&z, 1);
+  ASSERT_EQ(loaded, 5);
+  ASSERT_EQ(loaded_base, 5);
+
+  EXPECT_TRUE(z.Delete("mot_test", altered).IsNotFound());
+  EXPECT_TRUE(NodePairs(cluster) == before);
+  EXPECT_EQ(CountTests(&z, 1), std::make_pair(loaded, loaded));
+
+  // Within a batch the staged blocks count: deleting the row a second
+  // time finds nothing, and the failed mutation fails the batch.
+  {
+    Zidian::WriteBatch batch(&z);
+    ASSERT_TRUE(z.Delete("mot_test", row).ok());
+    EXPECT_TRUE(z.Delete("mot_test", row).IsNotFound());
+    EXPECT_TRUE(batch.Commit().IsNotFound());
+  }
+  EXPECT_TRUE(NodePairs(cluster) == before);
+  EXPECT_EQ(CountTests(&z, 1), std::make_pair(loaded, loaded));
+}
+
 // --------------------------------------------- round trips, by count ---
 
 /// Reads one node served, and its BaaV segment writes. A block read's

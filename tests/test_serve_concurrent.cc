@@ -1,7 +1,8 @@
 // The concurrency test battery for the serving layer (serve/server.h):
 //
 //  * load-generator determinism, skew and weighting;
-//  * AdmissionQueue MPMC semantics (bounded, blocking, close-and-drain);
+//  * AdmissionQueue MPMC semantics (bounded, close-and-drain) and the
+//    ClosedLoopFeed's order and admission instants;
 //  * the headline parity contract — M sessions x K queries on ONE shared
 //    Zidian/Cluster/BlockCache return rows byte-identical to a serial
 //    baseline run with CountersEqual holding per query, however the
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -171,38 +173,16 @@ TEST(AdmissionQueue, BoundedTryPushAndCloseDrain) {
   EXPECT_FALSE(q.Pop(&out));
 }
 
-TEST(AdmissionQueue, PushBlockingWaitsForRoomAndCloseUnblocks) {
+TEST(AdmissionQueue, CloseReleasesABlockedPop) {
+  // A consumer waiting on an empty queue returns false once it closes,
+  // whether it was already waiting or arrives after the close.
   AdmissionQueue q(1);
-  ASSERT_TRUE(q.TryPush(AdmittedOp{ServeOp{.seq = 1}, 0}));
-
-  // Push into a full queue: the producer cannot complete until the main
-  // thread frees the slot, and the second Pop cannot complete until the
-  // producer's push lands — every interleaving converges on the same
-  // pop order.
-  std::thread producer(
-      [&] { q.PushBlocking(AdmittedOp{ServeOp{.seq = 2}, 0}); });
-  AdmittedOp out;
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out.op.seq, 1u);
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out.op.seq, 2u);
-  producer.join();
-
-  // Close must release a pusher stuck on a full queue WITHOUT enqueueing
-  // its op (whether it was already waiting or arrives after the close —
-  // the main thread never frees the slot, so seq 4 can never land).
-  ASSERT_TRUE(q.TryPush(AdmittedOp{ServeOp{.seq = 3}, 0}));
-  std::atomic<bool> returned{false};
-  std::thread blocked([&] {
-    q.PushBlocking(AdmittedOp{ServeOp{.seq = 4}, 0});
-    returned.store(true);
+  std::thread consumer([&] {
+    AdmittedOp out;
+    EXPECT_FALSE(q.Pop(&out));
   });
   q.Close();
-  blocked.join();
-  EXPECT_TRUE(returned.load());
-  ASSERT_TRUE(q.Pop(&out));  // the pre-close op still drains
-  EXPECT_EQ(out.op.seq, 3u);
-  EXPECT_FALSE(q.Pop(&out));
+  consumer.join();
 }
 
 TEST(AdmissionQueue, ManyProducersManyConsumersConserveOps) {
@@ -224,8 +204,11 @@ TEST(AdmissionQueue, ManyProducersManyConsumersConserveOps) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         uint64_t seq = uint64_t(p) * kPerProducer + uint64_t(i);
-        q.PushBlocking(
-            AdmittedOp{ServeOp{.stream = uint32_t(p), .seq = seq}, 0});
+        // Retry a full queue until a consumer frees a slot.
+        while (!q.TryPush(
+            AdmittedOp{ServeOp{.stream = uint32_t(p), .seq = seq}, 0})) {
+          std::this_thread::yield();
+        }
       }
     });
   }
@@ -235,6 +218,54 @@ TEST(AdmissionQueue, ManyProducersManyConsumersConserveOps) {
   constexpr uint64_t kTotal = uint64_t(kProducers) * kPerProducer;
   EXPECT_EQ(popped.load(), kTotal);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);  // each seq exactly once
+}
+
+TEST(ClosedLoopFeed, TakesOpsInOrderAdmittedDepthAhead) {
+  std::vector<ServeOp> feed;
+  for (uint64_t i = 0; i < 6; ++i) feed.push_back(ServeOp{.seq = i});
+  // An epoch in the past: every admission instant after the first
+  // `depth` ops is then positive.
+  const int64_t epoch_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count() -
+      1'000'000;
+  ClosedLoopFeed f(feed, 2, epoch_ns);
+  std::vector<AdmittedOp> got(feed.size());
+  for (auto& op : got) ASSERT_TRUE(f.Pop(&op));
+  AdmittedOp out;
+  EXPECT_FALSE(f.Pop(&out));
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].op.seq, i) << i;
+  // The first `depth` ops are admitted at the run start; op i + 2 when
+  // op i was taken, so the instants never decrease.
+  EXPECT_EQ(got[0].arrival_ns, 0);
+  EXPECT_EQ(got[1].arrival_ns, 0);
+  for (size_t i = 2; i < got.size(); ++i) {
+    EXPECT_GE(got[i].arrival_ns, 1'000'000) << i;
+    EXPECT_GE(got[i].arrival_ns, got[i - 1].arrival_ns) << i;
+  }
+}
+
+TEST(ClosedLoopFeed, ConcurrentSessionsTakeEachOpOnce) {
+  constexpr int kSessions = 4;
+  constexpr uint64_t kOps = 2000;
+  std::vector<ServeOp> feed;
+  for (uint64_t i = 0; i < kOps; ++i) feed.push_back(ServeOp{.seq = i});
+  ClosedLoopFeed f(feed, 3, 0);
+  std::atomic<uint64_t> taken{0}, sum{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&] {
+      AdmittedOp out;
+      while (f.Pop(&out)) {
+        taken.fetch_add(1);
+        sum.fetch_add(out.op.seq);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(taken.load(), kOps);
+  EXPECT_EQ(sum.load(), kOps * (kOps - 1) / 2);  // each seq exactly once
 }
 
 // ------------------------------------------------------------- the battery ---

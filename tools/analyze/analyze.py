@@ -107,7 +107,7 @@ WALL_CLOCK_FUNCTIONS = {
     "src/kba/kba_executor.cc": {
         "SecondsSince",   # the shared now()->seconds helper
         "Eval",           # per-operator wall_fetch/wall_compute stamps
-        "EvalExtend",     # wall_fetch stamps around the worker fan-out
+        "EvalRound",      # wall_fetch stamps around a round's fetch+emit
     },
     "src/ra/taav.cc": {
         "TaavScanTable",  # wall_fetch stamps around the get+decode stage
@@ -130,11 +130,11 @@ WALL_CLOCK_FUNCTIONS = {
 # unordered container into an ordered sink. Each entry documents how the
 # order becomes canonical again.
 ITERATION_WHITELIST = {
-    # Partition fan-out: rows are re-keyed per worker, and the parity
-    # suite (test_parallel_exec, 100x @ 8 workers) proves rows AND
-    # counters are byte-identical across modes — both modes walk this
-    # same map in the same order within a process.
-    "src/kba/kba_executor.cc": {"EvalExtend", "EvalGroupAggFromStats"},
+    # Partition fan-out: EmitExtension re-keys an extension's rows per
+    # worker, and the parity suite (test_parallel_exec, 100x @ 8 workers)
+    # proves rows AND counters are byte-identical across modes — both
+    # modes walk this same map in the same order within a process.
+    "src/kba/kba_executor.cc": {"EmitExtension", "EvalGroupAggFromStats"},
     # First-appearance emit: collects the merged hash table, then sorts
     # by first-appearance row index before anything escapes.
     "src/ra/eval.cc": {"GroupAggregate"},
