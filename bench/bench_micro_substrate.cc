@@ -125,7 +125,8 @@ void BM_ClusterMultiGet(benchmark::State& state) {
   ClusterPointFixture fixture(static_cast<BackendKind>(state.range(0)));
   for (auto _ : state) {
     QueryMetrics m;
-    benchmark::DoNotOptimize(fixture.cluster_->MultiGet(fixture.probe_, &m));
+    benchmark::DoNotOptimize(fixture.cluster_->MultiGet(
+        fixture.probe_, &m, CacheFill::kFill, FanoutMode::kSerial));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fixture.probe_.size()));

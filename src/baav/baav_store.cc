@@ -460,11 +460,7 @@ Status BaavStore::ScanInstance(
       slot.decoded.push_back(std::move(d));
     }
   };
-  if (pool != nullptr && p > 1) {
-    pool->ParallelFor(p, run_worker);
-  } else {
-    for (size_t w = 0; w < p; ++w) run_worker(w);
-  }
+  ParallelFor(pool, p, run_worker);
   for (auto& slot : slots) {
     ZIDIAN_RETURN_NOT_OK(slot.status);
     if (m != nullptr) *m += slot.m;

@@ -121,10 +121,9 @@ class BaavStore {
 
   /// Data-parallel instance scan: key enumeration stays sequential (it
   /// fixes the block order), then block decode is chunked across
-  /// `workers` on `pool` with per-worker QueryMetrics deltas; `fn` is
-  /// invoked on the calling thread in the same block order as the
-  /// sequential scan, with identical metering. Null pool or workers <= 1
-  /// degrades to the sequential code path.
+  /// `workers` (on `pool` when set, else on the calling thread) with
+  /// per-chunk QueryMetrics deltas; `fn` is invoked on the calling thread
+  /// in block order, with the same metering at every worker count.
   Status ScanInstance(
       const KvSchema& kv, QueryMetrics* m, ThreadPool* pool, int workers,
       const std::function<void(const Tuple& key,

@@ -4,14 +4,6 @@
 
 namespace zidian {
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  dst->push_back(static_cast<char>(v));
-}
-
 void PutVarint64(std::string* dst, uint64_t v) {
   while (v >= 0x80) {
     dst->push_back(static_cast<char>(v | 0x80));
@@ -39,30 +31,10 @@ bool GetVarint64(std::string_view* src, uint64_t* v) {
   return false;
 }
 
-bool GetVarint32(std::string_view* src, uint32_t* v) {
-  uint64_t wide;
-  if (!GetVarint64(src, &wide) || wide > UINT32_MAX) return false;
-  *v = static_cast<uint32_t>(wide);
-  return true;
-}
-
-void PutFixed32(std::string* dst, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  dst->append(buf, 4);
-}
-
 void PutFixed64(std::string* dst, uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
   dst->append(buf, 8);
-}
-
-bool GetFixed32(std::string_view* src, uint32_t* v) {
-  if (src->size() < 4) return false;
-  std::memcpy(v, src->data(), 4);
-  src->remove_prefix(4);
-  return true;
 }
 
 bool GetFixed64(std::string_view* src, uint64_t* v) {

@@ -19,15 +19,11 @@ namespace zidian {
 // (tuples, blocks) where ordering does not matter but compactness does.
 // ---------------------------------------------------------------------------
 
-void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 /// Consumes a varint from the front of *src. Returns false on truncation.
-bool GetVarint32(std::string_view* src, uint32_t* v);
 bool GetVarint64(std::string_view* src, uint64_t* v);
 
-void PutFixed32(std::string* dst, uint32_t v);
 void PutFixed64(std::string* dst, uint64_t v);
-bool GetFixed32(std::string_view* src, uint32_t* v);
 bool GetFixed64(std::string_view* src, uint64_t* v);
 
 /// Length-prefixed string (varint length + bytes).

@@ -27,10 +27,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kNotSupported:
       return "NotSupported";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kUnavailable:

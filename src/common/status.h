@@ -18,8 +18,6 @@ enum class StatusCode {
   kAlreadyExists,
   kCorruption,
   kNotSupported,
-  kOutOfRange,
-  kResourceExhausted,
   kInternal,
   kUnavailable,
 };
@@ -52,12 +50,6 @@ class [[nodiscard]] Status {
   }
   static Status NotSupported(std::string msg) {
     return Status(StatusCode::kNotSupported, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -107,4 +107,13 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
 }  // namespace zidian

@@ -1,15 +1,19 @@
-// A small fixed-size thread pool for data-parallel query execution. The
-// executors map `workers = p` onto p-wide ParallelFor regions: the
-// calling thread participates, so a pool of p-1 threads executes a
-// p-worker region at full width. Fallible work should record a Status
-// into its own slot (the codebase is exception-free by convention), but
-// a task that does throw — bad_alloc, third-party code — must not take
-// the pool down: ParallelFor captures the first exception of the batch,
-// drains the remaining indices without running them, and rethrows at the
-// join point, leaving the pool threads alive and reusable.
+// A small fixed-size thread pool for data-parallel query execution, and
+// ParallelFor(pool, n, fn), the one dispatch of every data-parallel region
+// in src/. A region is one chunk body run for chunks 0..n-1: on the pool
+// plus the calling thread, or in a loop on the calling thread when the
+// pool is null. The parallel modes differ only in that pointer, so they
+// cannot differ in rows or counters. The calling thread participates, so
+// a pool of p-1 threads executes a p-chunk region at full width.
 //
-// ParallelFor is the only coordination primitive the executors need:
-// indices are claimed from a shared atomic counter, every worker writes
+// Fallible work should record a Status into its own slot (the codebase is
+// exception-free by convention), but a task that does throw — bad_alloc,
+// third-party code — must not take the pool down: ThreadPool::ParallelFor
+// captures the first exception of the batch, drains the remaining indices
+// without running them, and rethrows at the join point, leaving the pool
+// threads alive and reusable.
+//
+// Indices are claimed from a shared atomic counter, every chunk writes
 // only its own pre-allocated output slot, and the call does not return
 // until every submitted helper has exited — so stack-allocated per-call
 // state is safe and the join is a full happens-before barrier (the merge
@@ -29,17 +33,18 @@
 
 namespace zidian {
 
-/// Contiguous chunk [begin, end) of `n` items for worker `w` of `p`.
+/// Contiguous chunk [begin, end) of `n` items for chunk `w` of `p`.
 /// THE chunk partition of the codebase: every data-parallel stage (scan,
-/// filter, probe, aggregate) must split with this exact formula, because
-/// the kSimulated-vs-kThreads parity contract — and the aggregate's
-/// floating-sum association — depends on chunking being a function of
-/// `workers` alone, identical across stages and modes.
+/// filter, probe, aggregate) splits with this formula. Where a floating
+/// sum associates by chunk (GroupAggregate), `p` is `workers` alone, so
+/// every mode and pool reproduces the same sums.
 inline std::pair<size_t, size_t> ChunkRange(size_t n, size_t w, size_t p) {
   return {n * w / p, n * (w + 1) / p};
 }
 
-/// How an executor maps `workers` onto execution resources.
+/// How a query maps `workers` onto execution resources: the user-facing
+/// control arm (ExecOptions / AnswerInfo). The executors never see it;
+/// Connection resolves kThreads to a non-null pool.
 enum class ParallelMode {
   kSimulated,  ///< one thread; `workers` only divides the cost model
                ///< (per-worker makespan accounting, the seed behavior)
@@ -60,7 +65,8 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// Runs fn(0) .. fn(n-1), each at most once, across the pool plus the
-  /// calling thread. Blocks until every started call has returned.
+  /// calling thread; code in src/ calls the free ParallelFor below.
+  /// Blocks until every started call has returned.
   /// Concurrent calls of fn must only touch disjoint state (the
   /// per-worker-slot discipline). If any fn throws, the first captured
   /// exception is rethrown here after the batch drains; indices claimed
@@ -82,6 +88,12 @@ class ThreadPool {
   /// mutated while a ParallelFor can run, so reads need no lock.
   std::vector<std::thread> threads_;
 };
+
+/// Runs fn(0) .. fn(n-1): on `pool` plus the calling thread, or in order
+/// on the calling thread when `pool` is null. The one dispatch of src/
+/// (tools/lint_invariants.py, check `dispatch`).
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace zidian
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <set>
 #include <unordered_map>
 
@@ -21,6 +20,45 @@ std::vector<std::string> QualifyAll(const std::string& alias,
   return out;
 }
 
+/// Where each aggregate of a stats-pushdown GroupAgg finds its partial
+/// state among the columns a stats-only extension emits (EmitExtension):
+/// COUNT(*) in #rows, any other aggregate in its argument's
+/// #sum/#count/#min/#max.
+Result<std::vector<PartialColumns>> StatsPartialColumns(const KbaPlan& plan,
+                                                        const Relation& rel) {
+  int rows_col = -1;
+  for (size_t i = 0; i < rel.columns().size(); ++i) {
+    if (rel.columns()[i].ends_with(kStatsRowsCol)) {
+      rows_col = static_cast<int>(i);
+    }
+  }
+  std::vector<PartialColumns> out;
+  for (const auto& item : plan.agg_items) {
+    PartialColumns& cols = out.emplace_back();
+    if (item.agg == AggFn::kNone) continue;
+    if (!item.expr) {  // COUNT(*)
+      if (rows_col < 0) {
+        return Status::InvalidArgument("no #rows column for COUNT(*)");
+      }
+      cols.count = rows_col;
+      continue;
+    }
+    if (item.expr->kind != ExprKind::kColumn) {
+      return Status::NotSupported("stats aggregation needs plain columns");
+    }
+    const std::string base = item.expr->QualifiedName();
+    auto at = [&](std::string_view suffix) {
+      return rel.ColumnIndex(base + std::string(suffix));
+    };
+    cols = {at(kStatsSumSuffix), at(kStatsCountSuffix), at(kStatsMinSuffix),
+            at(kStatsMaxSuffix)};
+    if (cols.sum < 0 || cols.count < 0 || cols.min < 0 || cols.max < 0) {
+      return Status::InvalidArgument("missing stats column for " + base);
+    }
+  }
+  return out;
+}
+
 /// Seconds elapsed since `start` on the monotonic clock.
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -33,20 +71,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 Result<KvInst> KbaExecutor::Execute(const KbaPlan& plan,
                                     const KbaExecOptions& opts,
                                     QueryMetrics* m) const {
-  ExecCtx ctx;
+  KbaExecOptions ctx = opts;
   ctx.workers = std::max(1, opts.workers);
-  ctx.fanout = opts.fanout;
-  // Threaded mode gets a pool of workers-1 threads: the calling thread
-  // participates in every ParallelFor, so regions run ctx.workers wide.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (opts.parallel_mode == ParallelMode::kThreads && ctx.workers > 1) {
-    if (opts.pool != nullptr) {
-      ctx.pool = opts.pool;
-    } else {
-      owned_pool = std::make_unique<ThreadPool>(ctx.workers - 1);
-      ctx.pool = owned_pool.get();
-    }
-  }
   ZIDIAN_ASSIGN_OR_RETURN(KvInst out, Eval(plan, ctx, m));
   // Scans and compute are spread evenly under the no-skew assumption;
   // fetch rounds recorded their true per-worker maxima inside Eval.
@@ -54,7 +80,7 @@ Result<KvInst> KbaExecutor::Execute(const KbaPlan& plan,
   return out;
 }
 
-Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
+Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const KbaExecOptions& ctx,
                                  QueryMetrics* m) const {
   const int workers = ctx.workers;
   switch (plan.op) {
@@ -177,36 +203,26 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const ExecCtx& ctx,
 
     case KbaOp::kGroupAgg: {
       ZIDIAN_ASSIGN_OR_RETURN(KvInst in, Eval(*plan.children[0], ctx, m));
+      // Under stats pushdown (§8.2) each input row is one block's partial
+      // statistics, already with its key: the fold merges the partials and
+      // charges no shuffle.
+      std::vector<PartialColumns> partials;
       if (plan.from_stats) {
-        auto start = std::chrono::steady_clock::now();
-        auto res = EvalGroupAggFromStats(plan, in, ctx, m);
-        if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
-        return res;
+        ZIDIAN_ASSIGN_OR_RETURN(partials, StatsPartialColumns(plan, in.rel));
+      } else {
+        ChargeShuffleBytes(in.rel.ByteSize(), workers, m);
       }
-      ChargeShuffleBytes(in.rel.ByteSize(), workers, m);
       auto start = std::chrono::steady_clock::now();
       ZIDIAN_ASSIGN_OR_RETURN(
           Relation out_rel,
           GroupAggregate(in.rel, plan.group_by, plan.agg_items, m, ctx.pool,
-                         workers));
+                         workers, plan.from_stats ? &partials : nullptr));
       if (m != nullptr) m->wall_compute_seconds += SecondsSince(start);
+      // GroupAggregate labels group keys with their output names.
       KvInst out;
-      for (const auto& g : plan.group_by) {
-        out.key_cols.push_back(g.Qualified());
-      }
-      for (const auto& c : out_rel.columns()) {
-        if (std::find(out.key_cols.begin(), out.key_cols.end(), c) ==
-            out.key_cols.end()) {
-          out.value_cols.push_back(c);
-        }
-      }
-      // GroupAggregate labels group keys with their output names; align the
-      // key columns to whatever it produced.
-      out.key_cols.clear();
       for (const auto& item : plan.agg_items) {
         if (item.agg == AggFn::kNone) out.key_cols.push_back(item.output_name);
       }
-      out.value_cols.clear();
       for (const auto& c : out_rel.columns()) {
         if (std::find(out.key_cols.begin(), out.key_cols.end(), c) ==
             out.key_cols.end()) {
@@ -325,17 +341,6 @@ Tuple KeyOf(const Tuple& row, const std::vector<size_t>& idx) {
   return key;
 }
 
-/// Runs `task` for workers 0..workers-1: on `pool` when there is one, in
-/// a loop otherwise. Each task writes only its own slot.
-void RunWorkers(ThreadPool* pool, size_t workers,
-                const std::function<void(size_t)>& task) {
-  if (pool != nullptr) {
-    pool->ParallelFor(workers, task);
-  } else {
-    for (size_t w = 0; w < workers; ++w) task(w);
-  }
-}
-
 /// A block's partial statistics as the one row a stats-only extension
 /// emits after the key: #rows, then #count/#min/#max/#sum per Y column.
 std::vector<Tuple> StatsRows(const BlockStats& stats) {
@@ -422,7 +427,7 @@ Result<KvInst> EmitExtension(const RoundNode& node, const KvInst& child,
     uint64_t compute_values = 0;
   };
   std::vector<Slot> slots(workers);
-  RunWorkers(pool, workers, [&](size_t w) {
+  ParallelFor(pool, workers, [&](size_t w) {
     Slot& slot = slots[w];
     slot.partial = Relation(out.rel.columns());
     for (const Item& item : items[w]) {
@@ -463,7 +468,7 @@ Result<KvInst> EmitExtension(const RoundNode& node, const KvInst& child,
 }  // namespace
 
 Result<KvInst> KbaExecutor::EvalExtends(const KbaPlan& top,
-                                        const ExecCtx& ctx,
+                                        const KbaExecOptions& ctx,
                                         QueryMetrics* m) const {
   // The chain of consecutive full extensions ending at `top`, bottom
   // first. A stats-only extension fetches headers, not blocks, so it is a
@@ -486,7 +491,7 @@ Result<KvInst> KbaExecutor::EvalExtends(const KbaPlan& top,
 
 Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
                                       size_t* next, KvInst in,
-                                      const ExecCtx& ctx,
+                                      const KbaExecOptions& ctx,
                                       QueryMetrics* m) const {
   const size_t workers = static_cast<size_t>(ctx.workers);
   // Interleaved strategy (§7.2): every distinct key of every extension in
@@ -553,9 +558,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
   }
 
   // One task per worker; each owns a slot with its own metric delta and
-  // writes only the blocks it owns. kSimulated runs the same tasks in a
-  // loop — one code path, so the two modes cannot diverge in rows or
-  // counters.
+  // writes only the blocks it owns.
   const bool stats_only = nodes.front().plan->stats_only;
   auto fetch = [&](size_t w) {
     FetchSlot& slot = slots[w];
@@ -587,7 +590,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
     }
   };
   auto start = std::chrono::steady_clock::now();
-  RunWorkers(ctx.pool, workers, fetch);
+  ParallelFor(ctx.pool, workers, fetch);
   if (m != nullptr) m->wall_fetch_seconds += SecondsSince(start);
 
   // Deterministic merge in worker order: counters sum, and the round's
@@ -624,278 +627,6 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
   }
   if (m != nullptr) m->wall_fetch_seconds += SecondsSince(start);
   return in;
-}
-
-Result<KvInst> KbaExecutor::EvalGroupAggFromStats(const KbaPlan& plan,
-                                                  const KvInst& in,
-                                                  const ExecCtx& ctx,
-                                                  QueryMetrics* m) const {
-  // The child emitted one row per keyed block with partial statistics;
-  // combine the partials per group. The fold runs chunk-per-worker like
-  // every other parallel region: chunking is a function of ctx.workers
-  // alone, partials merge in worker order, groups emit in
-  // first-appearance order — so rows and counters are identical between
-  // kSimulated and kThreads at the same worker count.
-  std::vector<int> gidx;
-  std::vector<std::string> out_cols;
-  for (const auto& g : plan.group_by) {
-    int i = in.rel.ColumnIndex(g.Qualified());
-    if (i < 0) {
-      return Status::InvalidArgument("group key missing: " + g.Qualified());
-    }
-    gidx.push_back(i);
-  }
-
-  struct Slot {
-    AggFn fn;
-    int col = -1;        // partial column to combine
-    int group_pos = -1;  // for plain keys
-    int count_col = -1;  // AVG only: the sibling #count partial column
-  };
-  std::vector<Slot> slots;
-  for (const auto& item : plan.agg_items) {
-    Slot s;
-    s.fn = item.agg;
-    out_cols.push_back(item.output_name);
-    if (item.agg == AggFn::kNone) {
-      AttrRef ref{item.expr->alias, item.expr->column};
-      for (size_t g = 0; g < plan.group_by.size(); ++g) {
-        if (plan.group_by[g] == ref) s.group_pos = static_cast<int>(g);
-      }
-      if (s.group_pos < 0) {
-        return Status::InvalidArgument("ungrouped select column " +
-                                       ref.Qualified());
-      }
-    } else if (item.agg == AggFn::kCount && !item.expr) {
-      s.col = -2;  // marker: combine the #rows partials
-    } else {
-      if (!item.expr || item.expr->kind != ExprKind::kColumn) {
-        return Status::NotSupported("stats aggregation needs plain columns");
-      }
-      std::string base = item.expr->QualifiedName();
-      std::string_view suffix;
-      switch (item.agg) {
-        case AggFn::kSum:
-        case AggFn::kAvg:
-          suffix = kStatsSumSuffix;
-          break;
-        case AggFn::kCount:
-          suffix = kStatsCountSuffix;
-          break;
-        case AggFn::kMin:
-          suffix = kStatsMinSuffix;
-          break;
-        case AggFn::kMax:
-          suffix = kStatsMaxSuffix;
-          break;
-        default:
-          break;
-      }
-      s.col = in.rel.ColumnIndex(base + std::string(suffix));
-      if (s.col < 0) {
-        return Status::InvalidArgument("missing stats column for " + base);
-      }
-      if (item.agg == AggFn::kAvg) {
-        // AVG combines two partials: #sum for the numerator and the
-        // sibling #count for the denominator, in one pass over the rows.
-        s.count_col = in.rel.ColumnIndex(base + std::string(kStatsCountSuffix));
-        if (s.count_col < 0) {
-          return Status::InvalidArgument("missing #count for AVG");
-        }
-      }
-    }
-    slots.push_back(s);
-  }
-  // #rows column and per-attr count columns for COUNT(*) / AVG.
-  int rows_col = -1;
-  for (size_t i = 0; i < in.rel.columns().size(); ++i) {
-    if (in.rel.columns()[i].size() >= 5 &&
-        in.rel.columns()[i].substr(in.rel.columns()[i].size() - 5) ==
-            kStatsRowsCol) {
-      rows_col = static_cast<int>(i);
-    }
-  }
-
-  if (rows_col < 0) {
-    for (const auto& slot : slots) {
-      if (slot.col == -2) {
-        return Status::InvalidArgument("no #rows column for COUNT(*)");
-      }
-    }
-  }
-
-  struct Acc {
-    double sum = 0;
-    uint64_t count = 0;
-    bool any = false;
-    double min = 0, max = 0;
-
-    void Merge(const Acc& o) {
-      sum += o.sum;
-      count += o.count;
-      if (o.any) {
-        min = any ? std::min(min, o.min) : o.min;
-        max = any ? std::max(max, o.max) : o.max;
-        any = true;
-      }
-    }
-  };
-  struct Group {
-    size_t first_row;  // global index where the group first appeared
-    std::vector<Acc> accs;
-  };
-  using GroupMap = std::unordered_map<Tuple, Group, TupleHasher>;
-
-  // Fold chunk-per-worker into private tables. kSimulated runs the same
-  // chunked loop on one thread, so the partial sums associate identically
-  // in both modes at the same worker count.
-  const size_t p = static_cast<size_t>(std::max(1, ctx.workers));
-  std::vector<GroupMap> partial(p);
-  std::vector<QueryMetrics> deltas(p);
-  auto accumulate = [&](size_t w) {
-    auto [begin, end] = ChunkRange(in.rel.rows().size(), w, p);
-    GroupMap& groups = partial[w];
-    QueryMetrics& wm = deltas[w];
-    for (size_t r = begin; r < end; ++r) {
-      const Tuple& row = in.rel.rows()[r];
-      Tuple key;
-      key.reserve(gidx.size());
-      for (int i : gidx) key.push_back(row[static_cast<size_t>(i)]);
-      auto [it, ins] = groups.emplace(
-          std::move(key), Group{r, std::vector<Acc>(slots.size())});
-      (void)ins;
-      for (size_t s = 0; s < slots.size(); ++s) {
-        const Slot& slot = slots[s];
-        if (slot.fn == AggFn::kNone) continue;
-        Acc& acc = it->second.accs[s];
-        wm.compute_values += 1;
-        if (slot.col == -2) {  // COUNT(*): combine the #rows partials
-          acc.count += static_cast<uint64_t>(
-              row[static_cast<size_t>(rows_col)].Numeric());
-          acc.any = true;
-          continue;
-        }
-        if (slot.fn == AggFn::kAvg) {
-          // Numerator and denominator from the two partial columns,
-          // independently nullable (a non-numeric column has NULL #sum
-          // but a real #count).
-          const Value& cv = row[static_cast<size_t>(slot.count_col)];
-          if (!cv.is_null()) acc.count += static_cast<uint64_t>(cv.Numeric());
-        }
-        const Value& v = row[static_cast<size_t>(slot.col)];
-        if (v.is_null()) continue;
-        double d = v.Numeric();
-        switch (slot.fn) {
-          case AggFn::kSum:
-          case AggFn::kAvg:
-            acc.sum += d;
-            acc.any = true;
-            break;
-          case AggFn::kCount:
-            acc.count += static_cast<uint64_t>(d);
-            acc.any = true;
-            break;
-          case AggFn::kMin:
-            acc.min = acc.any ? std::min(acc.min, d) : d;
-            acc.any = true;
-            break;
-          case AggFn::kMax:
-            acc.max = acc.any ? std::max(acc.max, d) : d;
-            acc.any = true;
-            break;
-          default:
-            break;
-        }
-      }
-    }
-  };
-  if (ctx.pool != nullptr && p > 1) {
-    ctx.pool->ParallelFor(p, accumulate);
-  } else {
-    for (size_t w = 0; w < p; ++w) accumulate(w);
-  }
-  for (size_t w = 0; w < p; ++w) {
-    if (m != nullptr) *m += deltas[w];
-  }
-
-  // Merge partials in worker order (deterministic whatever the scheduler
-  // did); the first-appearance index takes the minimum.
-  GroupMap merged = std::move(partial[0]);
-  for (size_t w = 1; w < p; ++w) {
-    for (auto& entry : partial[w]) {
-      auto it = merged.find(entry.first);
-      if (it == merged.end()) {
-        merged.emplace(entry.first, std::move(entry.second));
-        continue;
-      }
-      it->second.first_row = std::min(it->second.first_row,
-                                      entry.second.first_row);
-      for (size_t s = 0; s < slots.size(); ++s) {
-        it->second.accs[s].Merge(entry.second.accs[s]);
-      }
-    }
-  }
-  // A global aggregate over no blocks still yields one (NULL-ish) row,
-  // matching SQL semantics.
-  if (merged.empty() && gidx.empty()) {
-    merged.emplace(Tuple{}, Group{0, std::vector<Acc>(slots.size())});
-  }
-  // First-appearance order: canonical across modes AND worker counts
-  // (hash-map iteration order would be neither).
-  std::vector<const std::pair<const Tuple, Group>*> ordered;
-  ordered.reserve(merged.size());
-  for (const auto& entry : merged) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(), [](const auto* a, const auto* b) {
-    return a->second.first_row < b->second.first_row;
-  });
-
-  KvInst out;
-  for (const auto& item : plan.agg_items) {
-    if (item.agg == AggFn::kNone) out.key_cols.push_back(item.output_name);
-  }
-  for (const auto& c : out_cols) {
-    if (std::find(out.key_cols.begin(), out.key_cols.end(), c) ==
-        out.key_cols.end()) {
-      out.value_cols.push_back(c);
-    }
-  }
-  out.rel = Relation(out_cols);
-  for (const auto* entry : ordered) {
-    const Tuple& key = entry->first;
-    const std::vector<Acc>& accs = entry->second.accs;
-    Tuple t;
-    for (size_t s = 0; s < slots.size(); ++s) {
-      const Slot& slot = slots[s];
-      if (slot.fn == AggFn::kNone) {
-        t.push_back(key[static_cast<size_t>(slot.group_pos)]);
-        continue;
-      }
-      const Acc& acc = accs[s];
-      switch (slot.fn) {
-        case AggFn::kSum:
-          t.push_back(acc.any ? Value(acc.sum) : Value::Null());
-          break;
-        case AggFn::kCount:
-          t.push_back(Value(static_cast<int64_t>(acc.count)));
-          break;
-        case AggFn::kAvg:
-          t.push_back(acc.count > 0
-                          ? Value(acc.sum / static_cast<double>(acc.count))
-                          : Value::Null());
-          break;
-        case AggFn::kMin:
-          t.push_back(acc.any ? Value(acc.min) : Value::Null());
-          break;
-        case AggFn::kMax:
-          t.push_back(acc.any ? Value(acc.max) : Value::Null());
-          break;
-        default:
-          break;
-      }
-    }
-    out.rel.Add(std::move(t));
-  }
-  return out;
 }
 
 }  // namespace zidian

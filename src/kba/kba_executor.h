@@ -32,13 +32,14 @@
 // that node unreachable such a query fails with kUnavailable instead of
 // returning its empty answer.
 //
-// Parallelism runs in one of two modes (common/thread_pool.h):
-//  * kSimulated — one thread; `workers` only divides the cost model. The
-//    per-worker maxima land in QueryMetrics::makespan_* exactly as before.
-//  * kThreads — `workers` real threads on a ThreadPool. Each round issues
-//    its per-worker batched MultiGets concurrently, and emits / selections
-//    / projections / join probes run chunk-per-worker (ra/eval.h parallel
-//    variants).
+// Parallelism: every region — a round's per-worker fetches, its emits,
+// selections, projections, join probes, aggregation and instance scans —
+// is one chunk body dispatched by ParallelFor (common/thread_pool.h). With
+// a KbaExecOptions::pool the chunks run on real threads; without one they
+// run in a loop on the calling thread, and `workers` only divides the cost
+// model (the per-worker maxima land in QueryMetrics::makespan_*).
+// Connection resolves ParallelMode::kThreads to that pool, so the
+// executor itself has no mode.
 //
 // Orthogonally, KbaExecOptions::fanout is the stall schedule each
 // worker's batched Cluster::MultiGet runs over the storage nodes it
@@ -50,15 +51,15 @@
 // identically — only the schedule-shape metrics (net_overlap_ns /
 // net_inflight_max), the modeled makespan and the wall clock may differ.
 //
-// Determinism contract: both modes — and both fan-out schedules — return
-// byte-identical rows in the same order and identical QueryMetrics
-// counters. Rounds are cut from the plan and the round input's columns
-// and distinct key counts, none of which depends on the mode, the
-// schedule or the worker count, so every run fetches the same blocks in
-// the same rounds. Every parallel region gives each worker its own
-// pre-allocated output slot and its own QueryMetrics delta; slots merge
-// in worker order after the join, so no counter or row ever depends on
-// thread scheduling. (The one caveat: cache_evictions is
+// Determinism contract: runs with and without a pool — and both fan-out
+// schedules — return byte-identical rows in the same order and identical
+// QueryMetrics counters. Rounds are cut from the plan and the round
+// input's columns and distinct key counts, none of which depends on the
+// pool, the schedule or the worker count, so every run fetches the same
+// blocks in the same rounds. Every parallel region gives each chunk its
+// own pre-allocated output slot and its own QueryMetrics delta; slots
+// merge in chunk order after the join, so no counter or row ever depends
+// on thread scheduling. (The one caveat: cache_evictions is
 // scheduling-dependent when the run itself evicts, because concurrent
 // fills can reorder LRU residency — size the cache above the working set
 // when asserting exact equality.) Wall-clock lands in wall_seconds /
@@ -77,10 +78,10 @@ namespace zidian {
 
 struct KbaExecOptions {
   int workers = 1;
-  ParallelMode parallel_mode = ParallelMode::kSimulated;
-  /// Optional externally-owned pool for kThreads (e.g. shared across
-  /// executions). When null, Execute spins up a per-call pool of
-  /// workers-1 threads (the calling thread is worker 0's peer).
+  /// The threads that run each region's chunks, beside the calling thread
+  /// (workers-1 of them run a region at full width). Null runs every
+  /// chunk on the calling thread. Rows and CountersEqual metrics are
+  /// invariant.
   ThreadPool* pool = nullptr;
   /// Per-worker stall schedule over the touched storage nodes (see the
   /// header comment). Rows and CountersEqual metrics are invariant.
@@ -91,24 +92,17 @@ class KbaExecutor {
  public:
   explicit KbaExecutor(const BaavStore* store) : store_(store) {}
 
-  /// Executes `plan` under the given worker count and parallel mode.
+  /// Executes `plan` over `opts.workers` workers, on `opts.pool` if set.
   Result<KvInst> Execute(const KbaPlan& plan, const KbaExecOptions& opts,
                          QueryMetrics* m) const;
 
  private:
-  /// Per-execution state threaded through Eval: pool is non-null only in
-  /// kThreads mode with workers > 1.
-  struct ExecCtx {
-    int workers = 1;
-    ThreadPool* pool = nullptr;
-    FanoutMode fanout = FanoutMode::kOverlapped;
-  };
-
-  Result<KvInst> Eval(const KbaPlan& plan, const ExecCtx& ctx,
+  /// `ctx` is the caller's options with workers >= 1.
+  Result<KvInst> Eval(const KbaPlan& plan, const KbaExecOptions& ctx,
                       QueryMetrics* m) const;
   /// Evaluates the chain of consecutive extensions ending at `top`, cut
   /// into fetch rounds (see the header comment).
-  Result<KvInst> EvalExtends(const KbaPlan& top, const ExecCtx& ctx,
+  Result<KvInst> EvalExtends(const KbaPlan& top, const KbaExecOptions& ctx,
                              QueryMetrics* m) const;
   /// One fetch round over `in`: opens at chain[*next] (bottom first),
   /// takes the following extensions that may join (see the header
@@ -116,19 +110,14 @@ class KbaExecutor {
   /// then runs each extension's emit in plan order. Advances `*next` past
   /// the round.
   Result<KvInst> EvalRound(const std::vector<const KbaPlan*>& chain,
-                           size_t* next, KvInst in, const ExecCtx& ctx,
+                           size_t* next, KvInst in, const KbaExecOptions& ctx,
                            QueryMetrics* m) const;
-  /// Combines per-block partial statistics into the final groups. Folds
-  /// chunk-per-worker on ctx.pool (the stats-pushdown path threads like
-  /// every other region; groups emit in first-appearance order).
-  Result<KvInst> EvalGroupAggFromStats(const KbaPlan& plan, const KvInst& in,
-                                       const ExecCtx& ctx,
-                                       QueryMetrics* m) const;
 
   const BaavStore* store_;
 };
 
-/// Suffixes of the partial-statistics columns a stats-only extension emits.
+/// Suffixes of the partial-statistics columns a stats-only extension emits
+/// and a stats-pushdown GroupAgg folds (GroupAggregate's partial states).
 inline constexpr std::string_view kStatsRowsCol = "#rows";
 inline constexpr std::string_view kStatsSumSuffix = "#sum";
 inline constexpr std::string_view kStatsCountSuffix = "#count";

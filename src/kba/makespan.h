@@ -17,7 +17,7 @@ namespace zidian {
 
 /// Phantom capability standing for "a ParallelFor batch is still in
 /// flight on the executing pool". Nothing on the merge path ever holds
-/// it — ThreadPool::ParallelFor's join IS the release — so the
+/// it — ParallelFor's join (common/thread_pool.h) IS the release — so the
 /// REQUIRES(!pool_busy) contracts below state, in the compiler's
 /// vocabulary instead of a comment, that the per-worker merge helpers
 /// may only run strictly after the join: while workers are live, the

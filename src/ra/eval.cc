@@ -9,21 +9,20 @@ namespace zidian {
 namespace {
 
 /// Below this many rows a parallel region costs more in task hand-off
-/// than it saves; the parallel entry points fall back to one thread.
+/// than it saves, so filters, probes and projections run it as one chunk.
 /// Counters are chunk-order-merged either way, so the cutoff can never
 /// change a result or a metric.
 constexpr size_t kParallelRowCutoff = 512;
 
-bool UseParallel(ThreadPool* pool, int workers, size_t rows) {
-  return pool != nullptr && workers > 1 && rows >= kParallelRowCutoff;
+/// The chunk count of a region over `rows` rows whose result does not
+/// depend on its chunking.
+size_t Chunks(ThreadPool* pool, int workers, size_t rows) {
+  return pool != nullptr && workers > 1 && rows >= kParallelRowCutoff
+             ? static_cast<size_t>(workers)
+             : 1;
 }
 
 }  // namespace
-
-Status ApplyFilters(const std::vector<ExprPtr>& predicates, Relation* rel,
-                    QueryMetrics* m) {
-  return ApplyFilters(predicates, rel, m, nullptr, 1);
-}
 
 Status ApplyFilters(const std::vector<ExprPtr>& predicates, Relation* rel,
                     QueryMetrics* m, ThreadPool* pool, int workers) {
@@ -37,65 +36,39 @@ Status ApplyFilters(const std::vector<ExprPtr>& predicates, Relation* rel,
   }
   auto& rows = rel->rows();
 
-  if (UseParallel(pool, workers, rows.size())) {
-    // Chunk-per-worker evaluation into a keep-mask: EvalBool is const on a
-    // bound tree, so every worker shares the same predicates read-only;
-    // each worker meters the predicates it actually evaluated (the
-    // short-circuit is per row, so chunk sums equal the sequential total).
-    size_t p = static_cast<size_t>(workers);
-    std::vector<uint8_t> keep(rows.size(), 0);
-    std::vector<QueryMetrics> deltas(p);
-    pool->ParallelFor(p, [&](size_t w) {
-      auto [begin, end] = ChunkRange(rows.size(), w, p);
-      QueryMetrics& wm = deltas[w];
-      for (size_t i = begin; i < end; ++i) {
-        bool pass = true;
-        for (const auto& pred : bound) {
-          wm.compute_values += 1;
-          if (!pred->EvalBool(rows[i])) {
-            pass = false;
-            break;
-          }
+  // Chunk-per-worker evaluation into a keep-mask: EvalBool is const on a
+  // bound tree, so every chunk shares the same predicates read-only; each
+  // chunk meters the predicates it actually evaluated (the short-circuit
+  // is per row, so chunk sums equal the one-chunk total).
+  const size_t p = Chunks(pool, workers, rows.size());
+  std::vector<uint8_t> keep(rows.size(), 0);
+  std::vector<QueryMetrics> deltas(p);
+  ParallelFor(pool, p, [&](size_t w) {
+    auto [begin, end] = ChunkRange(rows.size(), w, p);
+    QueryMetrics& wm = deltas[w];
+    for (size_t i = begin; i < end; ++i) {
+      bool pass = true;
+      for (const auto& pred : bound) {
+        wm.compute_values += 1;
+        if (!pred->EvalBool(rows[i])) {
+          pass = false;
+          break;
         }
-        keep[i] = pass ? 1 : 0;
       }
-    });
-    if (m != nullptr) {
-      for (const auto& d : deltas) *m += d;
+      keep[i] = pass ? 1 : 0;
     }
-    size_t kept = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (!keep[i]) continue;
-      if (kept != i) rows[kept] = std::move(rows[i]);
-      ++kept;
-    }
-    rows.resize(kept);
-    return Status::OK();
+  });
+  if (m != nullptr) {
+    for (const auto& d : deltas) *m += d;
   }
-
   size_t kept = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    bool pass = true;
-    for (const auto& p : bound) {
-      if (m != nullptr) m->compute_values += 1;
-      if (!p->EvalBool(rows[i])) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
+    if (!keep[i]) continue;
     if (kept != i) rows[kept] = std::move(rows[i]);  // avoid self-move
     ++kept;
   }
   rows.resize(kept);
   return Status::OK();
-}
-
-Result<Relation> HashJoin(
-    const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& keys,
-    QueryMetrics* m) {
-  return HashJoin(left, right, keys, m, nullptr, 1);
 }
 
 Result<Relation> HashJoin(
@@ -116,21 +89,10 @@ Result<Relation> HashJoin(
                   right.columns().end());
   Relation out(std::move(out_cols));
 
-  if (keys.empty()) {
-    // Cartesian product (used only when the join graph is disconnected).
-    for (const auto& lr : left.rows()) {
-      for (const auto& rr : right.rows()) {
-        Tuple t = lr;
-        t.insert(t.end(), rr.begin(), rr.end());
-        if (m != nullptr) m->compute_values += t.size();
-        out.Add(std::move(t));
-      }
-    }
-    return out;
-  }
-
-  // Build on the smaller side.
-  const bool build_left = left.size() <= right.size();
+  // Build on the smaller side. Without keys (a disconnected join graph)
+  // every row shares the empty key, so the probe emits the cartesian
+  // product; building on the right keeps the left rows outer.
+  const bool build_left = !keys.empty() && left.size() <= right.size();
   const Relation& build = build_left ? left : right;
   const Relation& probe = build_left ? right : left;
   const std::vector<int>& bidx = build_left ? lidx : ridx;
@@ -150,51 +112,35 @@ Result<Relation> HashJoin(
     table[key_of(row, bidx)].push_back(&row);
   }
 
-  if (UseParallel(pool, workers, probe.size())) {
-    // Probe chunks concurrently against the (now read-only) build table;
-    // each chunk collects its matches and metric delta privately, then
-    // chunks merge in order — the exact row sequence and counter totals
-    // of the sequential probe loop.
-    size_t p = static_cast<size_t>(workers);
-    std::vector<std::vector<Tuple>> partial(p);
-    std::vector<QueryMetrics> deltas(p);
-    pool->ParallelFor(p, [&](size_t w) {
-      auto [begin, end] = ChunkRange(probe.size(), w, p);
-      QueryMetrics& wm = deltas[w];
-      for (size_t i = begin; i < end; ++i) {
-        const Tuple& row = probe.rows()[i];
-        wm.compute_values += pidx.size();
-        auto it = table.find(key_of(row, pidx));
-        if (it == table.end()) continue;
-        for (const Tuple* match : it->second) {
-          const Tuple& lr = build_left ? *match : row;
-          const Tuple& rr = build_left ? row : *match;
-          Tuple t = lr;
-          t.insert(t.end(), rr.begin(), rr.end());
-          wm.compute_values += t.size();
-          partial[w].push_back(std::move(t));
-        }
+  // Probe chunks against the (now read-only) build table; each chunk
+  // collects its matches and metric delta privately, then chunks merge in
+  // order — the probe-row order of the output.
+  const size_t p = Chunks(pool, workers, probe.size());
+  std::vector<std::vector<Tuple>> partial(p);
+  std::vector<QueryMetrics> deltas(p);
+  ParallelFor(pool, p, [&](size_t w) {
+    auto [begin, end] = ChunkRange(probe.size(), w, p);
+    QueryMetrics& wm = deltas[w];
+    for (size_t i = begin; i < end; ++i) {
+      const Tuple& row = probe.rows()[i];
+      wm.compute_values += pidx.size();
+      auto it = table.find(key_of(row, pidx));
+      if (it == table.end()) continue;
+      for (const Tuple* match : it->second) {
+        const Tuple& lr = build_left ? *match : row;
+        const Tuple& rr = build_left ? row : *match;
+        Tuple t = lr;
+        t.insert(t.end(), rr.begin(), rr.end());
+        wm.compute_values += t.size();
+        partial[w].push_back(std::move(t));
       }
-    });
-    for (size_t w = 0; w < p; ++w) {
-      if (m != nullptr) *m += deltas[w];
-      for (auto& t : partial[w]) out.Add(std::move(t));
     }
-    return out;
-  }
-
-  for (const auto& row : probe.rows()) {
-    if (m != nullptr) m->compute_values += pidx.size();
-    auto it = table.find(key_of(row, pidx));
-    if (it == table.end()) continue;
-    for (const Tuple* match : it->second) {
-      const Tuple& lr = build_left ? *match : row;
-      const Tuple& rr = build_left ? row : *match;
-      Tuple t = lr;
-      t.insert(t.end(), rr.begin(), rr.end());
-      if (m != nullptr) m->compute_values += t.size();
-      out.Add(std::move(t));
-    }
+  });
+  std::vector<Tuple>& rows = out.rows();
+  for (size_t w = 0; w < p; ++w) {
+    if (m != nullptr) *m += deltas[w];
+    rows.insert(rows.end(), std::make_move_iterator(partial[w].begin()),
+                std::make_move_iterator(partial[w].end()));
   }
   return out;
 }
@@ -202,7 +148,6 @@ Result<Relation> HashJoin(
 Relation ProjectParallel(const Relation& input,
                          const std::vector<std::string>& cols,
                          ThreadPool* pool, int workers) {
-  if (!UseParallel(pool, workers, input.size())) return input.Project(cols);
   Relation out(cols);
   std::vector<int> idx;
   idx.reserve(cols.size());
@@ -212,8 +157,8 @@ Relation ProjectParallel(const Relation& input,
     idx.push_back(i);
   }
   out.rows().resize(input.size());
-  size_t p = static_cast<size_t>(workers);
-  pool->ParallelFor(p, [&](size_t w) {
+  const size_t p = Chunks(pool, workers, input.size());
+  ParallelFor(pool, p, [&](size_t w) {
     auto [begin, end] = ChunkRange(input.size(), w, p);
     for (size_t i = begin; i < end; ++i) {
       const Tuple& row = input.rows()[i];
@@ -254,41 +199,50 @@ Result<Relation> ProjectSelect(const Relation& input,
 
 namespace {
 
+/// One aggregate's running state over the rows folded so far.
 struct AggState {
   double sum = 0;
   uint64_t count = 0;
-  bool any = false;
-  Value min, max;
+  bool any = false;  ///< a non-NULL value reached `sum` (SUM's NULL test)
+  Value min, max;    ///< NULL until a non-NULL value arrives
 
   void Feed(const Value& v) {
     if (v.is_null()) return;
-    if (!any) {
-      min = v;
-      max = v;
-      any = true;
-    } else {
-      if (v < min) min = v;
-      if (max < v) max = v;
-    }
+    if (min.is_null() || v < min) min = v;
+    if (max.is_null() || max < v) max = v;
     if (v.IsNumeric()) sum += v.Numeric();
+    any = true;
     ++count;
   }
 
-  /// Combines another chunk's partial state into this one. All combine
-  /// rules are order-independent except the floating sum, whose
-  /// association is fixed by the chunking — which depends only on
-  /// `workers`, never on scheduling, so both parallel modes agree.
-  void Merge(const AggState& o) {
-    if (o.any) {
-      if (!any) {
-        min = o.min;
-        max = o.max;
-        any = true;
-      } else {
-        if (o.min < min) min = o.min;
-        if (max < o.max) max = o.max;
-      }
+  /// The state of rows folded elsewhere, read from `row` at `cols`; a NULL
+  /// or absent column contributes nothing.
+  static AggState FromPartial(const Tuple& row, const PartialColumns& cols) {
+    auto at = [&row](int c) -> const Value* {
+      if (c < 0 || row[static_cast<size_t>(c)].is_null()) return nullptr;
+      return &row[static_cast<size_t>(c)];
+    };
+    AggState s;
+    if (const Value* v = at(cols.sum)) {
+      s.sum = v->Numeric();
+      s.any = true;
     }
+    if (const Value* v = at(cols.count)) {
+      s.count = static_cast<uint64_t>(v->Numeric());
+    }
+    if (const Value* v = at(cols.min)) s.min = *v;
+    if (const Value* v = at(cols.max)) s.max = *v;
+    return s;
+  }
+
+  /// Combines another state into this one. All combine rules are
+  /// order-independent except the floating sum, whose association is
+  /// fixed by the chunking — which depends only on `workers`, never on
+  /// scheduling, so both parallel modes agree.
+  void Merge(const AggState& o) {
+    if (!o.min.is_null() && (min.is_null() || o.min < min)) min = o.min;
+    if (!o.max.is_null() && (max.is_null() || max < o.max)) max = o.max;
+    any = any || o.any;
     sum += o.sum;
     count += o.count;
   }
@@ -303,9 +257,9 @@ struct AggState {
         return count > 0 ? Value(sum / static_cast<double>(count))
                          : Value::Null();
       case AggFn::kMin:
-        return any ? min : Value::Null();
+        return min;
       case AggFn::kMax:
-        return any ? max : Value::Null();
+        return max;
       case AggFn::kNone:
         break;
     }
@@ -318,36 +272,33 @@ struct AggState {
 Result<Relation> GroupAggregate(const Relation& input,
                                 const std::vector<AttrRef>& group_by,
                                 const std::vector<SelectItem>& items,
-                                QueryMetrics* m) {
-  return GroupAggregate(input, group_by, items, m, nullptr, 1);
-}
-
-Result<Relation> GroupAggregate(const Relation& input,
-                                const std::vector<AttrRef>& group_by,
-                                const std::vector<SelectItem>& items,
                                 QueryMetrics* m, ThreadPool* pool,
-                                int workers) {
+                                int workers,
+                                const std::vector<PartialColumns>* partials) {
+  const size_t num_cols = input.columns().size();
+  if (partials != nullptr && partials->size() != items.size()) {
+    return Status::InvalidArgument("one partial-state mapping per item");
+  }
   std::vector<int> gidx;
   for (const auto& g : group_by) {
     int i = input.ColumnIndex(g.Qualified());
     if (i < 0) return Status::InvalidArgument("group key missing: " + g.Qualified());
     gidx.push_back(i);
   }
-  // Bind aggregate argument expressions; COUNT(*) has none.
+  // Bind aggregate argument expressions (COUNT(*) has none), or take the
+  // item's partial-state columns.
   struct BoundItem {
     AggFn agg;
     ExprPtr expr;        // bound; null for COUNT(*) / plain group key
     int group_pos = -1;  // for plain items: index into group_by
+    PartialColumns cols;
   };
   std::vector<BoundItem> bound;
   std::vector<std::string> out_cols;
-  for (const auto& item : items) {
-    BoundItem b{item.agg, nullptr, -1};
+  for (size_t n = 0; n < items.size(); ++n) {
+    const SelectItem& item = items[n];
+    BoundItem b{item.agg, nullptr, -1, {}};
     out_cols.push_back(item.output_name);
-    if (item.expr) {
-      b.expr = item.expr->Clone();
-      ZIDIAN_RETURN_NOT_OK(b.expr->BindIndices(input.columns()));
-    }
     if (item.agg == AggFn::kNone) {
       // Must be one of the group keys.
       if (!item.expr || item.expr->kind != ExprKind::kColumn) {
@@ -361,12 +312,22 @@ Result<Relation> GroupAggregate(const Relation& input,
         return Status::InvalidArgument("select column not grouped: " +
                                        ref.Qualified());
       }
+    } else if (partials != nullptr) {
+      b.cols = (*partials)[n];
+      for (int c : {b.cols.sum, b.cols.count, b.cols.min, b.cols.max}) {
+        if (c >= static_cast<int>(num_cols)) {
+          return Status::InvalidArgument("partial-state column out of range");
+        }
+      }
+    } else if (item.expr) {
+      b.expr = item.expr->Clone();
+      ZIDIAN_RETURN_NOT_OK(b.expr->BindIndices(input.columns()));
     }
     bound.push_back(std::move(b));
   }
 
-  // Accumulate chunk-per-worker: each worker folds its contiguous row
-  // range into a private hash table, remembering where each group first
+  // Accumulate chunk-per-worker: each chunk folds its contiguous row range
+  // into a private hash table, remembering where each group first
   // appeared. The chunking is a function of `workers` alone (never of
   // scheduling or the pool), so a simulated run and a threaded run at the
   // same worker count build bit-identical partials.
@@ -379,7 +340,7 @@ Result<Relation> GroupAggregate(const Relation& input,
     std::vector<AggState> states;
   };
   using GroupMap = std::unordered_map<Tuple, Group, TupleHasher>;
-  size_t p = static_cast<size_t>(std::max(1, workers));
+  const size_t p = static_cast<size_t>(std::max(1, workers));
   std::vector<GroupMap> partial(p);
   std::vector<QueryMetrics> deltas(p);
   std::vector<Status> statuses(p, Status::OK());
@@ -389,10 +350,10 @@ Result<Relation> GroupAggregate(const Relation& input,
     QueryMetrics& wm = deltas[w];
     for (size_t r = begin; r < end; ++r) {
       const Tuple& row = input.rows()[r];
-      if (row.size() != input.columns().size()) {
+      if (row.size() != num_cols) {
         statuses[w] = Status::Internal(
             "malformed relation: row arity " + std::to_string(row.size()) +
-            " vs " + std::to_string(input.columns().size()) + " columns");
+            " vs " + std::to_string(num_cols) + " columns");
         return;
       }
       Tuple key;
@@ -405,20 +366,19 @@ Result<Relation> GroupAggregate(const Relation& input,
       for (const auto& b : bound) {
         if (b.agg == AggFn::kNone) continue;
         wm.compute_values += 1;
-        if (b.agg == AggFn::kCount && !b.expr) {
-          it->second.states[slot].Feed(Value(static_cast<int64_t>(1)));
+        AggState& state = it->second.states[slot++];
+        if (partials != nullptr) {
+          state.Merge(AggState::FromPartial(row, b.cols));
+        } else if (!b.expr) {  // COUNT(*)
+          state.Feed(Value(static_cast<int64_t>(1)));
         } else {
-          it->second.states[slot].Feed(b.expr->Eval(row));
+          state.Feed(b.expr->Eval(row));
         }
-        ++slot;
       }
     }
   };
-  if (UseParallel(pool, workers, input.size())) {
-    pool->ParallelFor(p, accumulate);
-  } else {
-    for (size_t w = 0; w < p; ++w) accumulate(w);
-  }
+  ParallelFor(input.size() >= kParallelRowCutoff ? pool : nullptr, p,
+              accumulate);
   for (size_t w = 0; w < p; ++w) {
     ZIDIAN_RETURN_NOT_OK(statuses[w]);
     if (m != nullptr) *m += deltas[w];
@@ -501,11 +461,6 @@ Status OrderAndLimit(const std::vector<OrderKey>& order_by, int64_t limit,
     rel->rows().resize(static_cast<size_t>(limit));
   }
   return Status::OK();
-}
-
-Result<Relation> FinishQuery(const Relation& joined, const QuerySpec& spec,
-                             QueryMetrics* m) {
-  return FinishQuery(joined, spec, m, nullptr, 1);
 }
 
 Result<Relation> FinishQuery(const Relation& joined, const QuerySpec& spec,

@@ -3,11 +3,13 @@
 // final projection, order-by/limit. Every operator meters the values it
 // touches into QueryMetrics::compute_values.
 //
-// Filters, the hash-join probe and projection also come in data-parallel
-// variants (pool + workers): rows are split into contiguous chunks, each
-// chunk is evaluated on its own task with its own QueryMetrics delta, and
-// chunks are merged back in order — so rows AND counters are identical to
-// the sequential run no matter how the scheduler interleaves the tasks.
+// Filters, the hash-join probe, projection and aggregation each run one
+// chunk body (common/thread_pool.h ParallelFor): rows split into
+// contiguous chunks, each chunk evaluated with its own QueryMetrics delta,
+// chunks merged back in order. A null pool (the default) runs the chunks
+// in a loop on the calling thread, so rows AND counters are identical
+// whatever runs the chunks. Filters, probe and projection run as one
+// chunk below a row cutoff; aggregation always chunks by `workers`.
 #ifndef ZIDIAN_RA_EVAL_H_
 #define ZIDIAN_RA_EVAL_H_
 
@@ -24,33 +26,23 @@
 namespace zidian {
 
 /// Keeps only rows satisfying every predicate. Predicates are cloned and
-/// bound to `rel`'s layout internally.
+/// bound to `rel`'s layout internally. Chunked on `pool` across `workers`.
 Status ApplyFilters(const std::vector<ExprPtr>& predicates, Relation* rel,
-                    QueryMetrics* m);
-
-/// Data-parallel filter: chunk-per-worker on `pool`, deterministic merge.
-/// With a null pool (or one worker, or few rows) this IS the sequential
-/// ApplyFilters — one code path, so the two modes cannot drift.
-Status ApplyFilters(const std::vector<ExprPtr>& predicates, Relation* rel,
-                    QueryMetrics* m, ThreadPool* pool, int workers);
+                    QueryMetrics* m, ThreadPool* pool = nullptr,
+                    int workers = 1);
 
 /// Hash join on the given column-name pairs (left name, right name).
-/// Output columns = left columns ++ right columns.
+/// Output columns = left columns ++ right columns. The smaller side is
+/// hashed on the calling thread; the probe side is chunked on `pool`, and
+/// matches merge in probe-row order. Empty `keys` is the cartesian
+/// product, left rows outer.
 Result<Relation> HashJoin(
     const Relation& left, const Relation& right,
     const std::vector<std::pair<std::string, std::string>>& keys,
-    QueryMetrics* m);
+    QueryMetrics* m, ThreadPool* pool = nullptr, int workers = 1);
 
-/// Data-parallel hash join: the build side is hashed once on the calling
-/// thread, the probe side is chunked across `pool` workers; per-chunk
-/// match lists and metric deltas merge back in probe-row order.
-Result<Relation> HashJoin(
-    const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& keys,
-    QueryMetrics* m, ThreadPool* pool, int workers);
-
-/// Data-parallel Relation::Project: workers copy disjoint row ranges into
-/// a pre-sized output. Unmetered, like Relation::Project.
+/// Relation::Project with workers copying disjoint row ranges into a
+/// pre-sized output. Unmetered, like Relation::Project.
 Relation ProjectParallel(const Relation& input,
                          const std::vector<std::string>& cols,
                          ThreadPool* pool, int workers);
@@ -60,41 +52,48 @@ Result<Relation> ProjectSelect(const Relation& input,
                                const std::vector<SelectItem>& items,
                                QueryMetrics* m);
 
+/// Where one aggregate item finds its partial state in an input row that
+/// already folds several rows (a block's statistics, §8.2): the column
+/// indexes of its sum, count, min and max; -1 where it has none.
+struct PartialColumns {
+  int sum = -1;
+  int count = -1;
+  int min = -1;
+  int max = -1;
+};
+
 /// GROUP BY + aggregates. `group_by` names must exist in `input`;
 /// non-aggregate select items must be group keys. With an empty `group_by`
-/// and aggregate items, produces the single global-aggregate row. Groups
-/// are emitted in first-appearance order (the input row where each group
-/// key was first seen) — a canonical order that every worker count and
-/// parallel mode reproduces exactly.
-Result<Relation> GroupAggregate(const Relation& input,
-                                const std::vector<AttrRef>& group_by,
-                                const std::vector<SelectItem>& items,
-                                QueryMetrics* m);
-
-/// Data-parallel GROUP BY: rows are chunked per worker, each worker folds
-/// its chunk into a private hash table with its own QueryMetrics delta,
-/// and the partial tables merge order-independently (sums/counts add,
-/// min/max combine, first-appearance indices take the minimum). Rows and
-/// counters are identical to the sequential run at the same `workers`.
-Result<Relation> GroupAggregate(const Relation& input,
-                                const std::vector<AttrRef>& group_by,
-                                const std::vector<SelectItem>& items,
-                                QueryMetrics* m, ThreadPool* pool,
-                                int workers);
+/// and aggregate items, produces the single global-aggregate row.
+///
+/// Rows are chunked by `workers` (whatever the pool: the chunking fixes
+/// the floating sums' association), each chunk folds into a private hash
+/// table with its own QueryMetrics delta, and the partial tables merge in
+/// chunk order (sums/counts add, min/max combine, first-appearance indices
+/// take the minimum). Groups are emitted in first-appearance order (the
+/// input row where each group key was first seen) — a canonical order that
+/// every worker count and parallel mode reproduces exactly.
+///
+/// With `partials` (one entry per item), each input row holds partial
+/// states instead of values: an aggregate merges the state its columns
+/// describe (a NULL column contributes nothing) instead of evaluating its
+/// argument.
+Result<Relation> GroupAggregate(
+    const Relation& input, const std::vector<AttrRef>& group_by,
+    const std::vector<SelectItem>& items, QueryMetrics* m,
+    ThreadPool* pool = nullptr, int workers = 1,
+    const std::vector<PartialColumns>* partials = nullptr);
 
 /// ORDER BY (on output column names) then LIMIT (-1 = no limit).
 Status OrderAndLimit(const std::vector<OrderKey>& order_by, int64_t limit,
                      Relation* rel);
 
 /// Runs the post-join tail of a query: filters were already applied;
-/// performs aggregation or projection, then order/limit.
+/// performs aggregation (GroupAggregate on `pool`) or projection, then
+/// order/limit.
 Result<Relation> FinishQuery(const Relation& joined, const QuerySpec& spec,
-                             QueryMetrics* m);
-
-/// Data-parallel FinishQuery: aggregation runs through the parallel
-/// GroupAggregate; projection and order/limit stay sequential.
-Result<Relation> FinishQuery(const Relation& joined, const QuerySpec& spec,
-                             QueryMetrics* m, ThreadPool* pool, int workers);
+                             QueryMetrics* m, ThreadPool* pool = nullptr,
+                             int workers = 1);
 
 }  // namespace zidian
 

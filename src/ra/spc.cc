@@ -221,13 +221,6 @@ std::set<AttrRef> MinimizedSPC::NeededAttrs(const std::string& alias) const {
   return out;
 }
 
-bool MinimizedSPC::ContainsAlias(const std::string& alias) const {
-  for (const auto& t : tables) {
-    if (t.alias == alias) return true;
-  }
-  return false;
-}
-
 std::string MinimizedSPC::ToString() const {
   std::ostringstream os;
   os << "atoms:";
@@ -252,12 +245,6 @@ Result<MinimizedSPC> MinimizeSPC(const QuerySpec& spec,
                                  const Catalog& catalog) {
   ZIDIAN_ASSIGN_OR_RETURN(SpcTableau t, SpcTableau::FromQuery(spec, catalog));
   t.Minimize();
-  return t.Summarize();
-}
-
-Result<MinimizedSPC> SummarizeSPC(const QuerySpec& spec,
-                                  const Catalog& catalog) {
-  ZIDIAN_ASSIGN_OR_RETURN(SpcTableau t, SpcTableau::FromQuery(spec, catalog));
   return t.Summarize();
 }
 

@@ -45,8 +45,6 @@ struct MinimizedSPC {
   /// predicates or the final projection (paper §5.2).
   std::set<AttrRef> NeededAttrs(const std::string& alias) const;
 
-  bool ContainsAlias(const std::string& alias) const;
-
   std::string ToString() const;
 };
 
@@ -92,11 +90,6 @@ class SpcTableau {
 
 /// Computes min(Q)'s attribute-level summary for the SPC core of `spec`.
 Result<MinimizedSPC> MinimizeSPC(const QuerySpec& spec, const Catalog& catalog);
-
-/// Same but *without* minimization (the identity tableau summary); used to
-/// compare the effect of minimization (Example 5 of the paper).
-Result<MinimizedSPC> SummarizeSPC(const QuerySpec& spec,
-                                  const Catalog& catalog);
 
 }  // namespace zidian
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "common/coding.h"
@@ -150,11 +149,7 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
       }
       end_chunk(&c);
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(p, run_chunk);
-    } else {
-      for (size_t w = 0; w < p; ++w) run_chunk(w);
-    }
+    ParallelFor(pool, p, run_chunk);
   }
 
   std::vector<QueryMetrics> deltas;
@@ -248,14 +243,6 @@ class EqClasses {
   std::vector<int> parent_;
 };
 
-/// Charges the shuffle for hash-repartitioning `rel` across workers.
-void ChargeShuffle(const Relation& rel, int workers, QueryMetrics* m) {
-  if (m == nullptr || workers <= 1) return;
-  // Expected fraction of rows that land on a remote worker.
-  double remote = static_cast<double>(workers - 1) / workers;
-  m->shuffle_bytes += static_cast<uint64_t>(rel.ByteSize() * remote);
-}
-
 }  // namespace
 
 Result<Relation> JoinAll(const QuerySpec& spec,
@@ -289,8 +276,8 @@ Result<Relation> JoinAll(const QuerySpec& spec,
       pick = 0;  // disconnected: cartesian product
       pairs.clear();
     }
-    ChargeShuffle(acc, workers, m);
-    ChargeShuffle(pending[pick], workers, m);
+    ChargeShuffleBytes(acc.ByteSize(), workers, m);
+    ChargeShuffleBytes(pending[pick].ByteSize(), workers, m);
     ZIDIAN_ASSIGN_OR_RETURN(
         acc, HashJoin(acc, pending[pick], pairs, m, pool, workers));
     pending.erase(pending.begin() + static_cast<long>(pick));
@@ -302,19 +289,7 @@ Result<Relation> TaavExecutor::Execute(const QuerySpec& spec,
                                        const TaavExecOptions& opts,
                                        QueryMetrics* m) const {
   const int workers = std::max(1, opts.workers);
-  // Threaded mode gets a pool of workers-1 threads (the calling thread
-  // participates in every region), preferring an externally-owned pool so
-  // repeated executions amortize thread startup.
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (opts.parallel_mode == ParallelMode::kThreads && workers > 1) {
-    if (opts.pool != nullptr) {
-      pool = opts.pool;
-    } else {
-      owned_pool = std::make_unique<ThreadPool>(workers - 1);
-      pool = owned_pool.get();
-    }
-  }
+  ThreadPool* pool = opts.pool;
 
   // (a) Retrieve all involved relations from storage (§7.1) — no pushdown.
   std::vector<Relation> per_alias;
@@ -370,7 +345,7 @@ Result<Relation> TaavExecutor::Execute(const QuerySpec& spec,
 
   // Group-by repartition shuffle.
   if (spec.HasAggregates() && !spec.group_by.empty()) {
-    ChargeShuffle(joined, workers, m);
+    ChargeShuffleBytes(joined.ByteSize(), workers, m);
   }
   ZIDIAN_ASSIGN_OR_RETURN(Relation out,
                           FinishQuery(joined, spec, m, pool, workers));

@@ -10,11 +10,10 @@
 // from the storage layer, move them to the SQL layer, then evaluate with
 // selections, parallel hash joins and aggregation. Parallelism over p
 // workers is accounted (scan partitioning, shuffle repartitioning for joins
-// and group-by) and recorded as per-worker makespan counters; under
-// ParallelMode::kThreads the same per-worker decomposition runs on real
-// threads (TaavExecOptions) with byte-identical rows and counters — the
-// control arm of every KBA-vs-TaaV comparison shares the KBA treatment's
-// execution substrate.
+// and group-by) and recorded as per-worker makespan counters; with a
+// TaavExecOptions::pool the same per-worker chunks run on real threads
+// with byte-identical rows and counters — the control arm of every
+// KBA-vs-TaaV comparison shares the KBA treatment's execution substrate.
 #ifndef ZIDIAN_RA_TAAV_H_
 #define ZIDIAN_RA_TAAV_H_
 
@@ -57,7 +56,7 @@ Status TaavLoadRelation(Cluster* cluster, const TableSchema& schema,
 /// shipped bytes — the blind-scan cost model of §3. The key enumeration
 /// runs once on the calling thread and fixes the row order; the per-tuple
 /// get+decode stage is chunked across `workers` (ChunkRange), each chunk
-/// metering its own QueryMetrics delta, merged in worker order, so rows
+/// metering its own QueryMetrics delta, merged in chunk order, so rows
 /// and counters are the same at every worker count, on `pool`'s threads
 /// or on the calling thread (null pool). A single worker decodes straight
 /// off the scan and never holds the encoded table.
@@ -86,10 +85,9 @@ Result<Tuple> TaavGetTuple(const Cluster& cluster, const TableSchema& schema,
 /// comparisons run treatment and control on the same substrate.
 struct TaavExecOptions {
   int workers = 1;
-  ParallelMode parallel_mode = ParallelMode::kSimulated;
-  /// Optional externally-owned pool for kThreads (e.g. the
-  /// Connection-shared pool). When null, Execute spins up a per-call
-  /// pool of workers-1 threads.
+  /// The threads that run each region's chunks beside the calling thread
+  /// (e.g. the Connection-shared pool). Null runs every chunk on the
+  /// calling thread. Rows and CountersEqual metrics are invariant.
   ThreadPool* pool = nullptr;
   /// Per-worker stall schedule for the scans' per-tuple gets (see
   /// TaavScanTable); kOverlapped by default, kSerial the control arm.
@@ -103,10 +101,10 @@ class TaavExecutor {
   TaavExecutor(const Catalog* catalog, Cluster* cluster)
       : catalog_(catalog), cluster_(cluster) {}
 
-  /// Executes under the given worker count and parallel mode. Fills `m`
-  /// with counts and per-worker makespans; under kThreads the scan,
-  /// filter, join-probe and aggregation stages run `workers` real
-  /// threads with byte-identical rows and counters vs kSimulated.
+  /// Executes over `opts.workers` workers. Fills `m` with counts and
+  /// per-worker makespans; with a pool the scan, filter, join-probe and
+  /// aggregation stages run their chunks on its threads, with the rows
+  /// and counters of a run without one.
   Result<Relation> Execute(const QuerySpec& spec,
                            const TaavExecOptions& opts,
                            QueryMetrics* m) const;
@@ -120,8 +118,8 @@ class TaavExecutor {
 /// from per-alias base relations. Shared by both executors' fallback paths.
 /// `per_alias` must contain one filtered relation per alias, with qualified
 /// column names. Shuffle bytes for each join are charged to `m` assuming
-/// hash repartitioning over `workers` nodes. With a non-null `pool`, every
-/// hash-join probe runs chunk-per-worker (ra/eval parallel variant).
+/// hash repartitioning over `workers` nodes. Every hash-join probe runs
+/// its chunks on `pool` when set.
 Result<Relation> JoinAll(const QuerySpec& spec,
                          std::vector<Relation> per_alias, int workers,
                          QueryMetrics* m, ThreadPool* pool = nullptr);

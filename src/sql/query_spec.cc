@@ -60,15 +60,6 @@ std::set<AttrRef> QuerySpec::NeededAttrs(const std::string& alias) const {
   return out;
 }
 
-std::set<AttrRef> QuerySpec::AllNeededAttrs() const {
-  std::set<AttrRef> out;
-  for (const auto& t : tables) {
-    auto attrs = NeededAttrs(t.alias);
-    out.insert(attrs.begin(), attrs.end());
-  }
-  return out;
-}
-
 std::string QuerySpec::ToString() const {
   std::ostringstream os;
   os << "SELECT ";

@@ -74,8 +74,6 @@ struct QuerySpec {
   /// X^Q_R for one alias: attributes of that alias appearing in selection /
   /// join predicates or in the output (projection, group-by, aggregate args).
   std::set<AttrRef> NeededAttrs(const std::string& alias) const;
-  /// Union of NeededAttrs over all aliases.
-  std::set<AttrRef> AllNeededAttrs() const;
 
   std::string ToString() const;
 };

@@ -22,8 +22,6 @@ class BloomFilter {
   /// False negatives never happen; false positives at the configured rate.
   bool MayContain(std::string_view key) const;
 
-  size_t MemoryUsage() const { return bits_.capacity() / 8; }
-
  private:
   uint64_t NumBits() const { return bits_.size(); }
 

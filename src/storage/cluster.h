@@ -210,9 +210,10 @@ class Cluster {
   /// cached (positively or negatively: an unreachable key is not a
   /// proven absence).
   ///
-  /// `fanout` picks the stall schedule (see the header comment); the
-  /// result and every counter are the same under both, and the call
-  /// returns only after its modeled stalls, failed or not. Under
+  /// `fanout` picks the stall schedule (see the header comment); every
+  /// caller names one, as it names `fill`. The result and every counter
+  /// are the same under both, and the call returns only after its
+  /// modeled stalls, failed or not. Under
   /// kOverlapped the fan-out's schedule shape is merged into `stats`
   /// (nullable): overlap_ns = summed per-batch modeled service minus the
   /// slowest batch's, inflight_max = per-node batches issued. The caller
@@ -220,9 +221,7 @@ class Cluster {
   /// ChargeFanoutOverlap), never into per-worker deltas. kSerial leaves
   /// `stats` untouched.
   MultiGetResult MultiGet(const std::vector<std::string>& keys,
-                          QueryMetrics* m,
-                          CacheFill fill = CacheFill::kFill,
-                          FanoutMode fanout = FanoutMode::kSerial,
+                          QueryMetrics* m, CacheFill fill, FanoutMode fanout,
                           FanoutStats* stats = nullptr) const;
 
   /// Iterates all pairs whose key starts with `prefix`, in key order per

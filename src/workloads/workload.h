@@ -39,11 +39,6 @@ struct Workload {
     for (const auto& [name_, rel] : data) n += rel.size();
     return n;
   }
-  uint64_t TotalValues() const {
-    uint64_t n = 0;
-    for (const auto& [name_, rel] : data) n += rel.ValueCount();
-    return n;
-  }
 };
 
 /// TPC-H dbgen-style generator. `sf` scales row counts linearly; sf = 1

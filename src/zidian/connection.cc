@@ -105,9 +105,10 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
     out->replication_text = cluster.recovery().ToString();
   }
 
-  // Resolve the thread source once for whichever route runs. kThreads at
-  // workers <= 1 is the simulated path by construction (one worker on the
-  // calling thread), so the *effective* mode is what Explain() reports.
+  // Resolve the mode to a pool once, for whichever route runs: the
+  // executors take the pool, not the mode. kThreads at workers <= 1 is the
+  // simulated path by construction (one worker on the calling thread), so
+  // the *effective* mode is what Explain() reports.
   const bool threaded =
       opts.parallel_mode == ParallelMode::kThreads && workers > 1;
   out->parallel_mode =
@@ -140,15 +141,13 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
     TaavExecutor baseline(&zidian_->catalog(), &cluster);
     result = baseline.Execute(
         spec_,
-        TaavExecOptions{.workers = workers,
-                        .parallel_mode = out->parallel_mode,
-                        .pool = pool,
-                        .fanout = opts.fanout},
+        TaavExecOptions{
+            .workers = workers, .pool = pool, .fanout = opts.fanout},
         &out->metrics);
   } else {
     out->route = planned_->scan_free ? AnswerInfo::Route::kKbaScanFree
                                      : AnswerInfo::Route::kKbaWithScans;
-    result = ExecuteKba(workers, out->parallel_mode, pool, opts.fanout, out);
+    result = ExecuteKba(workers, pool, opts.fanout, out);
   }
   out->metrics.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -167,20 +166,17 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
   return result;
 }
 
-Result<Relation> PreparedQuery::ExecuteKba(int workers, ParallelMode mode,
-                                           ThreadPool* pool,
+Result<Relation> PreparedQuery::ExecuteKba(int workers, ThreadPool* pool,
                                            FanoutMode fanout,
                                            AnswerInfo* out) {
   // M3: interleaved parallel execution.
   KbaExecutor executor(&zidian_->store());
   ZIDIAN_ASSIGN_OR_RETURN(
       KvInst chain,
-      executor.Execute(*planned_->plan,
-                       KbaExecOptions{.workers = workers,
-                                      .parallel_mode = mode,
-                                      .pool = pool,
-                                      .fanout = fanout},
-                       &out->metrics));
+      executor.Execute(
+          *planned_->plan,
+          KbaExecOptions{.workers = workers, .pool = pool, .fanout = fanout},
+          &out->metrics));
 
   Relation result;
   if (planned_->stats_pushdown) {

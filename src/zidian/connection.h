@@ -24,13 +24,15 @@
 //
 // ExecOptions::parallel_mode picks how `workers` executes — on BOTH
 // routes: kSimulated (default — one thread, workers divides the cost
-// model, the historical behavior) or kThreads (workers real threads; the
-// extension fan-out, instance scans, σ/π/⋈-probe and GroupAggregate run
-// data-parallel on the KBA route, and the TaaV baseline threads its
-// per-tuple get scan, filters, join probes and aggregation the same
-// way). Both modes return byte-identical rows and identical QueryMetrics
-// counters; kThreads additionally fills metrics.wall_seconds (and the
-// per-phase wall timings) with measured time, so SimSeconds predictions
+// model, the historical behavior) or kThreads (workers real threads).
+// Execute resolves the mode to a pool and hands the executors only that
+// pool: every data-parallel region (the extension fan-out, instance
+// scans, σ/π/⋈-probe and GroupAggregate on the KBA route; the per-tuple
+// get scan, filters, join probes and aggregation of the TaaV baseline) is
+// one chunk body that runs on the pool, or in a loop on the calling
+// thread without one. Both modes therefore return byte-identical rows and
+// identical QueryMetrics counters; kThreads's wall_seconds (and the
+// per-phase wall timings) measure real threads, so SimSeconds predictions
 // can be validated against the clock.
 //
 // Threads come from an ExecOptions::pool the caller owns or, by default,
@@ -161,8 +163,8 @@ class PreparedQuery {
   Status Plan();
   /// M3 + query finishing for the KBA route. `pool` is non-null only for
   /// an effective kThreads run.
-  Result<Relation> ExecuteKba(int workers, ParallelMode mode, ThreadPool* pool,
-                              FanoutMode fanout, AnswerInfo* out);
+  Result<Relation> ExecuteKba(int workers, ThreadPool* pool, FanoutMode fanout,
+                              AnswerInfo* out);
 
   Zidian* zidian_;
   QuerySpec spec_;

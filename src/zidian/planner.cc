@@ -654,9 +654,21 @@ Result<PlannedQuery> GenerateKbaPlan(const QuerySpec& spec,
     }
     std::set<std::string> last_x;
     for (const auto& x : kv->key_attrs) last_x.insert(last.alias + "." + x);
+    // Block statistics cover numeric values only (baav/block.h), so only
+    // an INT or DOUBLE column has the partials its aggregates need.
+    const TableRef* last_table = exec.FindAlias(last.alias);
+    const TableSchema* last_schema =
+        last_table != nullptr ? catalog.Find(last_table->table) : nullptr;
+    auto numeric = [&](const std::string& column) {
+      int i = last_schema != nullptr ? last_schema->ColumnIndex(column) : -1;
+      if (i < 0) return false;
+      ValueType type = last_schema->columns()[static_cast<size_t>(i)].type;
+      return type == ValueType::kInt || type == ValueType::kDouble;
+    };
 
     stats_ok = true;
-    // (1) All aggregate args are Y attrs of the last extension (or COUNT(*)).
+    // (1) All aggregate args are numeric Y attrs of the last extension (or
+    // COUNT(*)).
     for (const auto& item : exec.select_items) {
       if (item.agg == AggFn::kNone) {
         if (item.expr && item.expr->kind == ExprKind::kColumn) continue;
@@ -665,7 +677,8 @@ Result<PlannedQuery> GenerateKbaPlan(const QuerySpec& spec,
       }
       if (!item.expr) continue;  // COUNT(*)
       if (item.expr->kind != ExprKind::kColumn ||
-          !last_y.count(item.expr->QualifiedName())) {
+          !last_y.count(item.expr->QualifiedName()) ||
+          !numeric(item.expr->column)) {
         stats_ok = false;
         break;
       }

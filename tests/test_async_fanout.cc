@@ -84,7 +84,8 @@ TEST(AsyncMultiGetTest, FinishMatchesSyncByteForByte) {
   // kNoFill keeps both runs cold even under the cache-enabled ctest
   // configuration — the sync run must not warm the async one's keys.
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill,
+                                             FanoutMode::kSerial);
   ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
 
   QueryMetrics ma;
@@ -110,7 +111,8 @@ TEST(AsyncMultiGetTest, NoNetworkModelCompletesAtIssue) {
   std::vector<std::string> keys = SeedKeys(&cluster, 40);
 
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill,
+                                             FanoutMode::kSerial);
 
   QueryMetrics ma;
   FanoutStats fs;
@@ -132,10 +134,12 @@ TEST(AsyncMultiGetTest, FullyCachedBatchIssuesNoBatches) {
   std::vector<std::string> keys = SeedKeys(&cluster, 40);
 
   QueryMetrics warm;
-  (void)cluster.MultiGet(keys, &warm);  // bring every key into the cache
+  // Bring every key into the cache.
+  (void)cluster.MultiGet(keys, &warm, CacheFill::kFill, FanoutMode::kSerial);
 
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kFill,
+                                             FanoutMode::kSerial);
   QueryMetrics ma;
   FanoutStats fs;
   MultiGetResult async_res = cluster.MultiGet(
@@ -328,13 +332,14 @@ TEST_P(AsyncParityFixture, ExtendHeavyPlanSyncVsAsyncSweep) {
       overlap_seen = std::max(overlap_seen, over_sim.net_overlap_ns);
       inflight_seen = std::max(inflight_seen, over_sim.net_inflight_max);
 
+      ThreadPool pool(workers - 1);
       for (int run = 0; run < 30; ++run) {
         const bool overlapped = (run % 2) == 1;
         QueryMetrics thr;
         auto r = exec.Execute(
             *plan,
             KbaExecOptions{.workers = workers,
-                           .parallel_mode = ParallelMode::kThreads,
+                           .pool = &pool,
                            .fanout = overlapped ? FanoutMode::kOverlapped
                                                 : FanoutMode::kSerial},
             &thr);

@@ -201,13 +201,15 @@ TEST(ClusterCache, FullyCachedMultiGetPerformsZeroRoundTrips) {
   }
 
   QueryMetrics cold;
-  auto miss_pass = cluster.MultiGet(keys, &cold);
+  auto miss_pass = cluster.MultiGet(keys, &cold, CacheFill::kFill,
+                                    FanoutMode::kSerial);
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 16u);
   EXPECT_GT(cold.get_round_trips, 0u);
 
   QueryMetrics warm;
-  auto hit_pass = cluster.MultiGet(keys, &warm);
+  auto hit_pass = cluster.MultiGet(keys, &warm, CacheFill::kFill,
+                                   FanoutMode::kSerial);
   EXPECT_EQ(warm.cache_hits, 16u);
   EXPECT_EQ(warm.cache_misses, 0u);
   EXPECT_EQ(warm.get_round_trips, 0u);  // backend skipped entirely
@@ -232,7 +234,8 @@ TEST(ClusterCache, PartiallyCachedMultiGetFetchesOnlyMisses) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(cluster.Get(keys[i], nullptr).ok());
 
   QueryMetrics m;
-  auto values = cluster.MultiGet(keys, &m);
+  auto values = cluster.MultiGet(keys, &m, CacheFill::kFill,
+                                 FanoutMode::kSerial);
   EXPECT_EQ(m.cache_hits, 4u);
   EXPECT_EQ(m.cache_misses, 4u);
   EXPECT_EQ(m.get_calls, 8u);
@@ -253,7 +256,8 @@ TEST(ClusterCache, NoFillReadsNeverPopulateTheCache) {
   EXPECT_EQ(m.cache_misses, 2u);
   EXPECT_EQ(m.get_round_trips, 2u);
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
-  auto values = cluster.MultiGet({"key"}, &m, CacheFill::kNoFill);
+  auto values = cluster.MultiGet({"key"}, &m, CacheFill::kNoFill,
+                                 FanoutMode::kSerial);
   ASSERT_TRUE(values[0].has_value());
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
 
@@ -290,14 +294,16 @@ TEST(ClusterCache, MultiGetServesCachedAbsencesWithoutTrips) {
   std::vector<std::string> keys{"present-1", "absent-1", "present-2",
                                 "absent-2"};
   QueryMetrics cold;
-  auto first = cluster.MultiGet(keys, &cold);
+  auto first = cluster.MultiGet(keys, &cold, CacheFill::kFill,
+                                FanoutMode::kSerial);
   EXPECT_TRUE(first[0].has_value());
   EXPECT_FALSE(first[1].has_value());
   EXPECT_GT(cold.get_round_trips, 0u);
 
   // Warm pass: positives hit, absences negative-hit, nothing travels.
   QueryMetrics warm;
-  auto second = cluster.MultiGet(keys, &warm);
+  auto second = cluster.MultiGet(keys, &warm, CacheFill::kFill,
+                                 FanoutMode::kSerial);
   EXPECT_EQ(warm.get_calls, 4u);
   EXPECT_EQ(warm.cache_hits, 2u);
   EXPECT_EQ(warm.cache_negative_hits, 2u);
@@ -450,7 +456,8 @@ TEST(ClusterCache, DeleteInvalidatesCachedKey) {
   EXPECT_FALSE(cluster.Get("key", nullptr).ok());  // NotFound, not a hit
 
   // The same holds through MultiGet.
-  auto values = cluster.MultiGet({"key"}, nullptr);
+  auto values = cluster.MultiGet({"key"}, nullptr, CacheFill::kFill,
+                                 FanoutMode::kSerial);
   EXPECT_FALSE(values[0].has_value());
 }
 

@@ -179,7 +179,8 @@ TEST(ClusterRecoveryTest, ReplicaRescuesKeysOnDownNode) {
   // Every key answers: node-0 primaries fail round 0 (sticky down window)
   // and are rescued by the replica on node 1 in round 1.
   QueryMetrics m;
-  MultiGetResult res = cluster.MultiGet(keys, &m);
+  MultiGetResult res = cluster.MultiGet(keys, &m, CacheFill::kFill,
+                                        FanoutMode::kSerial);
   ASSERT_TRUE(res.ok()) << res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(res[i].has_value()) << keys[i];
@@ -253,7 +254,8 @@ TEST(ClusterRecoveryTest, ExhaustedRetriesFailUnavailable) {
   std::vector<std::string> probe = keys;
   probe.push_back(absent);
   QueryMetrics bm;
-  MultiGetResult res = cluster.MultiGet(probe, &bm);
+  MultiGetResult res = cluster.MultiGet(probe, &bm, CacheFill::kFill,
+                                        FanoutMode::kSerial);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status.IsUnavailable()) << res.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -293,7 +295,8 @@ TEST(ClusterRecoveryTest, HedgedReadsWinDeterministically) {
   // healthy replica (~12us + 20us delay) beats it every time. Nothing
   // actually fails — hedging trades tail latency, not correctness.
   QueryMetrics m1;
-  MultiGetResult r1 = cluster.MultiGet(keys, &m1);
+  MultiGetResult r1 = cluster.MultiGet(keys, &m1, CacheFill::kFill,
+                                       FanoutMode::kSerial);
   ASSERT_TRUE(r1.ok()) << r1.status.ToString();
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(r1[i].has_value()) << keys[i];
@@ -308,7 +311,8 @@ TEST(ClusterRecoveryTest, HedgedReadsWinDeterministically) {
   Cluster replay(co);
   SeedKeys(&replay, 60);
   QueryMetrics m2;
-  MultiGetResult r2 = replay.MultiGet(keys, &m2);
+  MultiGetResult r2 = replay.MultiGet(keys, &m2, CacheFill::kFill,
+                                      FanoutMode::kSerial);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(CountersEqual(m1, m2))
       << "m1: " << m1.ToString() << "\nm2: " << m2.ToString();
@@ -338,7 +342,8 @@ TEST(ClusterRecoveryAsyncTest, ReplicaRescueMatchesSyncThroughAsyncFanout) {
   ASSERT_GT(on_node0, 0u);
 
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill,
+                                             FanoutMode::kSerial);
   ASSERT_TRUE(sync_res.ok()) << sync_res.status.ToString();
 
   QueryMetrics ma;
@@ -378,7 +383,8 @@ TEST(ClusterRecoveryAsyncTest, CleanExhaustionMatchesSyncThroughAsyncFanout) {
   keys.push_back("fault-key-absent");  // absent ≠ unreachable, async too
 
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill,
+                                             FanoutMode::kSerial);
   ASSERT_FALSE(sync_res.ok());
 
   QueryMetrics ma;
@@ -422,7 +428,8 @@ TEST(ClusterRecoveryAsyncTest, HedgeDeterminismHoldsThroughAsyncFanout) {
   ASSERT_GT(on_node0, 0u);
 
   QueryMetrics ms;
-  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill);
+  MultiGetResult sync_res = cluster.MultiGet(keys, &ms, CacheFill::kNoFill,
+                                             FanoutMode::kSerial);
   ASSERT_TRUE(sync_res.ok());
 
   // Hedge verdicts are pure functions of (seed, key, estimate) — the

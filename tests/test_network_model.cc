@@ -165,7 +165,8 @@ TEST(ClusterNetworkTest, MultiGetPaysOneRoundTripPerNodeSinglesPayPerKey) {
   }
 
   QueryMetrics batched;
-  auto values = cluster.MultiGet(keys, &batched);
+  auto values = cluster.MultiGet(keys, &batched, CacheFill::kFill,
+                                 FanoutMode::kSerial);
   ASSERT_EQ(values.size(), keys.size());
   uint64_t batched_trips = 0;
   for (uint64_t t : batched.net_node_round_trips) batched_trips += t;

@@ -190,7 +190,8 @@ TEST_P(ConcurrentStorageFixture, MultiGetFromManyThreadsStaysCorrect) {
         int k = (static_cast<int>(t) * 31 + rep * 17 + i * 5) % 320;
         keys.push_back(Key(k));  // k >= 256 is absent
       }
-      auto values = cluster_->MultiGet(keys, &metrics[t]);
+      auto values = cluster_->MultiGet(keys, &metrics[t], CacheFill::kFill,
+                                       FanoutMode::kSerial);
       for (size_t i = 0; i < keys.size(); ++i) {
         int k = (static_cast<int>(t) * 31 + rep * 17 +
                  static_cast<int>(i) * 5) % 320;
@@ -209,7 +210,8 @@ TEST_P(ConcurrentStorageFixture, MultiGetFromManyThreadsStaysCorrect) {
   // Logical gets across threads must sum exactly (no lost updates in any
   // per-thread meter); cache state must be coherent afterwards.
   QueryMetrics after;
-  auto check = cluster_->MultiGet({Key(0), Key(300)}, &after);
+  auto check = cluster_->MultiGet({Key(0), Key(300)}, &after, CacheFill::kFill,
+                                  FanoutMode::kSerial);
   ASSERT_TRUE(check[0].has_value());
   EXPECT_EQ(*check[0], Val(0));
   EXPECT_FALSE(check[1].has_value());

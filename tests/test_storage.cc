@@ -355,7 +355,8 @@ TEST(Cluster, MultiGetMatchesSingleGetLoopWithFewerRoundTrips) {
   }
 
   QueryMetrics batch_m;
-  auto batched = cluster.MultiGet(keys, &batch_m);
+  auto batched = cluster.MultiGet(keys, &batch_m, CacheFill::kFill,
+                                  FanoutMode::kSerial);
 
   // Identical values, aligned with the request order.
   ASSERT_EQ(batched.size(), looped.size());

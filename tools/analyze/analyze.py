@@ -134,7 +134,7 @@ ITERATION_WHITELIST = {
     # worker, and the parity suite (test_parallel_exec, 100x @ 8 workers)
     # proves rows AND counters are byte-identical across modes — both
     # modes walk this same map in the same order within a process.
-    "src/kba/kba_executor.cc": {"EmitExtension", "EvalGroupAggFromStats"},
+    "src/kba/kba_executor.cc": {"EmitExtension"},
     # First-appearance emit: collects the merged hash table, then sorts
     # by first-appearance row index before anything escapes.
     "src/ra/eval.cc": {"GroupAggregate"},

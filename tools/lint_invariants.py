@@ -29,6 +29,14 @@ Checks, each a CI failure when violated:
              (c) NO_THREAD_SAFETY_ANALYSIS must not appear in repo
              headers (zero-suppression rule of the thread-safety CI job).
 
+  dispatch   Every data-parallel region in src/ dispatches through the
+             free ParallelFor(pool, n, fn) of common/thread_pool.h, which
+             runs the chunks on the pool or, without one, in a loop on the
+             calling thread. A member call (->ParallelFor( or
+             .ParallelFor() outside common/thread_pool.{h,cc} is a second
+             dispatch: a hand-rolled "pool, else loop" whose two branches
+             can drift apart.
+
 Usage:
   tools/lint_invariants.py             lint the repository (exit 1 on any
                                        violation)
@@ -55,6 +63,8 @@ MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?(?:Shared)?Mutex\s+(\w+)\s*;",
 FIELD_TABLE_RE = re.compile(
     r"#define ZIDIAN_QUERY_METRICS_FIELDS\(X\)((?:[^\n]*\\\n)*[^\n]*)")
 TABLE_ROW_RE = re.compile(r"\bX\(\s*[^,()]+,\s*(\w+)\s*,")
+MEMBER_DISPATCH_RE = re.compile(r"(?:->|\.)\s*ParallelFor\s*\(")
+DISPATCH_HOME = ("src/common/thread_pool.h", "src/common/thread_pool.cc")
 
 
 def strip_comments(text):
@@ -189,6 +199,24 @@ def check_mutex(root):
     return violations
 
 
+# ---------------------------------------------------------------- dispatch ---
+
+def check_dispatch(root):
+    violations = []
+    for path in src_files(root):
+        rel = path.relative_to(root).as_posix()
+        if rel in DISPATCH_HOME:
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if MEMBER_DISPATCH_RE.search(line):
+                violations.append(Violation(
+                    "dispatch", f"{rel}:{lineno}",
+                    "member ParallelFor call — dispatch through the free "
+                    "ParallelFor(pool, n, fn) (common/thread_pool.h)"))
+    return violations
+
+
 # --------------------------------------------------------------- self-test ---
 
 # Fixture tree -> the exact set of check names that must report at least
@@ -199,11 +227,13 @@ FIXTURES = {
     "stray_wall_clock": frozenset({"wall-clock"}),
     "unannotated_mutex": frozenset({"mutex"}),
     "raw_std_mutex": frozenset({"mutex"}),
+    "stray_pool_dispatch": frozenset({"dispatch"}),
 }
 
 
 def run_checks(root):
-    return check_counters(root) + check_wall_clock(root) + check_mutex(root)
+    return (check_counters(root) + check_wall_clock(root) + check_mutex(root)
+            + check_dispatch(root))
 
 
 def self_test():
