@@ -35,7 +35,11 @@ int main() {
     ZIDIAN_CHECK_OK(store.BuildInstance(*kv, w->data.at("mot_test")));
     QueryMetrics m;
     for (int64_t v = 1; v <= 50; ++v) {
-      ZIDIAN_CHECK_OK(store.GetBlock(*kv, {Value(v)}, &m).status());
+      const Tuple key{Value(v)};
+      ZIDIAN_CHECK_OK(store
+                          .MultiGetBlocks({{kv, &key}}, &m,
+                                          FanoutMode::kOverlapped, nullptr)
+                          .status());
     }
     std::printf("%-12zu %12s %12zu\n", threshold,
                 Num(double(m.get_calls) / 50).c_str(),

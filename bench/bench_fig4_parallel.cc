@@ -352,7 +352,7 @@ bool TaavSweep(double scale, int latency_us, int repeats, bool assert_smoke) {
 /// One cell of the network sweep: `total_keys` point lookups against a
 /// cluster whose NetworkModel prices every round trip, issued either as
 /// per-worker batched MultiGets (one round trip per touched node) or as
-/// per-key single Gets. Keys are partitioned by owning node modulo
+/// per-key one-key MultiGets. Keys are partitioned by owning node modulo
 /// workers — the extension executor's routing — so under kThreads no two
 /// workers contend for a node and the wall-clock isolates the batching
 /// economics the model prices.
@@ -383,8 +383,10 @@ NetCell RunNetCell(Cluster& cluster, const std::vector<std::string>& keys,
                               FanoutMode::kSerial).ok()) std::abort();
       } else {
         for (const auto& k : per_worker[w]) {
-          auto res = cluster.Get(k, wm);
-          if (!res.ok()) std::abort();
+          if (!cluster.MultiGet({k}, wm, CacheFill::kFill, FanoutMode::kSerial)
+                   .ok()) {
+            std::abort();
+          }
         }
       }
     };

@@ -189,37 +189,6 @@ Status BaavStore::BuildAll(const std::map<std::string, Relation>& db) {
   return Status::OK();
 }
 
-Result<std::vector<Tuple>> BaavStore::GetBlock(const KvSchema& kv,
-                                               const Tuple& key,
-                                               QueryMetrics* m) const {
-  std::vector<Tuple> rows;
-  auto first = cluster_->Get(SegmentKey(kv, key, 0), m);
-  if (!first.ok()) {
-    // Absent key: empty block. Anything else (an unreachable node after
-    // exhausted retries) must propagate — an error is not an empty block.
-    if (first.status().IsNotFound()) return rows;
-    return first.status();
-  }
-  std::string_view sv = first.value();
-  uint64_t segments = 0;
-  if (!GetVarint64(&sv, &segments) || segments == 0) {
-    return Status::Corruption("bad segment header in " + kv.name);
-  }
-  ZIDIAN_RETURN_NOT_OK(DecodeBlock(sv, kv.value_attrs.size(), &rows));
-  for (uint64_t s = 1; s < segments; ++s) {
-    ZIDIAN_ASSIGN_OR_RETURN(std::string data,
-                            cluster_->Get(SegmentKey(kv, key, s), m));
-    std::vector<Tuple> part;
-    ZIDIAN_RETURN_NOT_OK(DecodeBlock(data, kv.value_attrs.size(), &part));
-    rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                std::make_move_iterator(part.end()));
-  }
-  if (m != nullptr) {
-    m->values_accessed += rows.size() * kv.value_attrs.size() + key.size();
-  }
-  return rows;
-}
-
 namespace {
 
 /// Combines one segment's statistics into the block total.
@@ -240,10 +209,6 @@ void MergeBlockStats(BlockStats* total, const BlockStats& part, size_t arity) {
     t.numeric = true;
   }
 }
-
-}  // namespace
-
-namespace {
 
 /// Transfers a stats fetch's scratch meter into the caller's metrics. A
 /// stats read ships only header-sized payloads, so the four header-charged
@@ -380,15 +345,8 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
 
 Status BaavStore::ScanInstance(
     const KvSchema& kv, QueryMetrics* m,
-    const std::function<void(const Tuple&, const std::vector<Tuple>&)>& fn)
-    const {
-  return ScanInstance(kv, m, nullptr, 1, fn);
-}
-
-Status BaavStore::ScanInstance(
-    const KvSchema& kv, QueryMetrics* m, ThreadPool* pool, int workers,
-    const std::function<void(const Tuple&, const std::vector<Tuple>&)>& fn)
-    const {
+    const std::function<void(const Tuple&, const std::vector<Tuple>&)>& fn,
+    ThreadPool* pool, int workers) const {
   std::string prefix = InstancePrefix(kv);
   Status st = Status::OK();
   // Collect per-key segments: hash partitioning scatters segments across
@@ -493,15 +451,6 @@ Result<uint64_t> BaavStore::Degree(const KvSchema& kv) const {
   MutexLock lock(sizes_mu_);
   return max_size(block_sizes_.try_emplace(kv.name, std::move(sizes))
                       .first->second);
-}
-
-Result<uint64_t> BaavStore::MaxDegree() const {
-  uint64_t deg = 0;
-  for (const auto& kv : schema_.all()) {
-    ZIDIAN_ASSIGN_OR_RETURN(uint64_t d, Degree(kv));
-    deg = std::max(deg, d);
-  }
-  return deg;
 }
 
 Status BaavStore::ReadAffected(const std::string& relation,
@@ -609,20 +558,6 @@ Status BaavStore::Install(const Maintenance& update) {
     if (!block.rows.empty()) ++sizes[block.rows.size()];
   }
   return Status::OK();
-}
-
-Status BaavStore::ApplyInsert(const std::string& relation,
-                              const Tuple& tuple) {
-  Maintenance update;
-  ZIDIAN_RETURN_NOT_OK(ReadForInsert(relation, tuple, &update));
-  return Install(update);
-}
-
-Status BaavStore::ApplyDelete(const std::string& relation,
-                              const Tuple& tuple) {
-  Maintenance update;
-  ZIDIAN_RETURN_NOT_OK(ReadForDelete(relation, tuple, &update));
-  return Install(update);
 }
 
 int BaavStore::NodeForBlock(const KvSchema& kv, const Tuple& key) const {

@@ -8,7 +8,9 @@
 // Blocks larger than `block_split_threshold_bytes` are split into segments
 // that share the X value and carry consecutive segment numbers; they
 // logically behave as a single keyed block (§8.2). A point access costs one
-// get per segment (one get for degree-bounded blocks).
+// get per segment (one get for degree-bounded blocks). Every block read
+// goes through MultiGetBlocks (or its header-only twin for statistics):
+// one round for the first segments, one more only for split blocks.
 //
 // The store also implements:
 //  * the relational->BaaV mapping (BuildInstance / BuildAll, §4.1),
@@ -54,6 +56,7 @@ class BaavStore {
             BaavStoreOptions options = {});
 
   const BaavSchema& schema() const { return schema_; }
+  const Catalog& catalog() const { return *catalog_; }
   const BaavStoreOptions& options() const { return options_; }
 
   /// Maps one relation's data (columns matching the relation schema,
@@ -70,13 +73,8 @@ class BaavStore {
   /// in `db` (relation name -> data).
   Status BuildAll(const std::map<std::string, Relation>& db);
 
-  /// Fetches the block for `key` (X values, in key_attrs order). Returns the
-  /// Y-tuples; empty NotFound if the key is absent. Meters one get per
-  /// segment plus the shipped bytes and values.
-  Result<std::vector<Tuple>> GetBlock(const KvSchema& kv, const Tuple& key,
-                                      QueryMetrics* m) const;
-
-  /// One block to fetch: an instance and a key (X values) in it.
+  /// One block to fetch: an instance and a key (X values, in key_attrs
+  /// order) in it.
   struct BlockRef {
     const KvSchema* kv;
     const Tuple* key;
@@ -88,16 +86,17 @@ class BaavStore {
     uint64_t segments = 0;
   };
 
-  /// Batched block fetch (§7.2) over blocks of any number of instances:
-  /// all first segments in one Cluster::MultiGet round, overflow segments
-  /// in a second, both under the stall schedule `fanout`. Returns one
-  /// block per ref, aligned with `refs` (no rows for absent keys). Meters
-  /// one get per segment key and the values read, but only one round trip
-  /// per touched storage node — the batched path the interleaved extension
-  /// rounds and the maintenance read phase run on. Rows and every
-  /// CountersEqual field are the same under either schedule; an overlapped
-  /// round's hidden network time is merged into `fanout_stats` (nullable)
-  /// for the caller's ChargeFanoutOverlap fold.
+  /// Batched block fetch (§7.2) over blocks of any number of instances —
+  /// the store's one block read; a single block is a one-ref call: all
+  /// first segments in one Cluster::MultiGet round, overflow segments in
+  /// a second, both under the stall schedule `fanout`. Returns one block
+  /// per ref, aligned with `refs` (no rows for absent keys). Meters one
+  /// get per segment key, the shipped bytes and the values read, but only
+  /// one round trip per touched storage node — the batched path the
+  /// interleaved extension rounds and the maintenance read phase run on.
+  /// Rows and every CountersEqual field are the same under either
+  /// schedule; an overlapped round's hidden network time is merged into
+  /// `fanout_stats` (nullable) for the caller's ChargeFanoutOverlap fold.
   Result<std::vector<FetchedBlock>> MultiGetBlocks(
       const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
       FanoutStats* fanout_stats) const;
@@ -113,21 +112,16 @@ class BaavStore {
       FanoutMode fanout, FanoutStats* fanout_stats) const;
 
   /// Full scan of a KV instance (the non-scan-free path): one next() per
-  /// block segment plus the shipped bytes.
+  /// block segment plus the shipped bytes. Key enumeration stays
+  /// sequential (it fixes the block order), then block decode is chunked
+  /// across `workers` (on `pool` when set, else on the calling thread)
+  /// with per-chunk QueryMetrics deltas; `fn` is invoked on the calling
+  /// thread in block order, with the same metering at every worker count.
   Status ScanInstance(
       const KvSchema& kv, QueryMetrics* m,
       const std::function<void(const Tuple& key,
-                               const std::vector<Tuple>& rows)>& fn) const;
-
-  /// Data-parallel instance scan: key enumeration stays sequential (it
-  /// fixes the block order), then block decode is chunked across
-  /// `workers` (on `pool` when set, else on the calling thread) with
-  /// per-chunk QueryMetrics deltas; `fn` is invoked on the calling thread
-  /// in block order, with the same metering at every worker count.
-  Status ScanInstance(
-      const KvSchema& kv, QueryMetrics* m, ThreadPool* pool, int workers,
-      const std::function<void(const Tuple& key,
-                               const std::vector<Tuple>& rows)>& fn) const;
+                               const std::vector<Tuple>& rows)>& fn,
+      ThreadPool* pool = nullptr, int workers = 1) const;
 
   /// deg(~D) of one instance: max logical block size (tuples). The store
   /// counts each instance's blocks by size; BuildInstance or the first
@@ -140,8 +134,6 @@ class BaavStore {
   /// nobody measured). Safe to call from concurrent readers: the scan runs
   /// unlocked and the first finished scan seeds the counts.
   Result<uint64_t> Degree(const KvSchema& kv) const EXCLUDES(sizes_mu_);
-  /// deg over all instances; first scan failure propagates.
-  Result<uint64_t> MaxDegree() const;
 
   /// One block a pending mutation rewrites: the block of `kv` under `key`
   /// as the read phase found it (size and segment count; 0 segments when
@@ -175,13 +167,9 @@ class BaavStore {
                        Maintenance* pending) const;
   /// Maintenance install phase: writes every block of `update` (Put /
   /// Delete only — no read, no stall) and applies the size changes to the
-  /// degree counts. O(deg) per instance.
+  /// degree counts. O(deg) per instance. Zidian::Insert / Delete run the
+  /// read phase, then this, as one write batch.
   Status Install(const Maintenance& update) EXCLUDES(sizes_mu_);
-
-  /// Incremental maintenance (§8.2) of one mutation: the read phase, then
-  /// the install.
-  Status ApplyInsert(const std::string& relation, const Tuple& tuple);
-  Status ApplyDelete(const std::string& relation, const Tuple& tuple);
 
   /// Storage footprint of one instance in bytes (for T2B's budget).
   uint64_t InstanceBytes(const KvSchema& kv) const;

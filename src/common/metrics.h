@@ -57,7 +57,7 @@ struct FanoutStats {
   /* Storage-layer interaction. */                                           \
   /* Point-key lookups (paper: #get); a MultiGet of K keys counts K. */      \
   X(uint64_t, get_calls, Sum, Compared)                                      \
-  /* One per single Get, one per node batch of a MultiGet. */                \
+  /* One per node batch of a MultiGet (a one-key read counts one). */        \
   X(uint64_t, get_round_trips, Sum, Compared)                                \
   /* Batched MultiGet invocations. */                                        \
   X(uint64_t, multiget_calls, Sum, Compared)                                 \

@@ -96,14 +96,15 @@ Result<KvInst> KbaExecutor::Eval(const KbaPlan& plan, const KbaExecOptions& ctx,
       out.rel = Relation(out.AllCols());
       auto start = std::chrono::steady_clock::now();
       ZIDIAN_RETURN_NOT_OK(store_->ScanInstance(
-          *kv, m, ctx.pool, workers,
+          *kv, m,
           [&](const Tuple& key, const std::vector<Tuple>& rows) {
             for (const auto& y : rows) {
               Tuple t = key;
               t.insert(t.end(), y.begin(), y.end());
               out.rel.Add(std::move(t));
             }
-          }));
+          },
+          ctx.pool, workers));
       if (m != nullptr) m->wall_fetch_seconds += SecondsSince(start);
       return out;
     }
@@ -341,15 +342,38 @@ Tuple KeyOf(const Tuple& row, const std::vector<size_t>& idx) {
   return key;
 }
 
+/// Which Y columns of `kv` its relation declares INT.
+Result<std::vector<bool>> IntColumns(const Catalog& catalog,
+                                     const KvSchema& kv) {
+  const TableSchema* rel = catalog.Find(kv.relation);
+  if (rel == nullptr) return Status::NotFound("table " + kv.relation);
+  std::vector<bool> out;
+  out.reserve(kv.value_attrs.size());
+  for (const auto& y : kv.value_attrs) {
+    int i = rel->ColumnIndex(y);
+    out.push_back(i >= 0 && rel->columns()[static_cast<size_t>(i)].type ==
+                                ValueType::kInt);
+  }
+  return out;
+}
+
 /// A block's partial statistics as the one row a stats-only extension
 /// emits after the key: #rows, then #count/#min/#max/#sum per Y column.
-std::vector<Tuple> StatsRows(const BlockStats& stats) {
+/// Block headers keep every statistic as a double; MIN and MAX of an INT
+/// column (`int_cols`) come back as INT, as the other routes return them.
+std::vector<Tuple> StatsRows(const BlockStats& stats,
+                             const std::vector<bool>& int_cols) {
   if (stats.row_count == 0) return {};
   Tuple row{Value(static_cast<int64_t>(stats.row_count))};
-  for (const auto& col : stats.columns) {
+  for (size_t c = 0; c < stats.columns.size(); ++c) {
+    const BlockColumnStats& col = stats.columns[c];
+    auto extreme = [&](double v) {
+      if (!col.numeric) return Value::Null();
+      return int_cols[c] ? Value(static_cast<int64_t>(v)) : Value(v);
+    };
     row.push_back(Value(static_cast<int64_t>(col.count)));
-    row.push_back(col.numeric ? Value(col.min) : Value::Null());
-    row.push_back(col.numeric ? Value(col.max) : Value::Null());
+    row.push_back(extreme(col.min));
+    row.push_back(extreme(col.max));
     row.push_back(col.numeric ? Value(col.sum) : Value::Null());
   }
   return {std::move(row)};
@@ -560,6 +584,11 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
   // One task per worker; each owns a slot with its own metric delta and
   // writes only the blocks it owns.
   const bool stats_only = nodes.front().plan->stats_only;
+  std::vector<bool> int_cols;
+  if (stats_only) {
+    ZIDIAN_ASSIGN_OR_RETURN(int_cols,
+                            IntColumns(store_->catalog(), *nodes.front().kv));
+  }
   auto fetch = [&](size_t w) {
     FetchSlot& slot = slots[w];
     if (slot.refs.empty()) return;
@@ -575,7 +604,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
         return;
       }
       for (size_t i = 0; i < keys.size(); ++i) {
-        *slot.dest[i] = StatsRows(stats.value()[i]);
+        *slot.dest[i] = StatsRows(stats.value()[i], int_cols);
       }
       return;
     }

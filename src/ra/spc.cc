@@ -5,38 +5,6 @@
 
 namespace zidian {
 
-namespace {
-
-/// Union-find over attribute references, for building equality classes.
-class AttrUnionFind {
- public:
-  int Id(const AttrRef& a) {
-    auto [it, inserted] = ids_.emplace(a, static_cast<int>(parent_.size()));
-    if (inserted) {
-      parent_.push_back(it->second);
-      attrs_.push_back(a);
-    }
-    return it->second;
-  }
-  int Find(int x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
-  size_t size() const { return parent_.size(); }
-  const AttrRef& attr(int id) const { return attrs_[id]; }
-
- private:
-  std::map<AttrRef, int> ids_;
-  std::vector<int> parent_;
-  std::vector<AttrRef> attrs_;
-};
-
-}  // namespace
-
 Result<SpcTableau> SpcTableau::FromQuery(const QuerySpec& spec,
                                          const Catalog& catalog) {
   SpcTableau t;

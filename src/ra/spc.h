@@ -28,6 +28,42 @@
 
 namespace zidian {
 
+/// Union-find over attribute references: the equality classes a query's
+/// eq_joins induce. Module M1's tableau (below), M2's chase
+/// (zidian/planner.cc) and the baseline's join order (ra/taav.cc) build
+/// theirs with it. Ids are dense, in registration order, and Union(a, b)
+/// hangs a's root under b's, so holders that register and unite in the
+/// same order agree on every root id (plan text orders classes by it).
+class AttrUnionFind {
+ public:
+  /// The id of `a`, registered on first sight.
+  int Id(const AttrRef& a) {
+    auto [it, inserted] = ids_.emplace(a, static_cast<int>(parent_.size()));
+    if (inserted) parent_.push_back(it->second);
+    return it->second;
+  }
+  /// The id of `a`, or -1 when it was never registered.
+  int Lookup(const AttrRef& a) const {
+    auto it = ids_.find(a);
+    return it == ids_.end() ? -1 : it->second;
+  }
+  /// The root id of `x`'s class.
+  int Find(int x) const {
+    while (parent_[static_cast<size_t>(x)] != x) {
+      x = parent_[static_cast<size_t>(x)];
+    }
+    return x;
+  }
+  void Union(int a, int b) { parent_[static_cast<size_t>(Find(a))] = Find(b); }
+  size_t size() const { return parent_.size(); }
+  /// Every registered attribute with its id, in attribute order.
+  const std::map<AttrRef, int>& ids() const { return ids_; }
+
+ private:
+  std::map<AttrRef, int> ids_;
+  std::vector<int> parent_;
+};
+
 /// The minimized SPC core of a query, in attribute-level form consumable by
 /// the preservation (Condition II) and scan-freeness (Condition III) checks.
 struct MinimizedSPC {

@@ -8,6 +8,7 @@
 #include "common/coding.h"
 #include "kba/makespan.h"
 #include "ra/eval.h"
+#include "ra/spc.h"
 
 namespace zidian {
 
@@ -60,7 +61,7 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
   // One chunk of the per-tuple get+decode stage: its rows, its metric
   // delta and, under kOverlapped, one request chain per node anchored at
   // the chunk's start (chain heads and per-node latency sums). The
-  // schedule only picks per-tuple OnGet stalls or per-node OnGetAt chains.
+  // schedule only picks a stall after every get or per-node chains.
   const NetworkModel* net = cluster.network();
   const bool chains = net != nullptr && fanout == FanoutMode::kOverlapped;
   struct Chunk {
@@ -88,7 +89,8 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
       c->node_next[n] = ac.wake_ns;  // same-node requests stay serial
       c->node_ns[n] += static_cast<uint64_t>(ac.latency_ns);
     } else if (net != nullptr) {
-      net->OnGet(node, 1, bytes, &c->m);
+      net->SleepUntil(
+          net->OnGetAt(node, 1, bytes, &c->m, net->NowNs()).wake_ns);
     }
     Tuple t;
     if (!DecodeTuplePayload(&payload, schema.arity(), &t)) {
@@ -184,10 +186,13 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
 
 Result<Tuple> TaavGetTuple(const Cluster& cluster, const TableSchema& schema,
                            const Tuple& pk_values, QueryMetrics* m) {
-  ZIDIAN_ASSIGN_OR_RETURN(std::string value,
-                          cluster.Get(TaavKey(schema.name(), pk_values), m));
+  MultiGetResult got = cluster.MultiGet({TaavKey(schema.name(), pk_values)},
+                                        m, CacheFill::kFill,
+                                        FanoutMode::kOverlapped);
+  ZIDIAN_RETURN_NOT_OK(got.status);
+  if (!got[0].has_value()) return Status::NotFound();
   Tuple t;
-  std::string_view sv = value;
+  std::string_view sv = *got[0];
   if (!DecodeTuplePayload(&sv, schema.arity(), &t)) {
     return Status::Corruption("bad tuple in " + schema.name());
   }
@@ -197,21 +202,22 @@ Result<Tuple> TaavGetTuple(const Cluster& cluster, const TableSchema& schema,
 
 namespace {
 
-/// Expands eq_joins into full equality classes and returns, for a pair of
-/// column sets, all cross pairs that must be equated.
+/// The join pairs between qualified column lists: the equality classes
+/// of the query's eq_joins, looked up by "alias.column".
 class EqClasses {
  public:
   explicit EqClasses(const QuerySpec& spec) {
     for (const auto& [a, b] : spec.eq_joins) {
-      int ia = Id(a), ib = Id(b);
-      parent_[static_cast<size_t>(Find(ia))] = Find(ib);
+      int ia = uf_.Id(a), ib = uf_.Id(b);
+      uf_.Union(ia, ib);
     }
+    for (const auto& [attr, id] : uf_.ids()) ids_.emplace(attr.Qualified(), id);
   }
 
   /// Join pairs (left col, right col) between two qualified column lists.
   std::vector<std::pair<std::string, std::string>> PairsBetween(
       const std::vector<std::string>& left,
-      const std::vector<std::string>& right) {
+      const std::vector<std::string>& right) const {
     std::vector<std::pair<std::string, std::string>> out;
     for (const auto& l : left) {
       auto il = ids_.find(l);
@@ -219,32 +225,25 @@ class EqClasses {
       for (const auto& r : right) {
         auto ir = ids_.find(r);
         if (ir == ids_.end()) continue;
-        if (Find(il->second) == Find(ir->second)) out.emplace_back(l, r);
+        if (uf_.Find(il->second) == uf_.Find(ir->second)) {
+          out.emplace_back(l, r);
+        }
       }
     }
     return out;
   }
 
  private:
-  int Id(const AttrRef& a) {
-    auto [it, inserted] = ids_.emplace(a.Qualified(),
-                                       static_cast<int>(parent_.size()));
-    if (inserted) parent_.push_back(it->second);
-    return it->second;
-  }
-  int Find(int x) {
-    while (parent_[static_cast<size_t>(x)] != x) {
-      x = parent_[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-
-  std::map<std::string, int> ids_;
-  std::vector<int> parent_;
+  AttrUnionFind uf_;
+  std::map<std::string, int> ids_;  ///< qualified name -> union-find id
 };
 
-}  // namespace
-
+/// Joins all aliases of `spec` greedily along equality classes, starting
+/// from per-alias base relations. `per_alias` must contain one filtered
+/// relation per alias, with qualified column names. Shuffle bytes for
+/// each join are charged to `m` assuming hash repartitioning over
+/// `workers` nodes. Every hash-join probe runs its chunks on `pool` when
+/// set.
 Result<Relation> JoinAll(const QuerySpec& spec,
                          std::vector<Relation> per_alias, int workers,
                          QueryMetrics* m, ThreadPool* pool) {
@@ -284,6 +283,8 @@ Result<Relation> JoinAll(const QuerySpec& spec,
   }
   return acc;
 }
+
+}  // namespace
 
 Result<Relation> TaavExecutor::Execute(const QuerySpec& spec,
                                        const TaavExecOptions& opts,

@@ -76,7 +76,9 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
                                ThreadPool* pool, int workers,
                                FanoutMode fanout);
 
-/// Point lookup of one tuple by primary key (used by KV-workload benches).
+/// Point lookup of one tuple by primary key (used by KV-workload benches):
+/// a one-key Cluster::MultiGet of the tuple's TaaV key. NotFound when no
+/// tuple has that key; an unreachable key fails with kUnavailable.
 Result<Tuple> TaavGetTuple(const Cluster& cluster, const TableSchema& schema,
                            const Tuple& pk_values, QueryMetrics* m);
 
@@ -113,16 +115,6 @@ class TaavExecutor {
   const Catalog* catalog_;
   Cluster* cluster_;
 };
-
-/// Joins all aliases of `spec` greedily along equality classes, starting
-/// from per-alias base relations. Shared by both executors' fallback paths.
-/// `per_alias` must contain one filtered relation per alias, with qualified
-/// column names. Shuffle bytes for each join are charged to `m` assuming
-/// hash repartitioning over `workers` nodes. Every hash-join probe runs
-/// its chunks on `pool` when set.
-Result<Relation> JoinAll(const QuerySpec& spec,
-                         std::vector<Relation> per_alias, int workers,
-                         QueryMetrics* m, ThreadPool* pool = nullptr);
 
 }  // namespace zidian
 

@@ -1,5 +1,5 @@
 // Metered, sharded LRU cache over encoded block segments, placed above
-// the KvBackend seam: Cluster consults it in Get / MultiGet before
+// the KvBackend seam: Cluster consults it in MultiGet before
 // touching a storage node, so a hit costs zero round trips and zero
 // storage->SQL bytes. Entries are keyed by the full cluster key (for
 // BaaV blocks, one entry per segment) and account their byte footprint

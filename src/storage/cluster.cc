@@ -146,71 +146,6 @@ Status Cluster::Delete(std::string_view key, QueryMetrics* m) {
   return st;
 }
 
-Result<std::string> Cluster::Get(std::string_view key, QueryMetrics* m,
-                                 CacheFill fill) const {
-  if (m != nullptr) m->get_calls += 1;
-  if (CacheActive()) {
-    std::string cached;
-    switch (cache_->Probe(key, &cached)) {
-      case CacheLookup::kHit:
-        if (m != nullptr) {
-          m->cache_hits += 1;
-          m->bytes_from_cache += key.size() + cached.size();
-        }
-        return cached;
-      case CacheLookup::kNegativeHit:
-        // The backend already confirmed this key absent; answer without a
-        // round trip. Any write in between would have erased the entry.
-        if (m != nullptr) m->cache_negative_hits += 1;
-        return Status::NotFound();
-      case CacheLookup::kMiss:
-        if (m != nullptr) m->cache_misses += 1;
-        break;
-    }
-  }
-  if (m != nullptr) m->get_round_trips += 1;
-  int node = NodeFor(key);
-  auto res = nodes_[node]->Get(key);
-  // One network round trip: the key travels out, the value (if any)
-  // travels back. The stall covers the modeled latency plus any queueing
-  // at the node — unconditionally: unmetered reads pay the wire too.
-  if (network_ != nullptr) {
-    uint64_t bytes = key.size() + (res.ok() ? res.value().size() : 0);
-    if (recovery_active()) {
-      // The retry/hedge recovery machine decides whether ANY replica
-      // answered within the attempt budget. The backend fetch above is
-      // simulation-local (replicas hold identical data); if every
-      // attempt failed the value must not escape — and the key must not
-      // be cached in either polarity: unreachable is not absent.
-      std::vector<NetworkModel::BatchItem> items{{key, bytes}};
-      std::vector<uint8_t> reachable;
-      network_->FetchWithRecovery(ReplicaChain(node), items, recovery_, m,
-                                  &reachable);
-      if (reachable[0] == 0) {
-        return Status::Unavailable("key unreachable after " +
-                                   std::to_string(recovery_.max_attempts) +
-                                   " attempts");
-      }
-    } else {
-      network_->OnGet(node, 1, bytes, m);
-    }
-  }
-  if (res.ok()) {
-    if (m != nullptr) {
-      m->bytes_from_storage += key.size() + res.value().size();
-    }
-    if (CacheActive() && fill == CacheFill::kFill) {
-      size_t evicted = cache_->Insert(key, res.value());
-      if (m != nullptr) m->cache_evictions += evicted;
-    }
-  } else if (res.status().IsNotFound() && CacheActive() &&
-             fill == CacheFill::kFill) {
-    size_t evicted = cache_->InsertNegative(key);
-    if (m != nullptr) m->cache_evictions += evicted;
-  }
-  return res;
-}
-
 bool Cluster::PrepareMultiGet(const std::vector<std::string>& keys,
                               QueryMetrics* m, MultiGetResult* result,
                               std::vector<KvBackend::BatchedKey>* batch,
@@ -282,14 +217,14 @@ bool Cluster::PrepareMultiGet(const std::vector<std::string>& keys,
 
 void Cluster::SettleNodeBatch(const std::vector<KvBackend::BatchedKey>& batch,
                               size_t begin, size_t end,
-                              const std::vector<uint8_t>* reachable,
+                              const std::vector<uint8_t>& reachable,
                               CacheFill fill, QueryMetrics* m,
                               MultiGetResult* result,
                               uint64_t* unreachable) const {
   std::vector<std::optional<std::string>>& out = result->values;
   for (size_t j = begin; j < end; ++j) {
     uint32_t slot = batch[j].slot;
-    if (reachable != nullptr && (*reachable)[j - begin] == 0) {
+    if (!reachable.empty() && reachable[j - begin] == 0) {
       // Unreachable keys give their backend value back and are neither
       // metered as fetched nor cached — in either polarity — because
       // unreachable is not absent.
@@ -335,7 +270,6 @@ MultiGetResult Cluster::MultiGet(const std::vector<std::string>& keys,
   // same totals; queue waits come from the shared node clocks and feed
   // only the wake instants.
   const bool overlapped = fanout == FanoutMode::kOverlapped;
-  const bool recover = network_ != nullptr && recovery_active();
   const int64_t t0 = network_ != nullptr ? network_->NowNs() : 0;
   int64_t last_wake = t0;
   uint64_t total_service = 0;
@@ -351,37 +285,32 @@ MultiGetResult Cluster::MultiGet(const std::vector<std::string>& keys,
         &out);
     QueryMetrics delta;
     delta.get_round_trips += 1;
-    std::vector<uint8_t> reachable;
+    std::vector<uint8_t> reachable;  // stays empty without a network
     int64_t wake = t0;
     if (network_ != nullptr) {
-      // Keys out + found values back; per key for the recovery machine.
-      uint64_t shipped = 0;
+      // Keys out + found values back, per key.
       std::vector<NetworkModel::BatchItem> items;
-      if (recover) items.reserve(end - begin);
+      items.reserve(end - begin);
       for (size_t j = begin; j < end; ++j) {
         const auto& value = out[batch[j].slot];
         const uint64_t bytes =
             batch[j].key.size() + (value.has_value() ? value->size() : 0);
-        shipped += bytes;
-        if (recover) items.push_back({batch[j].key, bytes});
+        items.push_back({batch[j].key, bytes});
       }
       const int64_t issue = overlapped ? t0 : network_->NowNs();
       // The batching economics in one line: this whole per-node batch
       // pays ONE round trip (rtt once) plus a marginal per-key cost —
-      // where the same keys as single Gets would pay the rtt per key.
-      // Under recovery the machine decides, per key, whether any replica
-      // answered within the attempt budget (retries / backoff / timeouts
-      // / hedges, all metered).
-      wake = recover ? network_->FetchWithRecoveryAt(
-                           ReplicaChain(static_cast<int>(n)), items,
-                           recovery_, &delta, &reachable, issue)
-                     : network_
-                           ->OnGetAt(static_cast<int>(n), end - begin,
-                                     shipped, &delta, issue)
-                           .wake_ns;
+      // where the same keys one at a time would pay the rtt per key. The
+      // recovery machine decides, per key, whether any replica answered
+      // within the attempt budget (retries / backoff / timeouts / hedges,
+      // all metered); with the default policy and a quiet fault schedule
+      // it plays one round, priced at exactly the link's RequestCost.
+      wake = network_->FetchWithRecoveryAt(ReplicaChain(static_cast<int>(n)),
+                                           items, recovery_, &delta,
+                                           &reachable, issue);
     }
-    SettleNodeBatch(batch, begin, end, recover ? &reachable : nullptr, fill,
-                    &delta, &result, &unreachable);
+    SettleNodeBatch(batch, begin, end, reachable, fill, &delta, &result,
+                    &unreachable);
     total_service += delta.net_service_ns;
     max_service = std::max(max_service, delta.net_service_ns);
     ++issued;

@@ -3,13 +3,13 @@
 // in-memory hash table, or a custom engine via backend_factory). This is
 // the storage layer of the SQL-over-NoSQL architecture; the SQL layer
 // (executors in src/ra and src/zidian) talks to it exclusively through
-// get / multi-get / put / prefix scans, and every access is metered into
+// multi-get / put / delete / prefix scans, and every access is metered into
 // QueryMetrics so the experiments can report #get, #data, comm.
 //
 // An optional metered BlockCache (storage/block_cache.h) sits between the
 // SQL layer and the nodes: when ClusterOptions::cache.capacity_bytes > 0,
-// Get and MultiGet serve hits from the cache — one logical get, zero round
-// trips, zero storage bytes — and Put/Delete invalidate the touched key so
+// MultiGet serves hits from the cache — one logical get, zero round trips,
+// zero storage bytes — and Put/Delete invalidate the touched key so
 // cached blocks stay coherent under incremental maintenance. Confirmed
 // absences are cached too (negative entries): a repeated get of a
 // nonexistent key answers from the cache instead of paying a round trip,
@@ -17,18 +17,19 @@
 // other entry.
 //
 // When ClusterOptions::network carries any cost, every backend-reaching
-// access is priced by the NetworkModel (storage/network_model.h): a Get
-// and each per-node MultiGet batch pay one round trip (stalling the
-// caller for the modeled latency plus any per-node queueing), Put/Delete
-// are metered but never stalled, and the net_* QueryMetrics fields record
-// the traffic. Cache hits and prefix scans bypass the network: hits are
+// access is priced by the NetworkModel (storage/network_model.h): each
+// per-node MultiGet batch pays one round trip (stalling the caller for
+// the modeled latency plus any per-node queueing), Put/Delete are metered
+// but never stalled, and the net_* QueryMetrics fields record the
+// traffic. Cache hits and prefix scans bypass the network: hits are
 // middleware-local memory, and scans stream (the paper's per-round-trip
 // economics are about point access — the path the network model prices).
 //
-// MultiGet is the one read fan-out, and its stall schedule (FanoutMode)
-// is its only parameter. kSerial issues each per-node batch when the one
-// before it has completed, so a fan-out over k nodes pays the SUM of
-// per-node latencies. kOverlapped issues every touched node's batch at one
+// MultiGet is the one point-read path (a single key is a one-key
+// MultiGet), and its stall schedule (FanoutMode) is its only parameter.
+// kSerial issues each per-node batch when the one before it has
+// completed, so a fan-out over k nodes pays the SUM of per-node
+// latencies. kOverlapped issues every touched node's batch at one
 // common modeled instant and stalls once, to the latest completion, so
 // independent latencies overlap and the fan-out costs about the slowest
 // node. The schedules meter bit-identically: rows, fault counters and
@@ -36,8 +37,8 @@
 // and worker count; only the schedule-shape fields (net_overlap_ns /
 // net_inflight_max), the modeled makespan and the wall clock may differ.
 //
-// Thread safety: the read path (Get / MultiGet / ScanPrefix) is safe from
-// any number of concurrent threads as long as no writes are in flight and
+// Thread safety: the read path (MultiGet / ScanPrefix) is safe from any
+// number of concurrent threads as long as no writes are in flight and
 // each thread meters into its own QueryMetrics — this is the contract
 // both the threaded KBA executor (per-worker metric deltas, merged at
 // join) and the multi-session serving layer (per-query
@@ -122,11 +123,10 @@ struct ClusterOptions {
   NetworkOptions network;
   /// Availability policy: K-way replica placement, bounded retries with
   /// backoff, per-request timeouts and hedged reads
-  /// (storage/network_model.h). All-default (single copy, no retry
-  /// pricing) keeps the read path byte-identical to the pre-recovery
-  /// code; any deviation — or an enabled fault schedule in
-  /// `network.faults` — routes backend reads through the recovery
-  /// machine. Requires a network model to act on (faults and recovery
+  /// (storage/network_model.h). Every node batch that reaches a backend
+  /// runs the recovery machine; with the default policy and a quiet fault
+  /// schedule it plays one round that meters exactly the link's
+  /// RequestCost. Requires a network model to act on (faults and recovery
   /// are network behaviors); without one it is inert.
   RecoveryOptions recovery;
 };
@@ -183,27 +183,18 @@ class Cluster {
   /// bytes_to_storage. Always invalidates the key in the BlockCache.
   Status Delete(std::string_view key, QueryMetrics* m = nullptr);
 
-  /// Point lookup. Meters: one get_call always (the paper's logical #get);
-  /// then either one cache_hit plus the pair bytes into bytes_from_cache
-  /// (no round trip — the backend is skipped entirely), one
-  /// cache_negative_hit (the key is cached-absent: NotFound without a
-  /// round trip), or one round trip, a cache_miss when the cache is
-  /// active, and the pair bytes into bytes_from_storage. Misses fill the
-  /// cache unless `fill` is kNoFill — a found value as a positive entry,
-  /// a confirmed absence as a negative one; fills that push entries out
-  /// are charged to cache_evictions.
-  Result<std::string> Get(std::string_view key, QueryMetrics* m,
-                          CacheFill fill = CacheFill::kFill) const;
-
-  /// Batched point lookup (§7.2's interleaved access idiom). Returns one
-  /// entry per key, aligned with `keys`; absent keys are nullopt. Meters:
-  /// one multiget_call, one get_call per key; cache hits are served first
-  /// (cache_hits / bytes_from_cache, no trip), and only the missed keys
-  /// are grouped per owning node — one round trip per touched node, with
-  /// pair bytes into bytes_from_storage and a cache_miss each when the
-  /// cache is active. A fully cached batch performs zero round trips.
-  /// Misses fill the cache unless `fill` is kNoFill. Under an active
-  /// fault schedule (or a non-default RecoveryOptions) each node batch
+  /// Batched point lookup (§7.2's interleaved access idiom), and the
+  /// cluster's one read path: a single key is a one-key MultiGet. Returns
+  /// one entry per key, aligned with `keys`; absent keys are nullopt.
+  /// Meters: one multiget_call, one get_call per key (the paper's logical
+  /// #get); cache hits are served first (cache_hits / bytes_from_cache, no
+  /// trip; a cached absence is a cache_negative_hit), and only the missed
+  /// keys are grouped per owning node — one round trip per touched node,
+  /// with pair bytes into bytes_from_storage and a cache_miss each when
+  /// the cache is active. A fully cached batch performs zero round trips.
+  /// Misses fill the cache unless `fill` is kNoFill — a found value as a
+  /// positive entry, a confirmed absence as a negative one; fills that
+  /// push entries out are charged to cache_evictions. Each node batch
   /// runs the retry/hedge recovery machine; keys unreachable after the
   /// attempt budget come back nullopt with Failed(i) set and a
   /// kUnavailable overall status — and are never metered as fetched nor
@@ -265,7 +256,7 @@ class Cluster {
   /// live here; per-query counters land in QueryMetrics.
   BlockCache* block_cache() const { return cache_.get(); }
 
-  /// When bypassed, Get/MultiGet neither consult nor fill the cache
+  /// When bypassed, MultiGet neither consults nor fills the cache
   /// (ExecOptions::bypass_cache uses this per execution); Put/Delete
   /// still invalidate. Not a per-query property — callers must restore
   /// the previous value (see PreparedQuery::Execute). The flag is
@@ -282,21 +273,14 @@ class Cluster {
   }
 
   /// The attached network model, or nullptr when no network cost is
-  /// configured. Gets/MultiGets/Puts/Deletes are metered and stalled
-  /// through it; executors use it to price simulated per-tuple gets.
+  /// configured. MultiGets/Puts/Deletes are metered through it (reads
+  /// also stall); executors use it to price simulated per-tuple gets.
   const NetworkModel* network() const { return network_.get(); }
 
   /// The availability policy this cluster runs (Explain()/diagnostics).
   const RecoveryOptions& recovery() const { return recovery_; }
   /// Effective copies per key: min(recovery.replication_factor, nodes).
   int replication() const { return replication_; }
-  /// Whether reads run the retry/hedge recovery machine instead of the
-  /// plain network path — true when a fault schedule is enabled or
-  /// RecoveryOptions deviate from the default (and a network exists).
-  bool recovery_active() const {
-    return network_ != nullptr &&
-           (network_->faults_enabled() || !recovery_.Default());
-  }
   /// The replica chain of `primary`: [primary, primary+1, ...] mod N,
   /// `replication()` entries. Writes go to every node in it; reads try
   /// it in order (and hedge against entry 1).
@@ -315,13 +299,14 @@ class Cluster {
                        MultiGetResult* result,
                        std::vector<KvBackend::BatchedKey>* batch,
                        std::vector<uint32_t>* offsets) const;
-  /// Per-slot bookkeeping of one node batch after the node answered and
-  /// (under recovery) reachability is known — failed flags,
+  /// Per-slot bookkeeping of one node batch after the node answered:
+  /// failed flags for the slots `reachable` (one flag per batch entry;
+  /// empty when no network decided reachability) marks lost,
   /// bytes_from_storage, cache fills in both polarities. Meters into `m`;
   /// bumps `*unreachable` per slot lost.
   void SettleNodeBatch(const std::vector<KvBackend::BatchedKey>& batch,
                        size_t begin, size_t end,
-                       const std::vector<uint8_t>* reachable, CacheFill fill,
+                       const std::vector<uint8_t>& reachable, CacheFill fill,
                        QueryMetrics* m, MultiGetResult* result,
                        uint64_t* unreachable) const;
 

@@ -124,19 +124,6 @@ NetworkModel::AsyncCost NetworkModel::OnGetAt(int node, uint64_t keys,
   return {start + cost.latency_ns, cost.latency_ns};
 }
 
-int64_t NetworkModel::OnGet(int node, uint64_t keys, uint64_t bytes,
-                            QueryMetrics* m) const {
-  // The stall is real in BOTH parallel modes (exactly like the old flat
-  // RTT knob): a sequential caller pays requests back-to-back while
-  // threaded workers overlap propagation — so measured wall-clock can
-  // validate what the makespan model predicts. Queueing is physical too:
-  // the node's next-free-time clock serializes the busy components of
-  // concurrent requests.
-  AsyncCost ac = OnGetAt(node, keys, bytes, m, NowNs());
-  SleepUntil(ac.wake_ns);
-  return ac.latency_ns;
-}
-
 void NetworkModel::OnWrite(int node, uint64_t keys, uint64_t bytes,
                            QueryMetrics* m) const {
   Cost cost = RequestCost(node, keys, bytes);
@@ -186,18 +173,6 @@ int64_t NetworkModel::KeyLatencyEstimateNs(int node, std::string_view key,
   return UsToNs(l.rtt_us) + UsToNs(busy_us);
 }
 
-void NetworkModel::FetchWithRecovery(const std::vector<int>& replicas,
-                                     const std::vector<BatchItem>& items,
-                                     const RecoveryOptions& recovery,
-                                     QueryMetrics* m,
-                                     std::vector<uint8_t>* ok) const {
-  // One stall for the whole resolution — real in both parallel modes, so
-  // wall-clock tail latency shows exactly what the model priced (the
-  // hedged path's whole point: the wake tracks first successes, not the
-  // straggler's full degraded latency).
-  SleepUntil(FetchWithRecoveryAt(replicas, items, recovery, m, ok, NowNs()));
-}
-
 int64_t NetworkModel::FetchWithRecoveryAt(const std::vector<int>& replicas,
                                           const std::vector<BatchItem>& items,
                                           const RecoveryOptions& recovery,
@@ -211,30 +186,33 @@ int64_t NetworkModel::FetchWithRecoveryAt(const std::vector<int>& replicas,
   const int64_t timeout_ns = UsToNs(recovery.timeout_us);
   const int64_t hedge_ns = UsToNs(recovery.hedge_after_us);
 
-  // Prices one wire request carrying `group` to `node`: the slot is paid
-  // once (at the worst degrade factor in the group — a degraded node
-  // serves its slot slower), each key its marginal degrade-weighted cost.
-  // With every factor at 1 this is exactly RequestCost(node, k, bytes).
+  // Prices one wire request carrying `group` to `node`. A group with no
+  // degraded key is RequestCost of its totals — OnGetAt's own arithmetic,
+  // so a quiet schedule meters exactly what a plain get would. Otherwise
+  // the slot is paid once (at the worst degrade factor in the group — a
+  // degraded node serves its slot slower), each key its marginal
+  // degrade-weighted cost.
   auto group_cost = [&](int node, const std::vector<uint32_t>& group,
                         uint64_t* group_bytes) {
-    const NetworkLinkOptions& l = links_[static_cast<size_t>(node)];
-    double slot_us = l.service_rate > 0 ? 1e6 / l.service_rate : 0;
-    double busy_us = 0;
     double max_factor = 1;
     uint64_t bytes = 0;
     for (uint32_t idx : group) {
-      const BatchItem& it = items[idx];
-      double f = KeyDegradeFactor(node, it.key);
-      max_factor = std::max(max_factor, f);
-      busy_us += f * (l.per_key_us +
-                      static_cast<double>(it.bytes) * l.per_byte_us);
-      bytes += it.bytes;
+      max_factor = std::max(max_factor, KeyDegradeFactor(node, items[idx].key));
+      bytes += items[idx].bytes;
     }
-    busy_us += max_factor * slot_us;
+    *group_bytes = bytes;
+    if (max_factor == 1) return RequestCost(node, group.size(), bytes);
+    const NetworkLinkOptions& l = links_[static_cast<size_t>(node)];
+    double busy_us = 0;
+    for (uint32_t idx : group) {
+      const BatchItem& it = items[idx];
+      busy_us += KeyDegradeFactor(node, it.key) *
+                 (l.per_key_us + static_cast<double>(it.bytes) * l.per_byte_us);
+    }
+    busy_us += max_factor * (l.service_rate > 0 ? 1e6 / l.service_rate : 0);
     Cost c;
     c.busy_ns = UsToNs(busy_us);
     c.latency_ns = UsToNs(l.rtt_us) + c.busy_ns;
-    *group_bytes = bytes;
     return c;
   };
 

@@ -8,8 +8,8 @@
 //    per request, overlaps freely across concurrent requests.
 //  * Marginal per-key cost (`per_key_us`): node-side work per key in a
 //    batch. A MultiGet of k keys to one node pays ONE round trip plus
-//    k marginal key costs, where k single Gets pay k round trips — the
-//    batching economics the PR 1 MultiGet seam exists to exploit.
+//    k marginal key costs, where k one-key reads pay k round trips — the
+//    batching economics the MultiGet seam exists to exploit.
 //  * Per-byte transfer cost (`per_byte_us`): payload serialization /
 //    bandwidth, charged on the shipped bytes.
 //  * Service rate (`service_rate`): requests/second one node can admit.
@@ -32,10 +32,11 @@
 // SimSeconds is recomputed deterministically from the metered totals
 // (kba/makespan.h: FinalizeNetworkQueue).
 //
-// Thread safety: OnGet/OnWrite are safe from any number of concurrent
-// threads; the per-node next-free clocks are lock-free atomics (CAS
-// loops), so no GUARDED_BY contract applies — the net_node_* accumulators
-// live in the caller's per-worker QueryMetrics, never in shared state
+// Thread safety: every request (OnGetAt, FetchWithRecoveryAt, OnWrite) is
+// safe from any number of concurrent threads; the per-node next-free
+// clocks are lock-free atomics (CAS loops), so no GUARDED_BY contract
+// applies — the net_node_* accumulators live in the caller's per-worker
+// QueryMetrics, never in shared state
 // (docs/ARCHITECTURE.md "Concurrency contract"; TSan CI covers this
 // path via test_network_model).
 #ifndef ZIDIAN_STORAGE_NETWORK_MODEL_H_
@@ -103,9 +104,10 @@ struct NodeFaultOptions {
 };
 
 /// A deterministic, seedable per-node fault schedule
-/// (NetworkOptions::faults). Disabled by default; when any node carries a
-/// non-quiet fault the Cluster routes reads through the retry/hedge
-/// recovery machine (FetchWithRecovery) instead of the plain OnGet path.
+/// (NetworkOptions::faults). Disabled by default. Every Cluster read batch
+/// runs the retry/hedge recovery machine (FetchWithRecoveryAt); under a
+/// quiet schedule and the default RecoveryOptions it resolves every key in
+/// one round, priced as a plain request.
 struct FaultScheduleOptions {
   /// Seed for every fault hash. Two runs with the same seed (and the same
   /// request stream) inject byte-identical faults.
@@ -129,8 +131,10 @@ struct FaultScheduleOptions {
 
 /// How the Cluster recovers from injected faults (ClusterOptions::
 /// recovery): replica placement, bounded retries with exponential backoff,
-/// per-request timeouts and hedged reads. All-default means the historical
-/// single-copy, no-retry read path — byte-identical behavior and counters.
+/// per-request timeouts and hedged reads. All-default means one copy, no
+/// backoff, timeout or hedge: with a quiet fault schedule every key
+/// resolves in the first round, which meters exactly the link's
+/// RequestCost.
 struct RecoveryOptions {
   /// Copies of every key: replica r lives on node (primary + r) % N.
   /// Writes go to every replica; reads try the primary first and fall
@@ -153,9 +157,8 @@ struct RecoveryOptions {
   /// replication_factor >= 2. 0 = no hedging.
   double hedge_after_us = 0;
 
-  /// True when every knob is at its default — the Cluster then keeps the
-  /// exact pre-recovery read path (max_attempts only matters once faults
-  /// or a non-default policy are in play).
+  /// True when every knob is at its default (max_attempts only matters
+  /// once a fault loses an attempt); ToString() tags it "(default)".
   bool Default() const {
     return replication_factor <= 1 && backoff_base_us <= 0 &&
            timeout_us <= 0 && hedge_after_us <= 0;
@@ -216,30 +219,22 @@ class NetworkModel {
   /// single requests by (k-1) round trips — the batching economics.
   Cost RequestCost(int node, uint64_t keys, uint64_t bytes) const;
 
-  /// One read round trip: meters the request into `m` (per-node round
-  /// trip, transfer bytes, service ns, per-node busy ns; no-op when m is
-  /// null) and stalls the calling thread for the modeled latency PLUS any
-  /// queueing delay at the node's next-free-time clock. Sequential
-  /// execution therefore pays requests back-to-back while concurrent
-  /// workers overlap propagation and queue only on node contention —
-  /// which is exactly what the makespan model predicts. Returns the
-  /// request's modeled latency (ns, queueing excluded) so callers that
-  /// chunk work per worker can compute true per-chunk maxima.
-  int64_t OnGet(int node, uint64_t keys, uint64_t bytes,
-                QueryMetrics* m) const;
-
   // --- issue / wait halves (the fan-out's stall schedule) --------------
   //
-  // OnGet/FetchWithRecovery stall the caller per request. The *At
-  // variants split each call into its issue half (meter + claim the node
-  // clock at a caller-supplied modeled instant; never sleeps) and leave
-  // the wait half to the caller (SleepUntil), so a fan-out picks its
-  // schedule: issue each batch when the previous one completed (serial,
-  // the SUM of per-node latencies), or issue EVERY touched node's batch
-  // at one common instant and stall once (overlapped, about the max).
-  // The metering is byte-identical either way (same Cost, same counters,
-  // same fault verdicts): only the stall schedule differs, which is why
-  // both schedules satisfy CountersEqual.
+  // A read is two halves. The issue half (OnGetAt, FetchWithRecoveryAt)
+  // meters the request into `m` (per-node round trip, transfer bytes,
+  // service ns, per-node busy ns; no-op when m is null) and claims the
+  // node's next-free-time clock at a caller-supplied modeled instant; it
+  // never sleeps. The wait half is the caller's SleepUntil of the
+  // returned completion, which covers the modeled latency PLUS any
+  // queueing at the node. The stall is real in both parallel modes, so
+  // measured wall clock can validate what the makespan model predicts.
+  // A fan-out picks its schedule: issue each batch when the previous one
+  // completed (serial, the SUM of per-node latencies), or issue EVERY
+  // touched node's batch at one common instant and stall once
+  // (overlapped, about the max). The metering is byte-identical either
+  // way (same Cost, same counters, same fault verdicts): only the stall
+  // schedule differs, which is why both schedules satisfy CountersEqual.
 
   /// The modeled completion of one issued request.
   struct AsyncCost {
@@ -247,9 +242,10 @@ class NetworkModel {
     int64_t latency_ns = 0;  ///< the request's own latency (no queueing)
   };
 
-  /// The issue half of OnGet, anchored at modeled instant `now_ns`
-  /// (stamp NowNs() once per fan-out and pass it to every issue so the
-  /// batches depart together).
+  /// One plain read request of `keys` keys and `bytes` payload bytes to
+  /// `node`, issued at modeled instant `now_ns` (stamp NowNs() once per
+  /// fan-out and pass it to every issue so the batches depart together).
+  /// Fault-exempt: the TaaV scan's simulated per-tuple gets use it.
   AsyncCost OnGetAt(int node, uint64_t keys, uint64_t bytes, QueryMetrics* m,
                     int64_t now_ns) const;
 
@@ -258,11 +254,10 @@ class NetworkModel {
   int64_t NowNs() const;
 
   /// Stalls the calling thread until modeled instant `wake_ns` has
-  /// passed (no-op when it already has) — the wait half the *At calls
-  /// defer.
+  /// passed (no-op when it already has) — the wait half of a read.
   void SleepUntil(int64_t wake_ns) const;
 
-  /// One write: metered identically to OnGet but never stalled — bulk
+  /// One write: metered identically to OnGetAt but never stalled — bulk
   /// loads and maintenance writes must not crawl. The write still
   /// occupies the node's clock, so an in-flight write delays subsequent
   /// reads.
@@ -273,8 +268,7 @@ class NetworkModel {
 
   // --- fault schedule --------------------------------------------------
 
-  /// Whether any node carries a non-quiet fault. When false, the Cluster
-  /// keeps the plain OnGet read path (unless RecoveryOptions deviate).
+  /// Whether any node carries a non-quiet fault.
   bool faults_enabled() const { return faults_enabled_; }
   const NodeFaultOptions& fault(int node) const {
     return faults_[static_cast<size_t>(node)];
@@ -315,33 +309,25 @@ class NetworkModel {
 
   /// The per-key retry/hedge recovery machine for one batch addressed to
   /// `replicas` (the primary first — every item must hash to that
-  /// primary). Plays attempt rounds against the fault schedule: round 0
-  /// sends the whole batch to the primary (hedging stragglers against
-  /// replicas[1] when configured), every later round re-sends only the
-  /// still-failed keys to the next replica in the chain after the
-  /// exponential backoff. Each round's wire request is metered into `m`
-  /// (one per-node round trip, degrade-weighted busy, shipped bytes) and
-  /// claims the target node's clock; the caller is stalled until the
-  /// modeled instant the last key resolves (first success per key, timed
-  /// out / lost attempts detected at the timeout or the round trip).
-  /// (*ok)[i] is 1 when item i was served by some replica within the
-  /// attempt budget, 0 when the key is unreachable. Fault counters
-  /// (net_faults_injected / net_retries / net_timeouts / net_hedges /
-  /// net_hedge_wins) are counted per key, so their totals are invariant
-  /// under batch partitioning — the cross-worker determinism contract.
-  void FetchWithRecovery(const std::vector<int>& replicas,
-                         const std::vector<BatchItem>& items,
-                         const RecoveryOptions& recovery, QueryMetrics* m,
-                         std::vector<uint8_t>* ok) const;
-
-  /// The issue half of FetchWithRecovery: plays the same rounds with the
-  /// same metering and per-key verdicts, anchored at the caller-supplied
-  /// modeled instant `call_now_ns`, and returns the absolute modeled
-  /// instant the last key resolves instead of stalling. An overlapped
-  /// caller issues one of these per touched node at a common instant and
-  /// SleepUntil()s each returned wake as it drains completions. Verdicts
-  /// and fault counters never read the clock, so they are bit-identical
-  /// to the stalling path under any completion interleaving.
+  /// primary), issued at modeled instant `call_now_ns`. Plays attempt
+  /// rounds against the fault schedule: round 0 sends the whole batch to
+  /// the primary (hedging stragglers against replicas[1] when
+  /// configured), every later round re-sends only the still-failed keys to
+  /// the next replica in the chain after the exponential backoff. Each
+  /// round's wire request is metered into `m` (one per-node round trip,
+  /// degrade-weighted busy, shipped bytes) and claims the target node's
+  /// clock. Returns the absolute modeled instant the last key resolves
+  /// (first success per key, timed-out / lost attempts detected at the
+  /// timeout or the round trip); the caller SleepUntil()s it. (*ok)[i] is
+  /// 1 when item i was served by some replica within the attempt budget,
+  /// 0 when the key is unreachable. Fault counters (net_faults_injected /
+  /// net_retries / net_timeouts / net_hedges / net_hedge_wins) are
+  /// counted per key and never read the clock, so their totals are
+  /// invariant under batch partitioning and completion interleaving — the
+  /// cross-worker determinism contract. Under a quiet schedule and the
+  /// default RecoveryOptions it plays one round, metered and clocked
+  /// exactly as OnGetAt(replicas[0], items.size(), the items' summed
+  /// bytes, m, call_now_ns).
   int64_t FetchWithRecoveryAt(const std::vector<int>& replicas,
                               const std::vector<BatchItem>& items,
                               const RecoveryOptions& recovery, QueryMetrics* m,

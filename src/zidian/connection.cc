@@ -10,6 +10,24 @@
 
 namespace zidian {
 
+namespace {
+
+/// The cluster configuration an AnswerInfo reports: the BlockCache and,
+/// when one is attached, the network, its fault schedule and the
+/// replication policy.
+void DescribeCluster(const Cluster& cluster, AnswerInfo* info) {
+  info->cache_enabled = cluster.cache_enabled();
+  info->cache_capacity_bytes = cluster.cache_capacity_bytes();
+  if (const NetworkModel* net = cluster.network()) {
+    info->network_enabled = true;
+    info->network_text = net->ToString();
+    info->fault_text = net->FaultText();
+    info->replication_text = cluster.recovery().ToString();
+  }
+}
+
+}  // namespace
+
 ThreadPool* SharedPoolState::GetOrCreate(int num_threads) {
   MutexLock lock(mu_);
   if (pool_ == nullptr || pool_->num_threads() < num_threads) {
@@ -33,14 +51,7 @@ Status PreparedQuery::Plan() {
   preserve_detail_ = preserve.detail;
   last_info_ = AnswerInfo{};
   last_info_.result_preserving = preserving_;
-  last_info_.cache_enabled = zidian_->cluster().cache_enabled();
-  last_info_.cache_capacity_bytes = zidian_->cluster().cache_capacity_bytes();
-  if (const NetworkModel* net = zidian_->cluster().network()) {
-    last_info_.network_enabled = true;
-    last_info_.network_text = net->ToString();
-    last_info_.fault_text = net->FaultText();
-    last_info_.replication_text = zidian_->cluster().recovery().ToString();
-  }
+  DescribeCluster(zidian_->cluster(), &last_info_);
   if (!preserving_) {
     last_info_.route = AnswerInfo::Route::kTaavFallback;
     last_info_.detail = preserve_detail_;
@@ -95,15 +106,8 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
   } bypass_scope{&cluster, cluster.cache_bypassed(),
                  opts.bypass_cache != cluster.cache_bypassed()};
   if (bypass_scope.changed) cluster.SetCacheBypass(opts.bypass_cache);
-  out->cache_enabled = cluster.cache_enabled();
-  out->cache_capacity_bytes = cluster.cache_capacity_bytes();
+  DescribeCluster(cluster, out);
   out->cache_bypassed = opts.bypass_cache;
-  if (const NetworkModel* net = cluster.network()) {
-    out->network_enabled = true;
-    out->network_text = net->ToString();
-    out->fault_text = net->FaultText();
-    out->replication_text = cluster.recovery().ToString();
-  }
 
   // Resolve the mode to a pool once, for whichever route runs: the
   // executors take the pool, not the mode. kThreads at workers <= 1 is the

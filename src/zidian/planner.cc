@@ -21,12 +21,12 @@ class EqIndex {
     for (const auto& t : spec.tables) {
       const TableSchema* rel = catalog.Find(t.table);
       if (rel == nullptr) continue;
-      for (const auto& c : rel->columns()) Id({t.alias, c.name});
+      for (const auto& c : rel->columns()) uf_.Id({t.alias, c.name});
     }
-    for (const auto& [a, b] : spec.eq_joins) Union(Id(a), Id(b));
-    constants_.assign(parent_.size(), std::optional<Value>{});
+    for (const auto& [a, b] : spec.eq_joins) uf_.Union(uf_.Id(a), uf_.Id(b));
+    constants_.assign(uf_.size(), std::optional<Value>{});
     for (const auto& [a, v] : spec.const_eqs) {
-      auto& slot = constants_[static_cast<size_t>(Find(Id(a)))];
+      auto& slot = constants_[static_cast<size_t>(uf_.Find(uf_.Id(a)))];
       if (slot.has_value() && !(*slot == v)) {
         contradiction_ = true;  // A = c1 AND A = c2 with c1 != c2
       }
@@ -39,32 +39,25 @@ class EqIndex {
 
   /// All attributes equal to `a` (including `a`).
   std::vector<AttrRef> ClassMembers(const AttrRef& a) const {
-    auto it = ids_.find(a);
-    if (it == ids_.end()) return {a};
-    int root = FindConst(it->second);
+    int root = ClassId(a);
+    if (root < 0) return {a};
     std::vector<AttrRef> out;
-    for (const auto& [attr, id] : ids_) {
-      if (FindConst(id) == root) out.push_back(attr);
+    for (const auto& [attr, id] : uf_.ids()) {
+      if (uf_.Find(id) == root) out.push_back(attr);
     }
     return out;
   }
 
-  std::optional<Value> ConstantOf(const AttrRef& a) const {
-    auto it = ids_.find(a);
-    if (it == ids_.end()) return std::nullopt;
-    return constants_[static_cast<size_t>(FindConst(it->second))];
-  }
-
   int ClassId(const AttrRef& a) const {
-    auto it = ids_.find(a);
-    return it == ids_.end() ? -1 : FindConst(it->second);
+    int id = uf_.Lookup(a);
+    return id < 0 ? -1 : uf_.Find(id);
   }
 
   /// Root class ids that carry a constant.
   std::vector<int> ConstClasses() const {
     std::vector<int> out;
-    for (size_t i = 0; i < parent_.size(); ++i) {
-      if (FindConst(static_cast<int>(i)) == static_cast<int>(i) &&
+    for (size_t i = 0; i < uf_.size(); ++i) {
+      if (uf_.Find(static_cast<int>(i)) == static_cast<int>(i) &&
           constants_[i].has_value()) {
         out.push_back(static_cast<int>(i));
       }
@@ -77,30 +70,7 @@ class EqIndex {
   }
 
  private:
-  int Id(const AttrRef& a) {
-    auto [it, inserted] = ids_.emplace(a, static_cast<int>(parent_.size()));
-    if (inserted) parent_.push_back(it->second);
-    return it->second;
-  }
-  int Find(int x) {
-    while (parent_[static_cast<size_t>(x)] != x) {
-      x = parent_[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-  int FindConst(int x) const {
-    while (parent_[static_cast<size_t>(x)] != x) {
-      x = parent_[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-  void Union(int a, int b) {
-    int ra = Find(a), rb = Find(b);
-    if (ra != rb) parent_[static_cast<size_t>(ra)] = rb;
-  }
-
-  std::map<AttrRef, int> ids_;
-  std::vector<int> parent_;
+  AttrUnionFind uf_;
   std::vector<std::optional<Value>> constants_;
   bool contradiction_ = false;
 };

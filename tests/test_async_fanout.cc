@@ -28,6 +28,7 @@
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/planner.h"
@@ -469,7 +470,7 @@ class FetchRoundsFixture : public ::testing::Test {
       const KvSchema* kv = zidian_->store().schema().Find(name);
       EXPECT_NE(kv, nullptr) << name;
       if (kv == nullptr) continue;
-      EXPECT_TRUE(zidian_->store().GetBlock(*kv, {Value(vehicle)}, &m).ok());
+      EXPECT_TRUE(ReadBlock(zidian_->store(), *kv, {Value(vehicle)}, &m).ok());
     }
     cluster_->SetCacheBypass(false);
     return m;

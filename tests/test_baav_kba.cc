@@ -12,6 +12,7 @@
 #include "kba/kba_plan.h"
 #include "ra/eval.h"
 #include "storage/cluster.h"
+#include "test_support.h"
 
 namespace zidian {
 namespace {
@@ -151,9 +152,9 @@ class BaavStoreFixture : public ::testing::Test {
   std::unique_ptr<BaavStore> store_;
 };
 
-TEST_F(BaavStoreFixture, GetBlockFetchesGroup) {
+TEST_F(BaavStoreFixture, ReadBlockFetchesGroup) {
   QueryMetrics m;
-  auto rows = store_->GetBlock(kv(), {Value(int64_t{2})}, &m);
+  auto rows = ReadBlock(*store_, kv(), {Value(int64_t{2})}, &m);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);  // ids 2, 6, ..., 38
   for (const auto& r : *rows) EXPECT_EQ(r[0].AsInt() % 4, 2);
@@ -163,7 +164,7 @@ TEST_F(BaavStoreFixture, GetBlockFetchesGroup) {
 
 TEST_F(BaavStoreFixture, MissingKeyIsEmptyBlockButCountsTheGet) {
   QueryMetrics m;
-  auto rows = store_->GetBlock(kv(), {Value(int64_t{99})}, &m);
+  auto rows = ReadBlock(*store_, kv(), {Value(int64_t{99})}, &m);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
   EXPECT_EQ(m.get_calls, 1u);
@@ -173,9 +174,6 @@ TEST_F(BaavStoreFixture, DegreeIsMaxBlockSize) {
   auto deg = store_->Degree(kv());
   ASSERT_TRUE(deg.ok());
   EXPECT_EQ(*deg, 10u);
-  auto max_deg = store_->MaxDegree();
-  ASSERT_TRUE(max_deg.ok());
-  EXPECT_EQ(*max_deg, 10u);
 }
 
 // Regression for the discarded-Status harvest (PR 9): Degree() used to
@@ -231,9 +229,9 @@ TEST_F(BaavStoreFixture, ScanVisitsEveryBlockOnce) {
   EXPECT_GT(m.next_calls, 0u);
 }
 
-TEST_F(BaavStoreFixture, GetBlockStatsAvoidsTupleBytes) {
+TEST_F(BaavStoreFixture, BlockStatsAvoidTupleBytes) {
   QueryMetrics full_m, stats_m;
-  ASSERT_TRUE(store_->GetBlock(kv(), {Value(int64_t{1})}, &full_m).ok());
+  ASSERT_TRUE(ReadBlock(*store_, kv(), {Value(int64_t{1})}, &full_m).ok());
   auto stats = store_->MultiGetBlockStats(kv(), {{Value(int64_t{1})}},
                                           &stats_m, FanoutMode::kSerial,
                                           nullptr);
@@ -258,7 +256,7 @@ TEST_F(BaavStoreFixture, BlockSplittingKeepsLogicalBlock) {
   kv2.name = "emp@dept/split";
   ASSERT_TRUE(small.BuildInstance(kv2, data_).ok());
   QueryMetrics m;
-  auto rows = small.GetBlock(kv2, {Value(int64_t{3})}, &m);
+  auto rows = ReadBlock(small, kv2, {Value(int64_t{3})}, &m);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);
   EXPECT_GT(m.get_calls, 1u);  // one get per segment
@@ -293,15 +291,10 @@ TEST(BaavStoreSplit, HeaderCountsWrittenSegments) {
         data.Add({Value(int64_t{1}), Value(i), Value(std::string(40, 'x'))});
       }
       ASSERT_TRUE(store.BuildInstance(kv, data).ok());
-      auto rows = store.GetBlock(kv, {Value(int64_t{1})}, nullptr);
+      auto rows = ReadBlock(store, kv, {Value(int64_t{1})}, nullptr);
       ASSERT_TRUE(rows.ok()) << "threshold " << threshold << " rows " << n
                              << ": " << rows.status().ToString();
       EXPECT_EQ(rows->size(), static_cast<size_t>(n));
-      const Tuple key{Value(int64_t{1})};
-      auto batched = store.MultiGetBlocks({{&kv, &key}}, nullptr,
-                                          FanoutMode::kOverlapped, nullptr);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      EXPECT_EQ((*batched)[0].rows.size(), static_cast<size_t>(n));
     }
   }
 }
@@ -315,14 +308,16 @@ TEST_F(BaavStoreFixture, IncrementalInsertMatchesRebuild) {
     Tuple t{Value(rng.Uniform(0, 5)), Value(int64_t{100 + i}),
             Value(rng.NextDouble() * 50)};
     grown.Add(t);
-    ASSERT_TRUE(store_->ApplyInsert("emp", t).ok());
+    BaavStore::Maintenance update;
+    ASSERT_TRUE(store_->ReadForInsert("emp", t, &update).ok());
+    ASSERT_TRUE(store_->Install(update).ok());
   }
   Cluster fresh_cluster(ClusterOptions{.num_storage_nodes = 3});
   BaavStore fresh(&fresh_cluster, schema_, &catalog_);
   ASSERT_TRUE(fresh.BuildInstance(kv(), grown).ok());
   for (int64_t dept = 0; dept < 6; ++dept) {
-    auto a = store_->GetBlock(kv(), {Value(dept)}, nullptr);
-    auto b = fresh.GetBlock(kv(), {Value(dept)}, nullptr);
+    auto a = ReadBlock(*store_, kv(), {Value(dept)}, nullptr);
+    auto b = ReadBlock(fresh, kv(), {Value(dept)}, nullptr);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     std::multiset<std::string> sa, sb;
@@ -339,8 +334,10 @@ TEST_F(BaavStoreFixture, IncrementalInsertMatchesRebuild) {
 
 TEST_F(BaavStoreFixture, IncrementalDeleteRemovesOneOccurrence) {
   Tuple victim{Value(int64_t{1}), Value(int64_t{5}), Value(500.0)};
-  ASSERT_TRUE(store_->ApplyDelete("emp", victim).ok());
-  auto rows = store_->GetBlock(kv(), {Value(int64_t{1})}, nullptr);
+  BaavStore::Maintenance update;
+  ASSERT_TRUE(store_->ReadForDelete("emp", victim, &update).ok());
+  ASSERT_TRUE(store_->Install(update).ok());
+  auto rows = ReadBlock(*store_, kv(), {Value(int64_t{1})}, nullptr);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 9u);
   for (const auto& r : *rows) EXPECT_NE(r[0].AsInt(), 5);

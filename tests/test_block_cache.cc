@@ -12,6 +12,7 @@
 #include "storage/block_cache.h"
 #include "storage/cluster.h"
 #include "storage/mem_backend.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/zidian.h"
@@ -169,29 +170,6 @@ ClusterOptions CachedOptions(BackendKind backend = BackendKind::kLsm) {
       .cache = {.capacity_bytes = 4 << 20, .shards = 4}};
 }
 
-TEST(ClusterCache, GetServesRepeatsFromCacheWithoutRoundTrip) {
-  Cluster cluster(CachedOptions());
-  ASSERT_TRUE(cluster.cache_enabled());
-  ASSERT_TRUE(cluster.Put("key", "value").ok());
-
-  QueryMetrics m;
-  auto first = cluster.Get("key", &m);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(m.get_calls, 1u);
-  EXPECT_EQ(m.get_round_trips, 1u);
-  EXPECT_EQ(m.cache_hits, 0u);
-  EXPECT_EQ(m.cache_misses, 1u);
-  EXPECT_GT(m.bytes_from_storage, 0u);
-
-  auto second = cluster.Get("key", &m);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), first.value());
-  EXPECT_EQ(m.get_calls, 2u);        // logical #get still counts
-  EXPECT_EQ(m.get_round_trips, 1u);  // ...but no new round trip
-  EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.bytes_from_cache, 3u + 5u);
-}
-
 TEST(ClusterCache, FullyCachedMultiGetPerformsZeroRoundTrips) {
   Cluster cluster(CachedOptions());
   std::vector<std::string> keys;
@@ -206,6 +184,7 @@ TEST(ClusterCache, FullyCachedMultiGetPerformsZeroRoundTrips) {
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 16u);
   EXPECT_GT(cold.get_round_trips, 0u);
+  EXPECT_GT(cold.bytes_from_storage, 0u);
 
   QueryMetrics warm;
   auto hit_pass = cluster.MultiGet(keys, &warm, CacheFill::kFill,
@@ -230,8 +209,10 @@ TEST(ClusterCache, PartiallyCachedMultiGetFetchesOnlyMisses) {
     keys.push_back("key-" + std::to_string(i));
     ASSERT_TRUE(cluster.Put(keys.back(), "value-" + std::to_string(i)).ok());
   }
-  // Warm half the keys through point gets.
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(cluster.Get(keys[i], nullptr).ok());
+  // Warm half the keys.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(GetOne(cluster, keys[i], nullptr).ok());
+  }
 
   QueryMetrics m;
   auto values = cluster.MultiGet(keys, &m, CacheFill::kFill,
@@ -251,40 +232,23 @@ TEST(ClusterCache, NoFillReadsNeverPopulateTheCache) {
 
   // Misses with kNoFill pay the round trip and leave nothing behind.
   QueryMetrics m;
-  ASSERT_TRUE(cluster.Get("key", &m, CacheFill::kNoFill).ok());
-  ASSERT_TRUE(cluster.Get("key", &m, CacheFill::kNoFill).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &m, CacheFill::kNoFill).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &m, CacheFill::kNoFill).ok());
   EXPECT_EQ(m.cache_misses, 2u);
   EXPECT_EQ(m.get_round_trips, 2u);
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
-  auto values = cluster.MultiGet({"key"}, &m, CacheFill::kNoFill,
-                                 FanoutMode::kSerial);
-  ASSERT_TRUE(values[0].has_value());
+  // Absences read with kNoFill plant no negative entry: repeats pay too.
+  EXPECT_FALSE(GetOne(cluster, "ghost", &m, CacheFill::kNoFill).ok());
+  EXPECT_FALSE(GetOne(cluster, "ghost", &m, CacheFill::kNoFill).ok());
+  EXPECT_EQ(m.get_round_trips, 4u);
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
 
   // ...but a block a filling read already paid for still serves hits.
-  ASSERT_TRUE(cluster.Get("key", &m).ok());  // fill
+  ASSERT_TRUE(GetOne(cluster, "key", &m).ok());  // fill
   QueryMetrics after;
-  ASSERT_TRUE(cluster.Get("key", &after, CacheFill::kNoFill).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &after, CacheFill::kNoFill).ok());
   EXPECT_EQ(after.cache_hits, 1u);
   EXPECT_EQ(after.get_round_trips, 0u);
-}
-
-TEST(ClusterCache, RepeatedAbsentGetsStopPayingRoundTrips) {
-  Cluster cluster(CachedOptions());
-  QueryMetrics m;
-  // First miss confirms the absence at the backend and remembers it.
-  EXPECT_FALSE(cluster.Get("ghost", &m).ok());
-  EXPECT_EQ(m.get_round_trips, 1u);
-  EXPECT_EQ(m.cache_misses, 1u);
-  EXPECT_EQ(m.cache_negative_hits, 0u);
-  // Repeats answer from the negative entry: logical gets, zero trips.
-  EXPECT_FALSE(cluster.Get("ghost", &m).ok());
-  EXPECT_FALSE(cluster.Get("ghost", &m).ok());
-  EXPECT_EQ(m.get_calls, 3u);
-  EXPECT_EQ(m.get_round_trips, 1u);
-  EXPECT_EQ(m.cache_negative_hits, 2u);
-  EXPECT_EQ(m.bytes_from_storage, 0u);
-  EXPECT_EQ(cluster.block_cache()->GetStats().negative_entries, 1u);
 }
 
 TEST(ClusterCache, MultiGetServesCachedAbsencesWithoutTrips) {
@@ -293,12 +257,16 @@ TEST(ClusterCache, MultiGetServesCachedAbsencesWithoutTrips) {
   ASSERT_TRUE(cluster.Put("present-2", "v2").ok());
   std::vector<std::string> keys{"present-1", "absent-1", "present-2",
                                 "absent-2"};
+  // The cold pass confirms both absences at the nodes and remembers them.
   QueryMetrics cold;
   auto first = cluster.MultiGet(keys, &cold, CacheFill::kFill,
                                 FanoutMode::kSerial);
   EXPECT_TRUE(first[0].has_value());
   EXPECT_FALSE(first[1].has_value());
   EXPECT_GT(cold.get_round_trips, 0u);
+  EXPECT_EQ(cold.cache_misses, 4u);
+  EXPECT_EQ(cold.cache_negative_hits, 0u);
+  EXPECT_EQ(cluster.block_cache()->GetStats().negative_entries, 2u);
 
   // Warm pass: positives hit, absences negative-hit, nothing travels.
   QueryMetrics warm;
@@ -317,9 +285,9 @@ TEST(ClusterCache, MultiGetServesCachedAbsencesWithoutTrips) {
 TEST(ClusterCache, PutOverNegativeEntryInstallsTheValue) {
   Cluster cluster(CachedOptions());
   QueryMetrics m;
-  EXPECT_FALSE(cluster.Get("late", &m).ok());        // plants the negative
+  EXPECT_FALSE(GetOne(cluster, "late", &m).ok());    // plants the negative
   ASSERT_TRUE(cluster.Put("late", "arrived").ok());  // upgrades it in place
-  auto r = cluster.Get("late", &m);
+  auto r = GetOne(cluster, "late", &m);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), "arrived");
   EXPECT_EQ(m.cache_negative_hits, 0u);  // never served stale absence
@@ -337,10 +305,10 @@ TEST(ClusterCache, PutOverUncachedOrPositiveKeyDoesNotInstall) {
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
   // Positive entry: the stale bytes are dropped, not overwritten —
   // metering-wise the next read is a miss that pays its trip.
-  ASSERT_TRUE(cluster.Get("fresh", nullptr).ok());  // fill "v1"
+  ASSERT_TRUE(GetOne(cluster, "fresh", nullptr).ok());  // fill "v1"
   ASSERT_TRUE(cluster.Put("fresh", "v2").ok());
   QueryMetrics m;
-  auto r = cluster.Get("fresh", &m);
+  auto r = GetOne(cluster, "fresh", &m);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), "v2");
   EXPECT_EQ(m.cache_hits, 0u);
@@ -349,13 +317,13 @@ TEST(ClusterCache, PutOverUncachedOrPositiveKeyDoesNotInstall) {
 
 TEST(ClusterCache, BypassedPutOverNegativeEvictsWithoutInstalling) {
   Cluster cluster(CachedOptions());
-  EXPECT_FALSE(cluster.Get("late", nullptr).ok());  // plants the negative
+  EXPECT_FALSE(GetOne(cluster, "late", nullptr).ok());  // plants the negative
   cluster.SetCacheBypass(true);
   ASSERT_TRUE(cluster.Put("late", "arrived").ok());  // invalidate only:
   cluster.SetCacheBypass(false);                     // a bypassed write
   EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);  // cannot fill
   QueryMetrics m;
-  auto r = cluster.Get("late", &m);
+  auto r = GetOne(cluster, "late", &m);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), "arrived");
   EXPECT_EQ(m.cache_hits, 0u);
@@ -400,7 +368,7 @@ TEST(ClusterCache, FailedPutNeverInstallsIntoTheCache) {
   Cluster cluster(options);
   FlakyPutBackend::fail_puts = false;
 
-  EXPECT_FALSE(cluster.Get("late", nullptr).ok());  // plants the negative
+  EXPECT_FALSE(GetOne(cluster, "late", nullptr).ok());  // plants the negative
   FlakyPutBackend::fail_puts = true;
   EXPECT_FALSE(cluster.Put("late", "phantom").ok());  // backend rejects
   FlakyPutBackend::fail_puts = false;
@@ -408,7 +376,7 @@ TEST(ClusterCache, FailedPutNeverInstallsIntoTheCache) {
   // absent in the backend, and the cache must agree (the stale negative
   // was dropped conservatively, not served as a value).
   QueryMetrics m;
-  EXPECT_FALSE(cluster.Get("late", &m).ok());
+  EXPECT_FALSE(GetOne(cluster, "late", &m).ok());
   EXPECT_EQ(m.cache_hits, 0u);
 }
 
@@ -425,40 +393,13 @@ TEST(BlockCache, OnPutOversizedValueErasesTheNegativeEntry) {
   EXPECT_EQ(cache.GetStats().negative_entries, 0u);
 }
 
-TEST(ClusterCache, NoFillAbsentReadsLeaveNoNegativeBehind) {
-  Cluster cluster(CachedOptions());
-  QueryMetrics m;
-  EXPECT_FALSE(cluster.Get("ghost", &m, CacheFill::kNoFill).ok());
-  EXPECT_FALSE(cluster.Get("ghost", &m, CacheFill::kNoFill).ok());
-  EXPECT_EQ(m.get_round_trips, 2u);  // every no-fill read paid its trip
-  EXPECT_EQ(cluster.block_cache()->GetStats().entries, 0u);
-}
-
-TEST(ClusterCache, PutInvalidatesCachedKey) {
-  Cluster cluster(CachedOptions());
-  ASSERT_TRUE(cluster.Put("key", "old").ok());
-  ASSERT_TRUE(cluster.Get("key", nullptr).ok());  // fill
-  ASSERT_TRUE(cluster.Put("key", "new").ok());    // invalidate
-
-  QueryMetrics m;
-  auto res = cluster.Get("key", &m);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value(), "new");
-  EXPECT_EQ(m.cache_hits, 0u);  // the stale entry was erased, not served
-  EXPECT_EQ(m.cache_misses, 1u);
-}
-
 TEST(ClusterCache, DeleteInvalidatesCachedKey) {
   Cluster cluster(CachedOptions());
   ASSERT_TRUE(cluster.Put("key", "value").ok());
-  ASSERT_TRUE(cluster.Get("key", nullptr).ok());  // fill
+  ASSERT_TRUE(GetOne(cluster, "key", nullptr).ok());  // fill
   ASSERT_TRUE(cluster.Delete("key").ok());
-  EXPECT_FALSE(cluster.Get("key", nullptr).ok());  // NotFound, not a hit
-
-  // The same holds through MultiGet.
-  auto values = cluster.MultiGet({"key"}, nullptr, CacheFill::kFill,
-                                 FanoutMode::kSerial);
-  EXPECT_FALSE(values[0].has_value());
+  // NotFound, not a hit.
+  EXPECT_TRUE(GetOne(cluster, "key", nullptr).status().IsNotFound());
 }
 
 TEST(ClusterCache, BypassSkipsReadsAndFillsButNotInvalidation) {
@@ -467,8 +408,8 @@ TEST(ClusterCache, BypassSkipsReadsAndFillsButNotInvalidation) {
 
   cluster.SetCacheBypass(true);
   QueryMetrics bypassed;
-  ASSERT_TRUE(cluster.Get("key", &bypassed).ok());
-  ASSERT_TRUE(cluster.Get("key", &bypassed).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &bypassed).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &bypassed).ok());
   EXPECT_EQ(bypassed.cache_hits, 0u);
   EXPECT_EQ(bypassed.cache_misses, 0u);
   EXPECT_EQ(bypassed.get_round_trips, 2u);  // every read paid a trip
@@ -476,13 +417,13 @@ TEST(ClusterCache, BypassSkipsReadsAndFillsButNotInvalidation) {
   // Nothing was filled during the bypass...
   cluster.SetCacheBypass(false);
   QueryMetrics m;
-  ASSERT_TRUE(cluster.Get("key", &m).ok());
+  ASSERT_TRUE(GetOne(cluster, "key", &m).ok());
   EXPECT_EQ(m.cache_misses, 1u);
   // ...but a fill followed by a bypassed write still invalidates.
   cluster.SetCacheBypass(true);
   ASSERT_TRUE(cluster.Put("key", "newer").ok());
   cluster.SetCacheBypass(false);
-  auto res = cluster.Get("key", &m);
+  auto res = GetOne(cluster, "key", &m);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value(), "newer");
 }
@@ -496,7 +437,7 @@ TEST(ClusterCache, EvictionsAreMeteredPerQuery) {
   for (int i = 0; i < 32; ++i) {
     std::string key = "key-" + std::to_string(i);
     ASSERT_TRUE(cluster.Put(key, "0123456789abcdef").ok());
-    ASSERT_TRUE(cluster.Get(key, &m).ok());
+    ASSERT_TRUE(GetOne(cluster, key, &m).ok());
   }
   EXPECT_GT(m.cache_evictions, 0u);
   EXPECT_EQ(cluster.block_cache()->GetStats().evictions, m.cache_evictions);

@@ -21,6 +21,7 @@
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/zidian.h"
@@ -102,13 +103,15 @@ TEST(FaultScheduleTest, CountersInvariantUnderBatchPartitioning) {
 
   QueryMetrics whole;
   std::vector<uint8_t> ok_whole;
-  net.FetchWithRecovery(replicas, batch, rec, &whole, &ok_whole);
+  net.SleepUntil(net.FetchWithRecoveryAt(replicas, batch, rec, &whole,
+                                         &ok_whole, net.NowNs()));
 
   QueryMetrics split;
   std::vector<uint8_t> ok_split;
   for (const auto& item : batch) {
     std::vector<uint8_t> one;
-    net.FetchWithRecovery(replicas, {item}, rec, &split, &one);
+    net.SleepUntil(net.FetchWithRecoveryAt(replicas, {item}, rec, &split,
+                                           &one, net.NowNs()));
     ok_split.push_back(one[0]);
   }
 
@@ -139,8 +142,10 @@ TEST(FaultScheduleTest, RepeatedRunsMeterIdentically) {
 
   QueryMetrics a, b;
   std::vector<uint8_t> ok_a, ok_b;
-  net.FetchWithRecovery({0, 1, 2}, batch, rec, &a, &ok_a);
-  net.FetchWithRecovery({0, 1, 2}, batch, rec, &b, &ok_b);
+  net.SleepUntil(
+      net.FetchWithRecoveryAt({0, 1, 2}, batch, rec, &a, &ok_a, net.NowNs()));
+  net.SleepUntil(
+      net.FetchWithRecoveryAt({0, 1, 2}, batch, rec, &b, &ok_b, net.NowNs()));
   EXPECT_EQ(ok_a, ok_b);
   EXPECT_TRUE(CountersEqual(a, b))
       << "a: " << a.ToString() << "\nb: " << b.ToString();
@@ -168,7 +173,6 @@ TEST(ClusterRecoveryTest, ReplicaRescuesKeysOnDownNode) {
   co.network.faults.node_faults = {down};
   co.recovery = RecoveryOptions{.replication_factor = 2, .max_attempts = 3};
   Cluster cluster(co);
-  ASSERT_TRUE(cluster.recovery_active());
   ASSERT_EQ(cluster.replication(), 2);
 
   std::vector<std::string> keys = SeedKeys(&cluster, 60);
@@ -190,21 +194,6 @@ TEST(ClusterRecoveryTest, ReplicaRescuesKeysOnDownNode) {
   EXPECT_EQ(m.net_faults_injected, on_node0);
   EXPECT_EQ(m.net_retries, on_node0);
   EXPECT_EQ(m.net_hedges, 0u);  // no hedge policy configured
-
-  // The single-key path takes the same machine. A fresh cluster keeps the
-  // read cold under the cache-enabled ctest configuration — a hit would
-  // (correctly) skip the recovery machine entirely.
-  Cluster fresh(co);
-  SeedKeys(&fresh, 60);
-  for (const auto& k : keys) {
-    if (fresh.NodeFor(k) != 0) continue;
-    QueryMetrics gm;
-    auto got = fresh.Get(k, &gm);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(gm.net_faults_injected, 1u);
-    EXPECT_EQ(gm.net_retries, 1u);
-    break;
-  }
 }
 
 TEST(ClusterRecoveryTest, ExhaustedRetriesFailUnavailable) {
@@ -217,7 +206,6 @@ TEST(ClusterRecoveryTest, ExhaustedRetriesFailUnavailable) {
   co.network.faults.node_faults = {down};
   // Single copy: a key whose primary is node 0 has nowhere to go.
   Cluster cluster(co);
-  ASSERT_TRUE(cluster.recovery_active());
   ASSERT_EQ(cluster.replication(), 1);
 
   std::vector<std::string> keys = SeedKeys(&cluster, 40);
@@ -229,21 +217,21 @@ TEST(ClusterRecoveryTest, ExhaustedRetriesFailUnavailable) {
   ASSERT_FALSE(cursed.empty());
   ASSERT_FALSE(healthy.empty());
 
-  // Unreachable is not absent: the Get fails with kUnavailable (never
-  // kNotFound), ships no storage bytes, and caches nothing in either
-  // polarity — a second Get pays the full failure again.
+  // Unreachable is not absent: a one-key read fails with kUnavailable
+  // (never kNotFound), ships no storage bytes, and caches nothing in
+  // either polarity — a second read pays the full failure again.
   QueryMetrics gm;
-  auto first = cluster.Get(cursed, &gm);
+  auto first = GetOne(cluster, cursed, &gm);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsUnavailable()) << first.status().ToString();
-  auto second = cluster.Get(cursed, &gm);
+  auto second = GetOne(cluster, cursed, &gm);
   ASSERT_FALSE(second.ok());
   EXPECT_TRUE(second.status().IsUnavailable());
   EXPECT_EQ(gm.get_calls, 2u);
   EXPECT_EQ(gm.bytes_from_storage, 0u);
   EXPECT_EQ(gm.cache_hits, 0u);
   EXPECT_EQ(gm.cache_negative_hits, 0u);
-  EXPECT_EQ(gm.net_faults_injected, 6u);  // 3 attempts per Get, all down
+  EXPECT_EQ(gm.net_faults_injected, 6u);  // 3 attempts per read, all down
   EXPECT_EQ(gm.net_retries, 4u);
 
   // A batch distinguishes all three per-key outcomes: served, absent

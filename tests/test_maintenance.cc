@@ -260,7 +260,7 @@ TEST(MaintenanceFaults, FailedReadPhaseChangesNeitherLayout) {
   co.network.faults.fault.down_until = 1;
   Cluster cluster(co);
   ASSERT_TRUE(cluster.LoadFromDir(dir.path()).ok());
-  ASSERT_TRUE(cluster.recovery_active());
+  ASSERT_TRUE(cluster.network()->faults_enabled());
   Zidian zidian(&w->catalog, &cluster, w->baav);
 
   const std::vector<Pairs> before = NodePairs(cluster);
@@ -309,7 +309,7 @@ TEST(MaintenanceBatch, FailedOrUncommittedBatchesWriteNothing) {
   longer.push_back(Value(int64_t{1}));
   const std::string taav_key = TaavKey(
       "mot_test", {row[static_cast<size_t>(tests.ColumnIndex("test_id"))]});
-  auto loaded_value = cluster.Get(taav_key, nullptr);
+  auto loaded_value = GetOne(cluster, taav_key, nullptr);
   ASSERT_TRUE(loaded_value.ok()) << loaded_value.status().ToString();
   const std::string taav_value = *loaded_value;
   const int64_t vehicle =
@@ -347,12 +347,12 @@ TEST(MaintenanceBatch, FailedOrUncommittedBatchesWriteNothing) {
   // is gone, and both routes count one test fewer for its vehicle.
   const std::vector<Pairs> committed = NodePairs(cluster);
   EXPECT_FALSE(committed == before);
-  EXPECT_TRUE(cluster.Get(taav_key, nullptr).status().IsNotFound());
+  EXPECT_TRUE(GetOne(cluster, taav_key, nullptr).status().IsNotFound());
   EXPECT_EQ(CountTests(&z, vehicle), std::make_pair(loaded - 1, loaded - 1));
 
   ASSERT_TRUE(z.Insert("mot_test", row).ok());  // no batch open: at once
   EXPECT_FALSE(NodePairs(cluster) == committed);
-  auto stored = cluster.Get(taav_key, nullptr);
+  auto stored = GetOne(cluster, taav_key, nullptr);
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
   EXPECT_EQ(*stored, taav_value);
   EXPECT_EQ(CountTests(&z, vehicle), std::make_pair(loaded, loaded));
@@ -559,6 +559,17 @@ class MaintenanceRoundTrips : public ::testing::Test {
 
   Tuple Row(size_t i) const { return w_->data.at("mot_test").rows()[i]; }
 
+  /// One mutation of the BaaV store alone: its read phase, then the
+  /// install.
+  Status Maintain(const Tuple& row, bool insert) {
+    BaavStore& store = zidian_->store();
+    BaavStore::Maintenance update;
+    ZIDIAN_RETURN_NOT_OK(insert
+                             ? store.ReadForInsert("mot_test", row, &update)
+                             : store.ReadForDelete("mot_test", row, &update));
+    return store.Install(update);
+  }
+
   std::unique_ptr<Workload> w_;
   std::vector<NodeReads> reads_;
   size_t made_ = 0;
@@ -573,11 +584,11 @@ TEST_F(MaintenanceRoundTrips, BuildReadsNothingAndUpdatesReadOnce) {
 
   ASSERT_GE(w_->baav.ForRelation("mot_test").size(), 2u);
   // The first update after a build finds every block cold, cache or not.
-  ASSERT_TRUE(zidian_->store().ApplyDelete("mot_test", Row(0)).ok());
+  ASSERT_TRUE(Maintain(Row(0), /*insert=*/false).ok());
   auto rounds = TakeRounds();
   EXPECT_GE(rounds.first, 1u);
   EXPECT_EQ(rounds.second, 0u);
-  ASSERT_TRUE(zidian_->store().ApplyInsert("mot_test", Row(0)).ok());
+  ASSERT_TRUE(Maintain(Row(0), /*insert=*/true).ok());
   EXPECT_EQ(TakeRounds().second, 0u);
   ASSERT_TRUE(zidian_->Delete("mot_test", Row(1)).ok());
   EXPECT_EQ(TakeRounds().second, 0u);
@@ -589,11 +600,11 @@ TEST_F(MaintenanceRoundTrips, SplitBlocksAddOneOverflowRound) {
   Build(96);  // every multi-row block spans several segments
   EXPECT_EQ(TakeRounds(), std::make_pair(uint64_t{0}, uint64_t{0}));
 
-  ASSERT_TRUE(zidian_->store().ApplyDelete("mot_test", Row(0)).ok());
+  ASSERT_TRUE(Maintain(Row(0), /*insert=*/false).ok());
   auto rounds = TakeRounds();
   EXPECT_GE(rounds.first, 1u);
   EXPECT_GE(rounds.second, 1u);
-  ASSERT_TRUE(zidian_->store().ApplyInsert("mot_test", Row(0)).ok());
+  ASSERT_TRUE(Maintain(Row(0), /*insert=*/true).ok());
   TakeRounds();
 }
 

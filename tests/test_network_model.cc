@@ -21,6 +21,7 @@
 #include "storage/backend.h"
 #include "storage/cluster.h"
 #include "storage/network_model.h"
+#include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
 #include "zidian/zidian.h"
@@ -74,14 +75,18 @@ TEST(NetworkModelTest, DisabledNetworkReportsDisabled) {
   EXPECT_TRUE(with_override.Enabled());
 }
 
-TEST(NetworkModelTest, OnGetMetersHistogramTransferAndServiceTime) {
+TEST(NetworkModelTest, OnGetAtMetersHistogramTransferAndServiceTime) {
   NetworkOptions opts;
   opts.link = NetworkLinkOptions{.rtt_us = 10, .per_key_us = 2};
   NetworkModel net(opts, 3);
+  // One read: the issue half, then the wait half.
+  auto get = [&net](int node, uint64_t keys, uint64_t bytes, QueryMetrics* m) {
+    net.SleepUntil(net.OnGetAt(node, keys, bytes, m, net.NowNs()).wake_ns);
+  };
   QueryMetrics m;
-  net.OnGet(1, 4, 100, &m);
-  net.OnGet(1, 1, 0, &m);
-  net.OnGet(2, 1, 0, &m);
+  get(1, 4, 100, &m);
+  get(1, 1, 0, &m);
+  get(2, 1, 0, &m);
   ASSERT_EQ(m.net_node_round_trips.size(), 3u);
   EXPECT_EQ(m.net_node_round_trips[0], 0u);
   EXPECT_EQ(m.net_node_round_trips[1], 2u);
@@ -94,7 +99,7 @@ TEST(NetworkModelTest, OnGetMetersHistogramTransferAndServiceTime) {
   // Deltas merged via += pad the shorter per-node vectors with zeros,
   // and CountersEqual treats missing trailing entries as zero.
   QueryMetrics delta;
-  net.OnGet(0, 1, 0, &delta);
+  get(0, 1, 0, &delta);
   QueryMetrics total = m;
   total += delta;
   EXPECT_EQ(total.net_node_round_trips[0], 1u);
@@ -115,7 +120,9 @@ TEST(NetworkModelTest, QueueDelaySerializesConcurrentRequestsAtOneNode) {
   std::vector<std::thread> threads;
   std::vector<QueryMetrics> deltas(4);
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&net, &deltas, t] { net.OnGet(0, 1, 0, &deltas[t]); });
+    threads.emplace_back([&net, &deltas, t] {
+      net.SleepUntil(net.OnGetAt(0, 1, 0, &deltas[t], net.NowNs()).wake_ns);
+    });
   }
   for (auto& t : threads) t.join();
   double elapsed = SecondsSince(start);
@@ -151,38 +158,92 @@ TEST(NetworkModelTest, FinalizeNetworkQueueExposesTheBottleneckNode) {
 // --------------------------------------------------- cluster-level wiring ---
 
 TEST(ClusterNetworkTest, MultiGetPaysOneRoundTripPerNodeSinglesPayPerKey) {
-  ClusterOptions co{.num_storage_nodes = 4, .backend = BackendKind::kMem};
-  co.network.link = NetworkLinkOptions{.rtt_us = 50, .per_key_us = 1};
-  Cluster cluster(co);
-  // The *_cached ctest configuration force-enables the BlockCache via the
-  // environment; these assertions count backend round trips, so the cache
-  // must stay out of the way.
-  cluster.SetCacheBypass(true);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 32; ++i) {
-    keys.push_back("key-" + std::to_string(i));
-    ASSERT_TRUE(cluster.Put(keys.back(), "value-" + std::to_string(i)).ok());
+  // Every wire request meters exactly its RequestCost (one per touched
+  // node for the batch, one per key for the one-key reads) at whole, at
+  // the benchmark's fractional, and at half-nanosecond prices (500 ns
+  // slot, 1.5 ns per key, 7 ns per byte: any other summation order
+  // rounds these busy times the other way).
+  for (const NetworkLinkOptions& link :
+       {NetworkLinkOptions{.rtt_us = 50, .per_key_us = 1},
+        NetworkLinkOptions{.rtt_us = 2000,
+                           .per_key_us = 2,
+                           .per_byte_us = 0.01,
+                           .service_rate = 7e6},
+        NetworkLinkOptions{.rtt_us = 3,
+                           .per_key_us = 0.0015,
+                           .per_byte_us = 0.007,
+                           .service_rate = 2e6}}) {
+    SCOPED_TRACE("rtt_us=" + std::to_string(link.rtt_us));
+    ClusterOptions co{.num_storage_nodes = 4, .backend = BackendKind::kMem};
+    co.network.link = link;
+    Cluster cluster(co);
+    // The *_cached ctest configuration force-enables the BlockCache via
+    // the environment; these assertions count backend round trips, so
+    // the cache must stay out of the way.
+    cluster.SetCacheBypass(true);
+    const NetworkModel& net = *cluster.network();
+    // The test's own prices: service ns and per-node busy ns.
+    struct Priced {
+      uint64_t service_ns = 0;
+      std::vector<uint64_t> busy_ns = std::vector<uint64_t>(4, 0);
+      void Add(int node, const NetworkModel::Cost& c) {
+        service_ns += static_cast<uint64_t>(c.latency_ns);
+        busy_ns[static_cast<size_t>(node)] += static_cast<uint64_t>(c.busy_ns);
+      }
+    } want_batched, want_singles;
+    std::vector<std::string> keys;
+    std::vector<uint64_t> node_keys(4, 0), node_bytes(4, 0);
+    for (int i = 0; i < 32; ++i) {
+      keys.push_back("key-" + std::to_string(i));
+      const std::string value = "value-" + std::to_string(i);
+      ASSERT_TRUE(cluster.Put(keys.back(), value).ok());
+      const int node = cluster.NodeFor(keys.back());
+      const uint64_t bytes = keys.back().size() + value.size();
+      node_keys[static_cast<size_t>(node)] += 1;
+      node_bytes[static_cast<size_t>(node)] += bytes;
+      want_singles.Add(node, net.RequestCost(node, 1, bytes));
+    }
+    for (int n = 0; n < 4; ++n) {
+      const size_t i = static_cast<size_t>(n);
+      if (node_keys[i] > 0) {
+        want_batched.Add(n, net.RequestCost(n, node_keys[i], node_bytes[i]));
+      }
+    }
+
+    QueryMetrics batched;
+    auto values = cluster.MultiGet(keys, &batched, CacheFill::kFill,
+                                   FanoutMode::kSerial);
+    ASSERT_EQ(values.size(), keys.size());
+    uint64_t batched_trips = 0;
+    for (uint64_t t : batched.net_node_round_trips) batched_trips += t;
+    EXPECT_LE(batched_trips, 4u);  // one per touched node
+    EXPECT_EQ(batched_trips, batched.get_round_trips);
+    EXPECT_EQ(batched.net_service_ns, want_batched.service_ns);
+    EXPECT_EQ(batched.net_node_busy_ns, want_batched.busy_ns);
+
+    QueryMetrics singles;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto got = GetOne(cluster, keys[i], &singles);
+      ASSERT_TRUE(got.ok() && values[i].has_value());
+      EXPECT_EQ(*got, *values[i]);
+    }
+    uint64_t single_trips = 0;
+    for (uint64_t t : singles.net_node_round_trips) single_trips += t;
+    EXPECT_EQ(single_trips, 32u);  // one per key
+    EXPECT_EQ(singles.net_service_ns, want_singles.service_ns);
+    EXPECT_EQ(singles.net_node_busy_ns, want_singles.busy_ns);
+
+    // Same values, #get and payloads either way; the batch saves
+    // (32 - nodes) RTTs and, with a service rate, as many slots.
+    EXPECT_EQ(singles.get_calls, batched.get_calls);
+    EXPECT_EQ(singles.bytes_from_storage, batched.bytes_from_storage);
+    EXPECT_EQ(singles.net_transfer_bytes, batched.net_transfer_bytes);
+    EXPECT_EQ(batched.multiget_calls, 1u);
+    EXPECT_EQ(singles.multiget_calls, keys.size());
+    EXPECT_GE(singles.net_service_ns - batched.net_service_ns,
+              (single_trips - batched_trips) *
+                  static_cast<uint64_t>(link.rtt_us * 1000));
   }
-
-  QueryMetrics batched;
-  auto values = cluster.MultiGet(keys, &batched, CacheFill::kFill,
-                                 FanoutMode::kSerial);
-  ASSERT_EQ(values.size(), keys.size());
-  uint64_t batched_trips = 0;
-  for (uint64_t t : batched.net_node_round_trips) batched_trips += t;
-  EXPECT_LE(batched_trips, 4u);  // one per touched node
-  EXPECT_EQ(batched_trips, batched.get_round_trips);
-
-  QueryMetrics singles;
-  for (const auto& k : keys) ASSERT_TRUE(cluster.Get(k, &singles).ok());
-  uint64_t single_trips = 0;
-  for (uint64_t t : singles.net_node_round_trips) single_trips += t;
-  EXPECT_EQ(single_trips, 32u);  // one per key
-
-  // Same payloads shipped either way; the batch saves (32 - nodes) RTTs.
-  EXPECT_EQ(singles.net_transfer_bytes, batched.net_transfer_bytes);
-  EXPECT_EQ(singles.net_service_ns - batched.net_service_ns,
-            (single_trips - batched_trips) * 50'000);
 }
 
 TEST(ClusterNetworkTest, WritesAreMeteredButNeverStalled) {
@@ -204,7 +265,7 @@ TEST(ClusterNetworkTest, WritesAreMeteredButNeverStalled) {
   ASSERT_TRUE(cluster.Put("a", "1").ok());
   QueryMetrics read;
   start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(cluster.Get("a", &read).ok());
+  ASSERT_TRUE(GetOne(cluster, "a", &read).ok());
   EXPECT_GE(SecondsSince(start), 0.050);
   EXPECT_EQ(read.net_service_ns, 50'000'000u);
   EXPECT_EQ(read.net_transfer_bytes, 2u);  // "a" out, "1" back

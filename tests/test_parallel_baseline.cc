@@ -442,6 +442,32 @@ TEST_F(StatsPushdownFixture, StatsRouteAgreesWithBaselineInBothModes) {
 // Block statistics cover numeric values only, so an aggregate over a
 // string column must read the blocks themselves: with pushdown it counted
 // 0 tests and found no MIN/MAX for a vehicle with 5.
+// Block headers keep every statistic as a double, but MIN and MAX of an
+// INT column come back as INT on the stats route, as on the baseline.
+// Value compares 38474 with 38474.0 as equal, so the types are checked.
+TEST_F(StatsPushdownFixture, MinMaxKeepTheColumnType) {
+  Connection conn = zidian_->Connect();
+  auto prepared = conn.Prepare(Sql("",
+                                   "MIN(t.test_mileage), MAX(t.test_mileage), "
+                                   "MIN(t.cost), MAX(t.cost)"));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared->Explain().stats_pushdown);
+  for (RoutePolicy route : {RoutePolicy::kAuto, RoutePolicy::kForceBaseline}) {
+    AnswerInfo info;
+    auto r = prepared->Execute(
+        ExecOptions{.route_policy = route, .bypass_cache = true}, &info);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(info.route == AnswerInfo::Route::kTaavFallback,
+              route == RoutePolicy::kForceBaseline);
+    ASSERT_EQ(r->size(), 1u);
+    const Tuple& row = r->rows()[0];
+    EXPECT_EQ(row[0].type(), ValueType::kInt);  // test_mileage is INT
+    EXPECT_EQ(row[1].type(), ValueType::kInt);
+    EXPECT_EQ(row[2].type(), ValueType::kDouble);  // cost is DOUBLE
+    EXPECT_EQ(row[3].type(), ValueType::kDouble);
+  }
+}
+
 TEST_F(StatsPushdownFixture, NonNumericColumnIsNotPushedDown) {
   Connection conn = zidian_->Connect();
   auto count = conn.Prepare(Sql("v.vehicle_id", "COUNT(t.test_result)"));

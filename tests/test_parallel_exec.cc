@@ -217,23 +217,6 @@ TEST_P(ConcurrentStorageFixture, MultiGetFromManyThreadsStaysCorrect) {
   EXPECT_FALSE(check[1].has_value());
 }
 
-TEST_P(ConcurrentStorageFixture, PointGetsFromManyThreadsStaysCorrect) {
-  ThreadPool pool(7);
-  std::vector<int> failures(8, 0);
-  std::vector<QueryMetrics> metrics(8);
-  pool.ParallelFor(8, [&](size_t t) {
-    for (int rep = 0; rep < 300; ++rep) {
-      int k = (static_cast<int>(t) * 37 + rep) % 320;
-      auto r = cluster_->Get(Key(k), &metrics[t]);
-      bool want_present = k < 256;
-      if (r.ok() != want_present || (want_present && r.value() != Val(k))) {
-        ++failures[t];
-      }
-    }
-  });
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-}
-
 INSTANTIATE_TEST_SUITE_P(Engines, ConcurrentStorageFixture,
                          ::testing::Values(BackendKind::kLsm,
                                            BackendKind::kMem),

@@ -7,6 +7,7 @@
 #include "ra/taav.h"
 #include "sql/binder.h"
 #include "storage/cluster.h"
+#include "test_support.h"
 
 namespace zidian {
 namespace {
@@ -241,7 +242,7 @@ TEST_F(TaavFixture, DeleteRemovesTuple) {
   const TableSchema& r = *catalog_.Find("r");
   TaavEntry entry = EncodeTaavEntry(r, {Value(int64_t{7}), Value(int64_t{2})});
   EXPECT_EQ(entry.key, TaavKey("r", {Value(int64_t{7})}));
-  auto stored = cluster_.Get(entry.key, nullptr);
+  auto stored = GetOne(cluster_, entry.key, nullptr);
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
   EXPECT_EQ(*stored, entry.value);  // the loaded pair, byte for byte
 

@@ -1,8 +1,8 @@
 // Storage substrate tests: Bloom filter FPR, LSM store semantics (randomized
 // differential test against std::map), iterators, compaction, persistence,
 // the pluggable KvBackend seam (every engine must pass the same contract
-// suite), and the DHT cluster's routing + metering, including batched
-// MultiGet round-trip accounting.
+// suite), and the DHT cluster's routing + metering (test_network_model
+// covers MultiGet's per-node round-trip accounting).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +17,7 @@
 #include "storage/cluster.h"
 #include "storage/lsm_store.h"
 #include "storage/mem_backend.h"
+#include "test_support.h"
 
 namespace zidian {
 namespace {
@@ -296,7 +297,7 @@ TEST(Cluster, RoutesByHashAndMeters) {
   for (int n = 0; n < 4; ++n) {
     EXPECT_GT(cluster.node(n).NumLiveEntries(), 10u) << "node " << n;
   }
-  auto got = cluster.Get("key5", &m);
+  auto got = GetOne(cluster, "key5", &m);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(m.get_calls, 1u);
   EXPECT_GT(m.bytes_from_storage, 0u);
@@ -329,47 +330,7 @@ TEST(Cluster, DeleteIsMetered) {
   ASSERT_TRUE(cluster.Delete("doomed-key", &m).ok());
   EXPECT_EQ(m.delete_calls, 1u);
   EXPECT_EQ(m.bytes_to_storage, std::string("doomed-key").size());
-  EXPECT_TRUE(cluster.Get("doomed-key", nullptr).status().IsNotFound());
-}
-
-TEST(Cluster, MultiGetMatchesSingleGetLoopWithFewerRoundTrips) {
-  Cluster cluster(ClusterOptions{.num_storage_nodes = 4});
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        cluster.Put("key" + std::to_string(i), "v" + std::to_string(i), nullptr)
-            .ok());
-  }
-  std::vector<std::string> keys;
-  for (int i = 0; i < 60; ++i) keys.push_back("key" + std::to_string(i * 2));
-  keys.push_back("absent");
-
-  QueryMetrics loop_m;
-  std::vector<std::optional<std::string>> looped;
-  for (const auto& k : keys) {
-    auto res = cluster.Get(k, &loop_m);
-    if (res.ok()) {
-      looped.emplace_back(std::move(res).value());
-    } else {
-      looped.emplace_back(std::nullopt);
-    }
-  }
-
-  QueryMetrics batch_m;
-  auto batched = cluster.MultiGet(keys, &batch_m, CacheFill::kFill,
-                                  FanoutMode::kSerial);
-
-  // Identical values, aligned with the request order.
-  ASSERT_EQ(batched.size(), looped.size());
-  for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(batched[i], looped[i]);
-
-  // Same per-key charge (#get, bytes) but at most one round trip per node
-  // instead of one per key.
-  EXPECT_EQ(batch_m.get_calls, loop_m.get_calls);
-  EXPECT_EQ(batch_m.bytes_from_storage, loop_m.bytes_from_storage);
-  EXPECT_EQ(loop_m.get_round_trips, keys.size());
-  EXPECT_LE(batch_m.get_round_trips, 4u);
-  EXPECT_LT(batch_m.get_round_trips, loop_m.get_round_trips);
-  EXPECT_EQ(batch_m.multiget_calls, 1u);
+  EXPECT_TRUE(GetOne(cluster, "doomed-key", nullptr).status().IsNotFound());
 }
 
 TEST(Cluster, MemBackendServesTheSameInterface) {
@@ -388,7 +349,7 @@ TEST(Cluster, MemBackendServesTheSameInterface) {
   for (int n = 0; n < 3; ++n) {
     EXPECT_GT(cluster.node(n).NumLiveEntries(), 10u) << "node " << n;
   }
-  auto got = cluster.Get("A:5", &m);
+  auto got = GetOne(cluster, "A:5", &m);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(m.get_calls, 1u);
   int seen = 0;

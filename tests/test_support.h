@@ -1,6 +1,7 @@
-// Helpers shared by the suites that snapshot a cluster: every node's
-// key/value pairs, read straight off the backends, and a scratch
-// directory for SaveToDir/LoadFromDir round trips.
+// Helpers shared by the suites: one-key and one-block reads through the
+// storage layers' batched read paths, every node's key/value pairs read
+// straight off the backends, and a scratch directory for
+// SaveToDir/LoadFromDir round trips.
 #ifndef ZIDIAN_TESTS_TEST_SUPPORT_H_
 #define ZIDIAN_TESTS_TEST_SUPPORT_H_
 
@@ -14,9 +15,36 @@
 #include <utility>
 #include <vector>
 
+#include "baav/baav_store.h"
+#include "common/result.h"
 #include "storage/cluster.h"
 
 namespace zidian {
+
+/// One key through Cluster::MultiGet: its value, NotFound when the key is
+/// absent, or the fetch's error (kUnavailable) when it is unreachable.
+inline Result<std::string> GetOne(const Cluster& cluster, std::string key,
+                                  QueryMetrics* m,
+                                  CacheFill fill = CacheFill::kFill) {
+  MultiGetResult got = cluster.MultiGet({std::move(key)}, m, fill,
+                                        FanoutMode::kSerial);
+  if (!got.ok()) return got.status;
+  if (!got[0].has_value()) return Status::NotFound();
+  return std::move(*got[0]);
+}
+
+/// One block through BaavStore::MultiGetBlocks: its rows, none when the
+/// key is absent.
+inline Result<std::vector<Tuple>> ReadBlock(const BaavStore& store,
+                                            const KvSchema& kv,
+                                            const Tuple& key,
+                                            QueryMetrics* m) {
+  ZIDIAN_ASSIGN_OR_RETURN(
+      std::vector<BaavStore::FetchedBlock> blocks,
+      store.MultiGetBlocks({{&kv, &key}}, m, FanoutMode::kOverlapped,
+                           nullptr));
+  return std::move(blocks[0].rows);
+}
 
 /// One node's key/value pairs, in key order.
 using Pairs = std::vector<std::pair<std::string, std::string>>;
