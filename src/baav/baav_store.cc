@@ -65,10 +65,11 @@ bool SplitSegmentKey(std::string_view rest, std::string_view* xpart,
 
 Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
                              const std::vector<Tuple>& rows,
-                             uint64_t old_segments) {
+                             uint64_t old_segments,
+                             Cluster::Writer& writer) const {
   if (rows.empty()) {
     for (uint64_t s = 0; s < old_segments; ++s) {
-      ZIDIAN_RETURN_NOT_OK(cluster_->Delete(SegmentKey(kv, key, s)));
+      ZIDIAN_RETURN_NOT_OK(writer.Delete(SegmentKey(kv, key, s)));
     }
     return Status::OK();
   }
@@ -94,10 +95,10 @@ Status BaavStore::WriteBlock(const KvSchema& kv, const Tuple& key,
     std::string value;
     if (seg == 0) PutVarint64(&value, num_segments);
     value += EncodeBlock(part, arity, options_.block);
-    ZIDIAN_RETURN_NOT_OK(cluster_->Put(SegmentKey(kv, key, seg), value));
+    ZIDIAN_RETURN_NOT_OK(writer.Put(SegmentKey(kv, key, seg), value));
   }
   for (uint64_t s = seg; s < old_segments; ++s) {
-    ZIDIAN_RETURN_NOT_OK(cluster_->Delete(SegmentKey(kv, key, s)));
+    ZIDIAN_RETURN_NOT_OK(writer.Delete(SegmentKey(kv, key, s)));
   }
   return Status::OK();
 }
@@ -152,27 +153,31 @@ Status BaavStore::BuildInstance(const KvSchema& kv, const Relation& data) {
     for (int i : yidx) y.push_back(row[static_cast<size_t>(i)]);
     groups[std::move(x)].push_back(std::move(y));
   }
+  // The whole instance lands as one commit.
   std::map<uint64_t, uint64_t> sizes;
-  for (auto& [key, rows] : groups) {
-    ++sizes[rows.size()];
-    uint64_t old_segments = 0;
-    if (!stored.empty()) {
-      auto it = stored.find(EncodeKeyTuple(key));
-      if (it != stored.end()) {
-        old_segments = it->second;
-        stored.erase(it);
+  ZIDIAN_RETURN_NOT_OK(cluster_->Write([&](Cluster::Writer& w) -> Status {
+    for (auto& [key, rows] : groups) {
+      ++sizes[rows.size()];
+      uint64_t old_segments = 0;
+      if (!stored.empty()) {
+        auto it = stored.find(EncodeKeyTuple(key));
+        if (it != stored.end()) {
+          old_segments = it->second;
+          stored.erase(it);
+        }
+      }
+      ZIDIAN_RETURN_NOT_OK(WriteBlock(kv, key, rows, old_segments, w));
+    }
+    // Blocks whose key no longer occurs in `data` go too.
+    for (const auto& [xpart, segments] : stored) {
+      for (uint64_t s = 0; s < segments; ++s) {
+        std::string k = prefix + xpart;
+        EncodeOrderedInt64(&k, static_cast<int64_t>(s));
+        ZIDIAN_RETURN_NOT_OK(w.Delete(k));
       }
     }
-    ZIDIAN_RETURN_NOT_OK(WriteBlock(kv, key, rows, old_segments));
-  }
-  // Blocks whose key no longer occurs in `data` go too.
-  for (const auto& [xpart, segments] : stored) {
-    for (uint64_t s = 0; s < segments; ++s) {
-      std::string k = prefix + xpart;
-      EncodeOrderedInt64(&k, static_cast<int64_t>(s));
-      ZIDIAN_RETURN_NOT_OK(cluster_->Delete(k));
-    }
-  }
+    return Status::OK();
+  }));
   MutexLock lock(sizes_mu_);
   block_sizes_[kv.name] = std::move(sizes);
   return Status::OK();
@@ -236,15 +241,28 @@ void ChargeStatsFetch(const QueryMetrics& scratch, uint64_t segments_fetched,
 Result<std::vector<uint64_t>> BaavStore::FetchSegments(
     const std::vector<BlockRef>& refs, QueryMetrics* m, CacheFill fill,
     FanoutMode fanout, FanoutStats* fanout_stats,
-    const std::function<Status(size_t, std::string_view)>& decode) const {
+    const std::function<Status(size_t, std::string_view)>& decode,
+    std::vector<Status>* lost) const {
   std::vector<uint64_t> segments(refs.size(), 0);
   if (refs.empty()) return segments;
+  if (lost != nullptr) lost->assign(refs.size(), Status::OK());
+  // An unreachable key fails the fetch, or with `lost` only its block.
+  auto settle = [&](const MultiGetResult& got,
+                    const std::vector<size_t>* owner) -> Status {
+    if (got.ok()) return Status::OK();
+    if (lost == nullptr) return got.status;
+    for (size_t j = 0; j < got.size(); ++j) {
+      if (!got.Failed(j)) continue;
+      (*lost)[owner != nullptr ? (*owner)[j] : j] = got.status;
+    }
+    return Status::OK();
+  };
 
   std::vector<std::string> seg0;
   seg0.reserve(refs.size());
   for (const auto& r : refs) seg0.push_back(SegmentKey(*r.kv, *r.key, 0));
   auto first = cluster_->MultiGet(seg0, m, fill, fanout, fanout_stats);
-  ZIDIAN_RETURN_NOT_OK(first.status);  // unreachable keys fail the fetch
+  ZIDIAN_RETURN_NOT_OK(settle(first, nullptr));
 
   // Blocks split across segments need a second round for the overflow
   // keys, collected in slot order so the request — and every counter —
@@ -252,7 +270,8 @@ Result<std::vector<uint64_t>> BaavStore::FetchSegments(
   std::vector<std::string> extra_keys;
   std::vector<size_t> extra_owner;
   for (size_t i = 0; i < refs.size(); ++i) {
-    if (!first[i].has_value()) continue;  // absent key: empty block
+    // Absent (an empty block) or unreachable.
+    if (!first[i].has_value()) continue;
     std::string_view sv = *first[i];
     if (!GetVarint64(&sv, &segments[i]) || segments[i] == 0) {
       return Status::Corruption("bad segment header in " + refs[i].kv->name);
@@ -265,8 +284,9 @@ Result<std::vector<uint64_t>> BaavStore::FetchSegments(
   }
   if (extra_keys.empty()) return segments;
   auto rest = cluster_->MultiGet(extra_keys, m, fill, fanout, fanout_stats);
-  ZIDIAN_RETURN_NOT_OK(rest.status);
+  ZIDIAN_RETURN_NOT_OK(settle(rest, &extra_owner));
   for (size_t j = 0; j < extra_keys.size(); ++j) {
+    if (rest.Failed(j)) continue;
     if (!rest[j].has_value()) {
       return Status::Corruption("missing segment in " +
                                 refs[extra_owner[j]].kv->name);
@@ -280,6 +300,7 @@ Result<std::vector<BaavStore::FetchedBlock>> BaavStore::MultiGetBlocks(
     const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
     FanoutStats* fanout_stats) const {
   std::vector<FetchedBlock> out(refs.size());
+  std::vector<Status> lost;
   ZIDIAN_ASSIGN_OR_RETURN(
       std::vector<uint64_t> segments,
       FetchSegments(refs, m, CacheFill::kFill, fanout, fanout_stats,
@@ -296,8 +317,15 @@ Result<std::vector<BaavStore::FetchedBlock>> BaavStore::MultiGetBlocks(
                                     std::make_move_iterator(part.end()));
                       }
                       return Status::OK();
-                    }));
+                    },
+                    &lost));
   for (size_t i = 0; i < refs.size(); ++i) {
+    if (!lost[i].ok()) {
+      // A lost block keeps no rows: part of it may have arrived.
+      out[i].rows.clear();
+      out[i].status = std::move(lost[i]);
+      continue;
+    }
     out[i].segments = segments[i];
     if (m != nullptr && segments[i] > 0) {
       m->values_accessed +=
@@ -325,7 +353,7 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
   // MergeBlockStats associate the same way under either schedule.
   QueryMetrics scratch;
   uint64_t segments_fetched = 0;
-  ZIDIAN_RETURN_NOT_OK(
+  Status st =
       FetchSegments(refs, &scratch, CacheFill::kNoFill, fanout, fanout_stats,
                     [&](size_t i, std::string_view body) -> Status {
                       BlockStats part;
@@ -334,12 +362,15 @@ Result<std::vector<BlockStats>> BaavStore::MultiGetBlockStats(
                       MergeBlockStats(&out[i], part, arity);
                       ++segments_fetched;
                       return Status::OK();
-                    })
-          .status());
+                    },
+                    /*lost=*/nullptr)
+          .status();
   // One get per fetched segment (absent keys charge nothing), header-sized
   // payloads only — from the cache for segments that hit. Round trips come
-  // from the batched fetches that went out.
+  // from the batched fetches that went out. A failed fetch is charged
+  // too: its retry traffic and read epochs belong to the query.
   ChargeStatsFetch(scratch, segments_fetched, arity, m);
+  ZIDIAN_RETURN_NOT_OK(st);
   return out;
 }
 
@@ -431,14 +462,17 @@ Result<uint64_t> BaavStore::Degree(const KvSchema& kv) const {
   auto max_size = [](const std::map<uint64_t, uint64_t>& sizes) {
     return sizes.empty() ? uint64_t{0} : sizes.rbegin()->first;
   };
+  uint64_t installs = 0;
   {
     MutexLock lock(sizes_mu_);
     auto it = block_sizes_.find(kv.name);
     if (it != block_sizes_.end()) return max_size(it->second);
+    installs = installs_;
   }
   // Unmeasured: scan without the lock, so concurrent callers do not queue
-  // behind a full instance scan. No write runs alongside readers, so two
-  // racing scans count the same blocks and the first to finish seeds.
+  // behind a full instance scan. The scan runs under one commit epoch, so
+  // it counts one state of the instance; two racing scans of that state
+  // count the same blocks and the first to finish seeds.
   std::map<uint64_t, uint64_t> sizes;
   QueryMetrics scratch;
   Status st = ScanInstance(
@@ -449,6 +483,10 @@ Result<uint64_t> BaavStore::Degree(const KvSchema& kv) const {
   // the counts unseeded so a later healthy scan can still answer.
   if (!st.ok()) return st;
   MutexLock lock(sizes_mu_);
+  // An Install since the scan began skipped these then-unmeasured counts,
+  // so seeding them would lose its change: answer from the scan (a plan
+  // built on it is still correct) and let the next call rescan.
+  if (installs_ != installs) return max_size(sizes);
   return max_size(block_sizes_.try_emplace(kv.name, std::move(sizes))
                       .first->second);
 }
@@ -483,10 +521,14 @@ Status BaavStore::ReadAffected(const std::string& relation,
   refs.reserve(fetch.size());
   for (const auto& block : fetch) refs.push_back({block.kv, &block.key});
   // Unmetered, like every maintenance access; kFill, so the cache ends up
-  // holding what a full read of these blocks would have left behind.
+  // holding what a full read of these blocks would have left behind. An
+  // unreachable block fails the read: its rows are unknown.
   ZIDIAN_ASSIGN_OR_RETURN(
       std::vector<FetchedBlock> fetched,
       MultiGetBlocks(refs, nullptr, FanoutMode::kOverlapped, nullptr));
+  for (const FetchedBlock& block : fetched) {
+    ZIDIAN_RETURN_NOT_OK(block.status);
+  }
   for (size_t i = 0; i < fetch.size(); ++i) {
     fetch[i].rows = std::move(fetched[i].rows);
     fetch[i].old_size = fetch[i].rows.size();
@@ -531,10 +573,15 @@ Status BaavStore::ReadForDelete(const std::string& relation,
   return ReadAffected(relation, tuple, /*insert=*/false, pending);
 }
 
-Status BaavStore::Install(const Maintenance& update) {
+Status BaavStore::Install(const Maintenance& update,
+                          Cluster::Writer& writer) {
+  {
+    MutexLock lock(sizes_mu_);
+    ++installs_;
+  }
   for (const auto& block : update) {
-    Status st =
-        WriteBlock(*block.kv, block.key, block.rows, block.old_segments);
+    Status st = WriteBlock(*block.kv, block.key, block.rows,
+                           block.old_segments, writer);
     MutexLock lock(sizes_mu_);
     if (!st.ok()) {
       // The block's state is uncertain now: let the next Degree rescan.

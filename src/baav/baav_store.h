@@ -80,10 +80,12 @@ class BaavStore {
     const Tuple* key;
   };
   /// A fetched block: its rows and the number of segments holding it
-  /// (0 when the key is absent).
+  /// (0 when the key is absent), or the cluster's kUnavailable status
+  /// when some segment was unreachable (no rows then).
   struct FetchedBlock {
     std::vector<Tuple> rows;
     uint64_t segments = 0;
+    Status status;
   };
 
   /// Batched block fetch (§7.2) over blocks of any number of instances —
@@ -97,6 +99,9 @@ class BaavStore {
   /// Rows and every CountersEqual field are the same under either
   /// schedule; an overlapped round's hidden network time is merged into
   /// `fanout_stats` (nullable) for the caller's ChargeFanoutOverlap fold.
+  /// An unreachable block fails only itself (FetchedBlock::status), so
+  /// the caller decides whether it needs that block; its gets and fault
+  /// traffic are metered all the same.
   Result<std::vector<FetchedBlock>> MultiGetBlocks(
       const std::vector<BlockRef>& refs, QueryMetrics* m, FanoutMode fanout,
       FanoutStats* fanout_stats) const;
@@ -131,8 +136,9 @@ class BaavStore {
   /// error and caches nothing — it must not poison the counts with a
   /// partial scan (the planner reads this for §6.1 boundedness; a
   /// silently-low degree would claim bounded evaluation for an instance
-  /// nobody measured). Safe to call from concurrent readers: the scan runs
-  /// unlocked and the first finished scan seeds the counts.
+  /// nobody measured). Safe to call from concurrent readers and beside
+  /// commits: the scan runs unlocked, the first finished scan seeds the
+  /// counts, and a scan an Install overtook answers without seeding.
   Result<uint64_t> Degree(const KvSchema& kv) const EXCLUDES(sizes_mu_);
 
   /// One block a pending mutation rewrites: the block of `kv` under `key`
@@ -165,11 +171,13 @@ class BaavStore {
                        Maintenance* pending) const;
   Status ReadForDelete(const std::string& relation, const Tuple& tuple,
                        Maintenance* pending) const;
-  /// Maintenance install phase: writes every block of `update` (Put /
-  /// Delete only — no read, no stall) and applies the size changes to the
-  /// degree counts. O(deg) per instance. Zidian::Insert / Delete run the
-  /// read phase, then this, as one write batch.
-  Status Install(const Maintenance& update) EXCLUDES(sizes_mu_);
+  /// Maintenance install phase: writes every block of `update` through
+  /// `writer` (Put / Delete only — no read, no stall) and applies the
+  /// size changes to the degree counts. O(deg) per instance.
+  /// Zidian::WriteBatch::Commit runs it inside the commit's
+  /// Cluster::Write, after the batch's TaaV writes.
+  Status Install(const Maintenance& update, Cluster::Writer& writer)
+      EXCLUDES(sizes_mu_);
 
   /// Storage footprint of one instance in bytes (for T2B's budget).
   uint64_t InstanceBytes(const KvSchema& kv) const;
@@ -193,10 +201,15 @@ class BaavStore {
   /// returns, `decode(i, body)` runs on every segment of block i that the
   /// round brought back, in slot order, so block i's segments arrive in
   /// segment order. Returns each block's segment count (0 when absent).
+  /// An unreachable key fails the fetch when `lost` is null; otherwise
+  /// `lost` gets one Status per ref, the round's kUnavailable status for
+  /// a block with an unreachable segment (its other segments may have
+  /// been decoded) and OK for the rest.
   Result<std::vector<uint64_t>> FetchSegments(
       const std::vector<BlockRef>& refs, QueryMetrics* m, CacheFill fill,
       FanoutMode fanout, FanoutStats* fanout_stats,
-      const std::function<Status(size_t, std::string_view)>& decode) const;
+      const std::function<Status(size_t, std::string_view)>& decode,
+      std::vector<Status>* lost) const;
   /// The shared read phase: fetches the derived instances' blocks for
   /// `tuple` that `pending` lacks, then appends the tuple's Y-projection
   /// to each staged block (`insert`) or erases one equal row from each.
@@ -204,9 +217,11 @@ class BaavStore {
                       bool insert, Maintenance* pending) const;
   /// Rewrites the whole block for a key (re-splitting as needed) over
   /// the `old_segments` segments it had, deleting the ones no longer
-  /// used. Never reads: the caller knows the old segment count.
+  /// used, through the commit's `writer`. Never reads: the caller knows
+  /// the old segment count.
   Status WriteBlock(const KvSchema& kv, const Tuple& key,
-                    const std::vector<Tuple>& rows, uint64_t old_segments);
+                    const std::vector<Tuple>& rows, uint64_t old_segments,
+                    Cluster::Writer& writer) const;
 
   Cluster* cluster_;
   BaavSchema schema_;
@@ -218,6 +233,9 @@ class BaavStore {
   mutable Mutex sizes_mu_;
   mutable std::map<std::string, std::map<uint64_t, uint64_t>> block_sizes_
       GUARDED_BY(sizes_mu_);
+  /// Installs begun so far: a Degree scan seeds the counts only when no
+  /// Install began while it scanned.
+  uint64_t installs_ GUARDED_BY(sizes_mu_) = 0;
 };
 
 }  // namespace zidian

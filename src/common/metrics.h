@@ -36,12 +36,14 @@ struct FanoutStats {
 // The QueryMetrics field table — the one list of its fields. Each row is
 // X(type, name, merge, compare):
 //   merge    how operator+= folds a later delta in: Sum; Max for a peak;
-//            ByNode for a per-node vector (elementwise sum, the shorter
-//            side zero-padded);
+//            MinSet for a low-water mark where 0 means unset; ByNode for
+//            a per-node vector (elementwise sum, the shorter side
+//            zero-padded);
 //   compare  Compared when CountersEqual checks the field, Ignored when it
 //            describes the schedule (net_overlap_ns, net_inflight_max:
-//            they vary with the fan-out mode by design) or the machine
-//            (wall_*) rather than the logical work done.
+//            they vary with the fan-out mode by design), the machine
+//            (wall_*) or the interleaving with commits (read_epoch_*,
+//            read_restarts) rather than the logical work done.
 // The struct members, operator+=, CountersEqual and ToString are all
 // expanded from it, and tools/lint_invariants.py requires a row in the
 // docs/ARCHITECTURE.md glossary for every field.
@@ -119,7 +121,15 @@ struct FanoutStats {
   /* fan-outs and its parallel operator regions. Zero when unmeasured. */    \
   X(double, wall_seconds, Sum, Ignored)                                      \
   X(double, wall_fetch_seconds, Sum, Ignored)                                \
-  X(double, wall_compute_seconds, Sum, Ignored)
+  X(double, wall_compute_seconds, Sum, Ignored)                              \
+  /* Lowest and highest Cluster commit epoch a storage read of the run */    \
+  /* ran under (0 before any read). Unequal: a commit landed between */      \
+  /* two reads, and PreparedQuery::Execute ran the query again. */           \
+  X(uint64_t, read_epoch_lo, MinSet, Ignored)                                \
+  X(uint64_t, read_epoch_hi, Max, Ignored)                                   \
+  /* Times Execute ran the query again because an attempt's reads */         \
+  /* straddled a commit (at most PreparedQuery::kMaxReadRestarts). */        \
+  X(uint64_t, read_restarts, Sum, Ignored)
 
 /// Counters for one query execution (or one storage workload run).
 struct QueryMetrics {
@@ -149,6 +159,9 @@ struct QueryMetrics {
   }
   static void Max(uint64_t* into, uint64_t from) {
     if (from > *into) *into = from;
+  }
+  static void MinSet(uint64_t* into, uint64_t from) {
+    if (from != 0 && (*into == 0 || from < *into)) *into = from;
   }
   static void ByNode(std::vector<uint64_t>* into,
                      const std::vector<uint64_t>& from) {

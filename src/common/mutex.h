@@ -55,11 +55,11 @@ class SCOPED_CAPABILITY MutexLock {
 };
 
 /// A reader/writer capability: any number of shared holders or one
-/// exclusive holder. The serving layer's write gate is the canonical use
-/// (serve/server.h): concurrent read queries hold it shared while BaaV
-/// maintenance writes hold it exclusive, so the Cluster's "no writes
-/// overlap reads" contract survives multi-session execution without the
-/// lock-free read path itself taking any lock.
+/// exclusive holder. The Cluster's storage gate is the canonical use
+/// (storage/cluster.h): a read holds it shared only while it touches the
+/// backends and the BlockCache, never across a modeled stall, and a
+/// commit holds it exclusive while it writes, so no write overlaps a
+/// storage access.
 class CAPABILITY("mutex") SharedMutex {
  public:
   SharedMutex() = default;

@@ -289,8 +289,11 @@ struct RoundNode {
   struct Block {
     size_t worker = 0;  ///< the worker owning the block's storage node
     /// Y tuples, or for a stats-only extension one row of partial
-    /// statistics (none when the block is absent).
+    /// statistics (none when the block is absent or unreachable).
     std::vector<Tuple> rows;
+    /// kUnavailable when no replica served the block: the round fails
+    /// only if an emit needs it.
+    Status status;
   };
   /// One block per distinct key in the round's input.
   std::unordered_map<Tuple, Block, TupleHasher> blocks;
@@ -443,6 +446,10 @@ Result<KvInst> EmitExtension(const RoundNode& node, const KvInst& child,
       return Status::Internal("extension key missing from its round: " +
                               kv.name);
     }
+    // An unreachable block fails the round only when a surviving row
+    // needs it: a speculative block whose key the lower emits dropped is
+    // never looked up.
+    ZIDIAN_RETURN_NOT_OK(it->second.status);
     items[it->second.worker].push_back({&key, &row_ids, &it->second.rows});
   }
 
@@ -524,7 +531,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
   // in one batched request — never a single-key get.
   struct FetchSlot {
     std::vector<BaavStore::BlockRef> refs;
-    std::vector<std::vector<Tuple>*> dest;  ///< where each ref's rows land
+    std::vector<RoundNode::Block*> dest;  ///< where each ref's block lands
     QueryMetrics m;
     Status status;
     /// Schedule shape of this worker's fan-out under kOverlapped; never
@@ -577,7 +584,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
           store_->NodeForBlock(*node.kv, entry->first) % ctx.workers);
       FetchSlot& slot = slots[entry->second.worker];
       slot.refs.push_back({node.kv, &entry->first});
-      slot.dest.push_back(&entry->second.rows);
+      slot.dest.push_back(&entry->second);
     }
   }
 
@@ -604,7 +611,7 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
         return;
       }
       for (size_t i = 0; i < keys.size(); ++i) {
-        *slot.dest[i] = StatsRows(stats.value()[i], int_cols);
+        slot.dest[i]->rows = StatsRows(stats.value()[i], int_cols);
       }
       return;
     }
@@ -615,7 +622,8 @@ Result<KvInst> KbaExecutor::EvalRound(const std::vector<const KbaPlan*>& chain,
       return;
     }
     for (size_t i = 0; i < slot.refs.size(); ++i) {
-      *slot.dest[i] = std::move(blocks.value()[i].rows);
+      slot.dest[i]->rows = std::move(blocks.value()[i].rows);
+      slot.dest[i]->status = std::move(blocks.value()[i].status);
     }
   };
   auto start = std::chrono::steady_clock::now();

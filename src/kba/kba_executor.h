@@ -28,9 +28,10 @@
 // absent vehicle reads 2 blocks where one extension at a time reads 1,
 // mot-q6 reads 3, and mot-q6 on a vehicle with no mot_test row still
 // reads its observation block (3 against 2). A speculative read can reach
-// a storage node that one extension at a time never contacts, so with
-// that node unreachable such a query fails with kUnavailable instead of
-// returning its empty answer.
+// a storage node that one extension at a time never contacts, so an
+// unreachable block fails the round only when its extension's emit needs
+// it — when some row that survived the lower emits carries its key; the
+// dropped block's gets and fault traffic stay metered.
 //
 // Parallelism: every region — a round's per-worker fetches, its emits,
 // selections, projections, join probes, aggregation and instance scans —

@@ -78,8 +78,8 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
                         net->NowNs());
     c->node_ns.assign(c->node_next.size(), 0);
   };
-  auto fetch = [&](Chunk* c, int node, uint64_t bytes,
-                   std::string_view payload) {
+  // The network half of one per-tuple get, and its decode.
+  auto price = [&](Chunk* c, int node, uint64_t bytes) {
     c->m.get_calls += 1;
     c->m.values_accessed += schema.arity();
     if (chains) {
@@ -92,6 +92,8 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
       net->SleepUntil(
           net->OnGetAt(node, 1, bytes, &c->m, net->NowNs()).wake_ns);
     }
+  };
+  auto decode = [&](Chunk* c, std::string_view payload) {
     Tuple t;
     if (!DecodeTuplePayload(&payload, schema.arity(), &t)) {
       c->status = Status::Corruption("bad tuple in " + schema.name());
@@ -119,15 +121,20 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
   const std::string prefix = TaavPrefix(schema.name());
   if (p == 1) {
     // One chunk: decode straight off the scan iterator, never holding the
-    // encoded table a second time.
+    // encoded table a second time. The scan holds the cluster's storage
+    // gate, and no stall may run under it, so each get's owning node and
+    // bytes are noted here and its network half plays after the scan.
     Chunk& c = chunks[0];
     begin_chunk(&c);
+    std::vector<std::pair<int, uint64_t>> gets;  // (owning node, pair bytes)
     cluster.ScanPrefix(prefix, m,
                        [&](std::string_view key, std::string_view value) {
                          if (!c.status.ok()) return;
-                         fetch(&c, cluster.NodeFor(key),
-                               key.size() + value.size(), value);
+                         gets.emplace_back(cluster.NodeFor(key),
+                                           key.size() + value.size());
+                         decode(&c, value);
                        });
+    for (const auto& [node, bytes] : gets) price(&c, node, bytes);
     end_chunk(&c);
   } else {
     // Enumerate once on this thread (the ScanPrefix meters the next()s
@@ -146,8 +153,8 @@ Result<Relation> TaavScanTable(const Cluster& cluster,
       auto [begin, end] = ChunkRange(payloads.size(), w, p);
       begin_chunk(&c);
       for (size_t i = begin; i < end && c.status.ok(); ++i) {
-        fetch(&c, origins[i].first, origins[i].second + payloads[i].size(),
-              payloads[i]);
+        price(&c, origins[i].first, origins[i].second + payloads[i].size());
+        decode(&c, payloads[i]);
       }
       end_chunk(&c);
     };

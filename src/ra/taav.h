@@ -59,7 +59,9 @@ Status TaavLoadRelation(Cluster* cluster, const TableSchema& schema,
 /// metering its own QueryMetrics delta, merged in chunk order, so rows
 /// and counters are the same at every worker count, on `pool`'s threads
 /// or on the calling thread (null pool). A single worker decodes straight
-/// off the scan and never holds the encoded table.
+/// off the scan and never holds the encoded table; its gets' network
+/// halves (and stalls) play after the scan returns, since the scan holds
+/// the Cluster's storage gate and no stall may run under it.
 ///
 /// Each per-tuple get is priced by the cluster's NetworkModel against the
 /// tuple's owning node, and `fanout` picks the chunk's stall schedule.

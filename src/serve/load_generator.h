@@ -50,11 +50,13 @@ struct ServeTemplate {
   std::function<std::string(uint64_t key)> sql;
   /// Write op: applies the mutations for this op (the ServeOp carries the
   /// sampled key and a per-stream sequence number for unique-id
-  /// construction). Executed single-writer inside a Zidian::WriteBatch:
-  /// Insert / Delete stage, and their maintenance reads may overlap read
-  /// queries. The server commits the batch under the exclusive side of
-  /// its write gate when the call returns OK, and writes nothing when it
-  /// fails, so readers see all of the op's mutations or none.
+  /// construction). Executed one write op at a time, inside a
+  /// Zidian::WriteBatch: Insert / Delete stage, and their maintenance
+  /// reads may overlap read queries. The server commits the batch when
+  /// the call returns OK — one Cluster::Write, under the exclusive side
+  /// of the Cluster's storage gate — and writes nothing when it fails; a
+  /// read that straddles the commit runs again, so readers see all of
+  /// the op's mutations or none.
   std::function<Status(Zidian& zidian, const ServeOp& op)> write;
 
   bool is_write() const { return static_cast<bool>(write); }

@@ -97,20 +97,16 @@ void Server::SessionLoop(const std::function<bool(AdmittedOp*)>& next,
         options_.load.mix[static_cast<size_t>(item.op.template_idx)];
     bool ok = false;
     if (t.is_write()) {
-      // The template stages its mutations without any gate: their reads
-      // may overlap read queries, and no write is in flight, since only
-      // the holder of writer_mu_ commits. The commit mutates blocks and
-      // degree statistics: exclusive gate, no read (or prepare) in flight
-      // anywhere. A failed template commits nothing.
+      // The template stages its mutations: their reads may overlap read
+      // queries, and no write is in flight, since only the holder of
+      // writer_mu_ commits. The commit takes the Cluster's storage gate
+      // exclusive for its writes alone. A failed template commits
+      // nothing.
       MutexLock writer(writer_mu_);
       ++writes_admitted_;
       Zidian::WriteBatch batch(zidian_);
       Status write_status = t.write(*zidian_, item.op);
-      if (write_status.ok()) {
-        WriterMutexLock gate(write_gate_);
-        write_status = batch.Commit();
-        if (write_status.ok()) ++writes_committed_;
-      }
+      if (write_status.ok()) write_status = batch.Commit();
       ok = write_status.ok();
       // A failed maintenance write is a failed query, not a silent no-op:
       // the backend Status now propagates here (through Cluster::Put /
@@ -118,11 +114,10 @@ void Server::SessionLoop(const std::function<bool(AdmittedOp*)>& next,
       if (!ok) stats->metrics.failed_queries += 1;
     } else {
       std::string sql = t.sql(item.op.key);
-      ReaderMutexLock gate(write_gate_);
       auto found = statements.find(sql);
       if (found == statements.end()) {
-        // Prepare under the shared gate: planning reads the store's
-        // degree statistics, which write templates update.
+        // Planning reads the store's degree statistics under their own
+        // lock; a commit that moves one later leaves a correct plan.
         auto prepared = conn.Prepare(sql);
         if (prepared.ok()) {
           found = statements.emplace(sql, std::move(*prepared)).first;
@@ -216,14 +211,10 @@ Result<ServeResult> Server::Run() {
     result.latency.Merge(s.latency);
     result.metrics += s.metrics;
   }
-  {
-    // The session threads have joined; the locks are for the capability
-    // contract, not for contention.
-    MutexLock writer(writer_mu_);
-    WriterMutexLock gate(write_gate_);
-    result.writes_admitted = writes_admitted_;
-    result.writes_committed = writes_committed_;
-  }
+  // The session threads have joined; the lock is for the capability
+  // contract, not for contention.
+  MutexLock writer(writer_mu_);
+  result.writes_admitted = writes_admitted_;
   return result;
 }
 

@@ -24,19 +24,23 @@
 //                              percentiles, summed QueryMetrics
 //
 // Concurrency contract (docs/ARCHITECTURE.md "Serving layer"):
-//  * Read queries run concurrently, lock-free on the Cluster read path;
-//    every Execute meters into its own AnswerInfo so per-query
+//  * Read queries run concurrently and take no server lock: each Prepare
+//    and Execute meters into its own AnswerInfo, so per-query
 //    QueryMetrics stay isolated however sessions interleave on the
-//    shared BlockCache.
+//    shared BlockCache. The Cluster's storage gate is the only lock a
+//    read takes, and only while it touches storage, never across a
+//    modeled stall.
 //  * Write templates run one at a time, serialised on `writer_mu_`, each
 //    inside a Zidian::WriteBatch: the template only stages its mutations,
-//    and their maintenance reads run alongside read queries without any
-//    gate (reads may overlap reads). Only the batch's Commit() takes the
-//    exclusive side of the write gate, which reads and prepares (planning
-//    reads degree statistics that the commit updates) hold shared — so
-//    the Cluster's "writes must not overlap reads" single-writer contract
-//    holds by construction, and a reader sees every template wholly
-//    applied or not at all.
+//    and their maintenance reads run alongside read queries. The batch's
+//    Commit() is one Cluster::Write under the storage gate's exclusive
+//    side, so it waits only for storage accesses in flight. A read whose
+//    storage accesses straddle a commit runs again (PreparedQuery::
+//    Execute), so a reader sees every template wholly applied or not at
+//    all; one that straddles commits on every attempt fails after
+//    PreparedQuery::kMaxReadRestarts restarts and counts as failed. A
+//    plan prepared before a commit that moved a degree is still a
+//    correct plan.
 //  * Latency is recorded per session and merged after the session
 //    threads join; nothing is shared while hot (latency_recorder.h).
 #ifndef ZIDIAN_SERVE_SERVER_H_
@@ -150,8 +154,7 @@ struct ServeResult {
   uint64_t rejected = 0;  ///< open-loop arrivals that found the queue full
   uint64_t completed = 0;
   uint64_t failed = 0;
-  uint64_t writes_admitted = 0;   ///< write templates run
-  uint64_t writes_committed = 0;  ///< of those, batches committed
+  uint64_t writes_admitted = 0;  ///< write templates run
   double wall_seconds = 0;       ///< generator start -> last session joined
   LatencyRecorder latency;       ///< merged across sessions
   QueryMetrics metrics;          ///< merged across sessions
@@ -175,26 +178,21 @@ class Server {
   /// to call repeatedly (each run is independent, though the shared
   /// BlockCache stays warm across runs — warm-up runs exploit exactly
   /// that).
-  Result<ServeResult> Run() EXCLUDES(writer_mu_, write_gate_);
+  Result<ServeResult> Run() EXCLUDES(writer_mu_);
 
  private:
   /// Serves ops from `next` until it returns false.
   void SessionLoop(const std::function<bool(AdmittedOp*)>& next,
                    int64_t epoch_ns, SessionStats* stats)
-      EXCLUDES(writer_mu_, write_gate_);
+      EXCLUDES(writer_mu_);
 
   Zidian* zidian_;
   ServeOptions options_;
   /// Serialises write templates: held across a template and its commit,
   /// so one write batch is open at a time and no other write can land
-  /// between a batch's reads and its commit.
+  /// between a batch's reads and its commit. Reads never take it.
   Mutex writer_mu_;
   uint64_t writes_admitted_ GUARDED_BY(writer_mu_) = 0;
-  /// The reader/writer gate that keeps writes off the read path: read
-  /// queries (and their prepares) hold it shared, a write batch's
-  /// Commit() exclusive — for the puts alone, not the template's reads.
-  SharedMutex write_gate_;
-  uint64_t writes_committed_ GUARDED_BY(write_gate_) = 0;
 };
 
 }  // namespace serve

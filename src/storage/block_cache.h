@@ -9,9 +9,13 @@
 // every mutation flows through Cluster::Put / Cluster::Delete, which
 // erase the touched key. BaavStore's incremental maintenance
 // (Install -> WriteBlock, from a write batch's commit) writes through
-// those entry points, so maintained blocks stay coherent without any
-// cache-specific hooks in the BaaV layer. Writing directly to a node (Cluster::node(i))
-// bypasses invalidation and is for tests/tools only.
+// Cluster::Writer, the same entry points inside one Cluster::Write, so
+// maintained blocks stay coherent without any cache-specific hooks in
+// the BaaV layer. Reads fill the cache under the Cluster's storage gate,
+// shared, and writes invalidate under its exclusive side, so a fill never
+// lands after the invalidation of a commit it did not see. Writing
+// directly to a node (Cluster::node(i)) bypasses invalidation and is for
+// tests/tools only.
 //
 // Metering: Lookup/Insert update the cache's own aggregate counters;
 // the per-query counters (QueryMetrics::cache_hits / cache_misses /

@@ -85,19 +85,32 @@ Cluster::Cluster(ClusterOptions options) {
 
 Status Cluster::Put(std::string_view key, std::string_view value,
                     QueryMetrics* m) {
+  return Write([&](Writer& w) { return w.Put(key, value, m); });
+}
+
+Status Cluster::Delete(std::string_view key, QueryMetrics* m) {
+  return Write([&](Writer& w) { return w.Delete(key, m); });
+}
+
+// A Writer exists only inside Write, so its writes run under the gate's
+// exclusive side.
+Status Cluster::Writer::Put(std::string_view key, std::string_view value,
+                            QueryMetrics* m) {
+  Cluster& c = *cluster_;
   if (m != nullptr) {
     m->put_calls += 1;  // one logical write, whatever the replication
     m->bytes_to_storage +=
-        static_cast<uint64_t>(replication_) * (key.size() + value.size());
+        static_cast<uint64_t>(c.replication_) * (key.size() + value.size());
   }
-  // Invalidation is unconditional — coherence is not optional. Writes are
-  // single-writer and never overlap reads (the KvBackend contract), so
-  // ordering the cache update after the backend write is not observable —
-  // and it keeps a FAILED write from installing a value the backend never
-  // stored: only a successful Put upgrades a negative entry to the new
-  // value in place (the write proved the key exists; a read-back must
-  // hit). A failed or bypassed write merely erases (backend state is
-  // uncertain / the install would be a fill).
+  // Invalidation is unconditional — coherence is not optional. The write
+  // holds the storage gate exclusive, so no read probes or fills the
+  // cache until the commit is done: ordering the cache update after the
+  // backend write is not observable — and it keeps a FAILED write from
+  // installing a value the backend never stored: only a successful Put
+  // upgrades a negative entry to the new value in place (the write proved
+  // the key exists; a read-back must hit). A failed or bypassed write
+  // merely erases (backend state is uncertain / the install would be a
+  // fill).
   // Write-all replication: every node in the key's chain stores the pair
   // (one logical put, one backend write + metered network write per
   // replica), so any replica can serve reads and hedges coherently. The
@@ -106,44 +119,57 @@ Status Cluster::Put(std::string_view key, std::string_view value,
   // installing below. At replication=1 this is the historical single
   // write, byte for byte.
   Status st;
-  for (int node : ReplicaChain(NodeFor(key))) {
-    Status s = nodes_[node]->Put(key, value);
+  for (int node : c.ReplicaChain(c.NodeFor(key))) {
+    Status s = c.nodes_[node]->Put(key, value);
     if (!s.ok() && st.ok()) st = s;
     // Writes are metered into the network (per-node trip, transfer bytes)
     // but never stalled; bulk loads pass m = nullptr and the model stays
     // untouched entirely.
-    if (network_ != nullptr && m != nullptr) {
-      network_->OnWrite(node, 1, key.size() + value.size(), m);
+    if (c.network_ != nullptr && m != nullptr) {
+      c.network_->OnWrite(node, 1, key.size() + value.size(), m);
     }
   }
-  if (cache_ != nullptr) {
-    if (st.ok() && CacheActive()) {
-      size_t evicted = cache_->OnPut(key, value);
+  if (c.cache_ != nullptr) {
+    if (st.ok() && c.CacheActive()) {
+      size_t evicted = c.cache_->OnPut(key, value);
       if (m != nullptr) m->cache_evictions += evicted;
     } else {
-      cache_->Erase(key);
+      c.cache_->Erase(key);
     }
   }
   return st;
 }
 
-Status Cluster::Delete(std::string_view key, QueryMetrics* m) {
+Status Cluster::Writer::Delete(std::string_view key, QueryMetrics* m) {
+  Cluster& c = *cluster_;
   if (m != nullptr) {
     m->delete_calls += 1;
-    m->bytes_to_storage += static_cast<uint64_t>(replication_) * key.size();
+    m->bytes_to_storage += static_cast<uint64_t>(c.replication_) * key.size();
   }
-  if (cache_ != nullptr) cache_->Erase(key);
+  if (c.cache_ != nullptr) c.cache_->Erase(key);
   // Delete-all mirrors write-all: every replica drops the key, and the
   // first backend failure is reported rather than swallowed.
   Status st;
-  for (int node : ReplicaChain(NodeFor(key))) {
-    if (network_ != nullptr && m != nullptr) {
-      network_->OnWrite(node, 1, key.size(), m);
+  for (int node : c.ReplicaChain(c.NodeFor(key))) {
+    if (c.network_ != nullptr && m != nullptr) {
+      c.network_->OnWrite(node, 1, key.size(), m);
     }
-    Status s = nodes_[node]->Delete(key);
+    Status s = c.nodes_[node]->Delete(key);
     if (!s.ok() && st.ok()) st = s;
   }
   return st;
+}
+
+void Cluster::RecordEpoch(QueryMetrics* m) const {
+  if (m == nullptr) return;
+  if (m->read_epoch_lo == 0 || epoch_ < m->read_epoch_lo) {
+    m->read_epoch_lo = epoch_;
+  }
+  m->read_epoch_hi = std::max(m->read_epoch_hi, epoch_);
+}
+
+void Cluster::Stall(int64_t wake_ns) const {
+  if (network_ != nullptr) network_->SleepUntil(wake_ns);
 }
 
 bool Cluster::PrepareMultiGet(const std::vector<std::string>& keys,
@@ -151,7 +177,6 @@ bool Cluster::PrepareMultiGet(const std::vector<std::string>& keys,
                               std::vector<KvBackend::BatchedKey>* batch,
                               std::vector<uint32_t>* offsets) const {
   std::vector<std::optional<std::string>>& out = result->values;
-  if (keys.empty()) return false;
   out.resize(keys.size());
 
   if (m != nullptr) {
@@ -254,78 +279,92 @@ MultiGetResult Cluster::MultiGet(const std::vector<std::string>& keys,
                                  QueryMetrics* m, CacheFill fill,
                                  FanoutMode fanout, FanoutStats* stats) const {
   MultiGetResult result;
+  if (keys.empty()) return result;
   std::vector<KvBackend::BatchedKey> batch;
   std::vector<uint32_t> offsets;
-  if (!PrepareMultiGet(keys, m, &result, &batch, &offsets)) return result;
+  std::vector<size_t> touched;  // nodes with a batch, in node order
   std::vector<std::optional<std::string>>& out = result.values;
 
   // One issue-then-stall loop over the touched nodes, in node order. Each
-  // batch meters into its own delta, so its modeled service time is known
-  // for the overlap accounting and the merge into `m` is a pure sum.
-  // kSerial issues each batch at the current instant and stalls on it
-  // before the next one leaves, so a node's clock is claimed only when
-  // its batch is sent. kOverlapped issues every batch at one instant t0
-  // and stalls once, to the latest completion. Fault verdicts and every
-  // counter are pure functions of the batch, so both schedules meter the
-  // same totals; queue waits come from the shared node clocks and feed
-  // only the wake instants.
+  // pass holds the storage gate shared while it touches storage — the
+  // first pass also probes the cache — and stalls after releasing it.
+  // kOverlapped issues every batch in one pass at one instant t0 and
+  // stalls once, to the latest completion. kSerial issues one batch per
+  // pass at the current instant and stalls on it before the next one
+  // leaves, so a node's clock is claimed only when its batch is sent.
+  // Each batch meters into its own delta, so its modeled service time is
+  // known for the overlap accounting and the merge into `m` is a pure
+  // sum. Fault verdicts and every counter are pure functions of the
+  // batch, so both schedules meter the same totals; queue waits come from
+  // the shared node clocks and feed only the wake instants.
   const bool overlapped = fanout == FanoutMode::kOverlapped;
-  const int64_t t0 = network_ != nullptr ? network_->NowNs() : 0;
-  int64_t last_wake = t0;
+  int64_t t0 = 0;
   uint64_t total_service = 0;
   uint64_t max_service = 0;
-  uint64_t issued = 0;
   uint64_t unreachable = 0;
-  for (size_t n = 0; n + 1 < offsets.size(); ++n) {
-    size_t begin = offsets[n], end = offsets[n + 1];
-    if (begin == end) continue;
-    nodes_[n]->MultiGet(
-        std::span<const KvBackend::BatchedKey>(batch.data() + begin,
-                                               end - begin),
-        &out);
-    QueryMetrics delta;
-    delta.get_round_trips += 1;
-    std::vector<uint8_t> reachable;  // stays empty without a network
+  size_t issued = 0;
+  do {
     int64_t wake = t0;
-    if (network_ != nullptr) {
-      // Keys out + found values back, per key.
-      std::vector<NetworkModel::BatchItem> items;
-      items.reserve(end - begin);
-      for (size_t j = begin; j < end; ++j) {
-        const auto& value = out[batch[j].slot];
-        const uint64_t bytes =
-            batch[j].key.size() + (value.has_value() ? value->size() : 0);
-        items.push_back({batch[j].key, bytes});
+    {
+      ReaderMutexLock gate(gate_);
+      RecordEpoch(m);
+      if (issued == 0) {
+        if (!PrepareMultiGet(keys, m, &result, &batch, &offsets)) {
+          return result;
+        }
+        for (size_t n = 0; n + 1 < offsets.size(); ++n) {
+          if (offsets[n] != offsets[n + 1]) touched.push_back(n);
+        }
+        t0 = network_ != nullptr ? network_->NowNs() : 0;
+        wake = t0;
       }
-      const int64_t issue = overlapped ? t0 : network_->NowNs();
-      // The batching economics in one line: this whole per-node batch
-      // pays ONE round trip (rtt once) plus a marginal per-key cost —
-      // where the same keys one at a time would pay the rtt per key. The
-      // recovery machine decides, per key, whether any replica answered
-      // within the attempt budget (retries / backoff / timeouts / hedges,
-      // all metered); with the default policy and a quiet fault schedule
-      // it plays one round, priced at exactly the link's RequestCost.
-      wake = network_->FetchWithRecoveryAt(ReplicaChain(static_cast<int>(n)),
-                                           items, recovery_, &delta,
-                                           &reachable, issue);
+      const size_t until = overlapped ? touched.size() : issued + 1;
+      for (; issued < until; ++issued) {
+        const size_t n = touched[issued];
+        const size_t begin = offsets[n], end = offsets[n + 1];
+        nodes_[n]->MultiGet(
+            std::span<const KvBackend::BatchedKey>(batch.data() + begin,
+                                                   end - begin),
+            &out);
+        QueryMetrics delta;
+        delta.get_round_trips += 1;
+        std::vector<uint8_t> reachable;  // stays empty without a network
+        if (network_ != nullptr) {
+          // Keys out + found values back, per key.
+          std::vector<NetworkModel::BatchItem> items;
+          items.reserve(end - begin);
+          for (size_t j = begin; j < end; ++j) {
+            const auto& value = out[batch[j].slot];
+            const uint64_t bytes =
+                batch[j].key.size() + (value.has_value() ? value->size() : 0);
+            items.push_back({batch[j].key, bytes});
+          }
+          const int64_t issue = overlapped ? t0 : network_->NowNs();
+          // The batching economics in one line: this whole per-node batch
+          // pays ONE round trip (rtt once) plus a marginal per-key cost —
+          // where the same keys one at a time would pay the rtt per key.
+          // The recovery machine decides, per key, whether any replica
+          // answered within the attempt budget (retries / backoff /
+          // timeouts / hedges, all metered); with the default policy and
+          // a quiet fault schedule it plays one round, priced at exactly
+          // the link's RequestCost.
+          wake = std::max(wake, network_->FetchWithRecoveryAt(
+                                    ReplicaChain(static_cast<int>(n)), items,
+                                    recovery_, &delta, &reachable, issue));
+        }
+        SettleNodeBatch(batch, begin, end, reachable, fill, &delta, &result,
+                        &unreachable);
+        total_service += delta.net_service_ns;
+        max_service = std::max(max_service, delta.net_service_ns);
+        if (m != nullptr) *m += delta;
+      }
     }
-    SettleNodeBatch(batch, begin, end, reachable, fill, &delta, &result,
-                    &unreachable);
-    total_service += delta.net_service_ns;
-    max_service = std::max(max_service, delta.net_service_ns);
-    ++issued;
-    if (m != nullptr) *m += delta;
-    if (overlapped) {
-      last_wake = std::max(last_wake, wake);
-    } else if (network_ != nullptr) {
-      network_->SleepUntil(wake);
-    }
-  }
-  if (overlapped) {
-    if (network_ != nullptr) network_->SleepUntil(last_wake);
-    // The hidden time is what the serial schedule would have added on top
-    // of the slowest batch.
-    if (stats != nullptr) stats->Merge({total_service - max_service, issued});
+    Stall(wake);
+  } while (issued < touched.size());
+  // The hidden time is what the serial schedule would have added on top
+  // of the slowest batch.
+  if (overlapped && stats != nullptr) {
+    stats->Merge({total_service - max_service, touched.size()});
   }
   if (unreachable > 0) {
     result.status = Status::Unavailable(
@@ -339,6 +378,8 @@ MultiGetResult Cluster::MultiGet(const std::vector<std::string>& keys,
 void Cluster::ScanPrefix(
     std::string_view prefix, QueryMetrics* m,
     const std::function<void(std::string_view, std::string_view)>& fn) const {
+  ReaderMutexLock gate(gate_);
+  RecordEpoch(m);
   for (size_t ni = 0; ni < nodes_.size(); ++ni) {
     auto it = nodes_[ni]->NewIterator();
     it->Seek(prefix);
@@ -361,10 +402,12 @@ void Cluster::ScanPrefix(
 }
 
 void Cluster::FlushAll() {
+  WriterMutexLock gate(gate_);
   for (auto& node : nodes_) node->Flush();
 }
 
 Status Cluster::SaveToDir(const std::string& dir) const {
+  ReaderMutexLock gate(gate_);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     ZIDIAN_RETURN_NOT_OK(
         nodes_[i]->SaveToFile(dir + "/node-" + std::to_string(i) + ".kv"));
@@ -373,6 +416,8 @@ Status Cluster::SaveToDir(const std::string& dir) const {
 }
 
 Status Cluster::LoadFromDir(const std::string& dir) {
+  WriterMutexLock gate(gate_);
+  ++epoch_;
   // Bulk replacement of every node's contents: per-key invalidation is
   // pointless, drop the whole cache.
   if (cache_ != nullptr) cache_->Clear();
@@ -384,6 +429,7 @@ Status Cluster::LoadFromDir(const std::string& dir) {
 }
 
 size_t Cluster::TotalBytes() const {
+  ReaderMutexLock gate(gate_);
   size_t total = 0;
   for (const auto& node : nodes_) total += node->ApproximateBytes();
   return total;

@@ -37,22 +37,25 @@
 // and worker count; only the schedule-shape fields (net_overlap_ns /
 // net_inflight_max), the modeled makespan and the wall clock may differ.
 //
-// Thread safety: the read path (MultiGet / ScanPrefix) is safe from any
-// number of concurrent threads as long as no writes are in flight and
-// each thread meters into its own QueryMetrics — this is the contract
-// both the threaded KBA executor (per-worker metric deltas, merged at
-// join) and the multi-session serving layer (per-query
-// AnswerInfo::metrics, one per in-flight Execute) run on. Put / Delete /
-// FlushAll / LoadFromDir are single-writer operations and must not
-// overlap reads; when sessions mix writes into a served workload, the
-// serving layer brackets them with its reader/writer gate
-// (serve/server.h) so this contract holds by construction. The two locked
-// seams a concurrent read path crosses — the BlockCache's per-shard
-// mutexes and the NetworkModel's atomic clocks — carry their own
-// compile-time contracts (GUARDED_BY / REQUIRES on the cache, atomics on
-// the network); the Cluster itself holds no lock, which is exactly what
-// the capability analysis verifies when it compiles this header clean
-// (docs/ARCHITECTURE.md "Concurrency contract").
+// Thread safety: the Cluster owns the storage gate, a reader/writer lock
+// held only while storage is touched. A read (MultiGet, ScanPrefix) holds
+// the shared side across its cache probe, backend reads, recovery pricing
+// and cache fills, and releases it before every modeled stall: kOverlapped
+// stalls once after its last node batch, kSerial before each next one. A
+// commit (Write, and Put / Delete as one-op writes) holds the exclusive
+// side while it writes and then advances the commit epoch; FlushAll and
+// LoadFromDir hold it too. So reads run beside each other from any number
+// of threads, each metering into its own QueryMetrics, a commit waits only
+// for storage accesses in flight, never for a stall, and a cache fill
+// never lands after a commit's invalidation. Every read records the epoch
+// it ran under in its QueryMetrics (read_epoch_lo / read_epoch_hi): a
+// query whose reads saw two epochs straddled a commit, and
+// PreparedQuery::Execute runs it again (docs/ARCHITECTURE.md "Concurrency
+// contract"). No gate-taking Cluster call may run inside a ScanPrefix
+// callback: the scan holds the shared side, and a nested acquisition is
+// undefined. The other locked seams a read crosses — the BlockCache's
+// per-shard mutexes and the NetworkModel's atomic clocks — carry their
+// own contracts.
 #ifndef ZIDIAN_STORAGE_CLUSTER_H_
 #define ZIDIAN_STORAGE_CLUSTER_H_
 
@@ -66,7 +69,9 @@
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_annotations.h"
 #include "storage/block_cache.h"
 #include "storage/kv_backend.h"
 #include "storage/lsm_store.h"
@@ -166,22 +171,51 @@ class Cluster {
     return static_cast<int>(Hash64(key) % nodes_.size());
   }
 
-  /// Writes a pair — to EVERY replica in the key's chain when
-  /// replication is configured (one logical put_call; pair bytes and a
-  /// metered network write per replica), so any replica can serve the
-  /// read and hedged fetches stay coherent. Always invalidates the key in
-  /// the BlockCache, even under cache bypass — coherence is not optional.
-  /// With the cache active, a key holding a *negative* entry gets the new
-  /// value installed in its place (BlockCache::OnPut): a write followed
-  /// by a read hits instead of paying a round trip for a key the cache
-  /// had just confirmed absent. Evictions caused by that install are
-  /// charged to m->cache_evictions.
-  Status Put(std::string_view key, std::string_view value,
-             QueryMetrics* m = nullptr);
+  /// The write half of one commit: the handle Write() passes its body.
+  /// It exists only inside Write, under the exclusive side of the gate.
+  class Writer {
+   public:
+    /// Writes a pair — to EVERY replica in the key's chain when
+    /// replication is configured (one logical put_call; pair bytes and a
+    /// metered network write per replica), so any replica can serve the
+    /// read and hedged fetches stay coherent. Always invalidates the key
+    /// in the BlockCache, even under cache bypass — coherence is not
+    /// optional. With the cache active, a key holding a *negative* entry
+    /// gets the new value installed in its place (BlockCache::OnPut): a
+    /// write followed by a read hits instead of paying a round trip for a
+    /// key the cache had just confirmed absent. Evictions caused by that
+    /// install are charged to m->cache_evictions.
+    Status Put(std::string_view key, std::string_view value,
+               QueryMetrics* m = nullptr);
+    /// Deletes a key. Meters: one delete_call and the key bytes into
+    /// bytes_to_storage. Always invalidates the key in the BlockCache.
+    Status Delete(std::string_view key, QueryMetrics* m = nullptr);
 
-  /// Deletes a key. Meters: one delete_call and the key bytes into
-  /// bytes_to_storage. Always invalidates the key in the BlockCache.
-  Status Delete(std::string_view key, QueryMetrics* m = nullptr);
+   private:
+    friend class Cluster;
+    explicit Writer(Cluster* cluster) : cluster_(cluster) {}
+    Cluster* cluster_;
+  };
+
+  /// Runs `fn(Writer&)` as one commit: under the exclusive side of the
+  /// storage gate, so no read touches storage while it writes, then
+  /// advances the commit epoch once, whether `fn` failed or not (a failed
+  /// body may have written). Returns `fn`'s Status. `fn` must not call
+  /// back into this Cluster except through the Writer.
+  template <typename Fn>
+  Status Write(Fn&& fn) EXCLUDES(gate_) {
+    WriterMutexLock gate(gate_);
+    Writer writer(this);
+    Status st = fn(writer);
+    ++epoch_;
+    return st;
+  }
+
+  /// One-op commits: Write with a single Writer::Put / Writer::Delete.
+  Status Put(std::string_view key, std::string_view value,
+             QueryMetrics* m = nullptr) EXCLUDES(gate_);
+  Status Delete(std::string_view key, QueryMetrics* m = nullptr)
+      EXCLUDES(gate_);
 
   /// Batched point lookup (§7.2's interleaved access idiom), and the
   /// cluster's one read path: a single key is a one-key MultiGet. Returns
@@ -211,9 +245,14 @@ class Cluster {
   /// folds it into QueryMetrics at its merge point (kba/makespan.h
   /// ChargeFanoutOverlap), never into per-worker deltas. kSerial leaves
   /// `stats` untouched.
+  ///
+  /// The storage gate is held shared from the cache probe through the
+  /// last node batch it issues and released before each stall (once,
+  /// after every batch, under kOverlapped; before each next batch under
+  /// kSerial). Each hold records its commit epoch into `m`.
   MultiGetResult MultiGet(const std::vector<std::string>& keys,
                           QueryMetrics* m, CacheFill fill, FanoutMode fanout,
-                          FanoutStats* stats = nullptr) const;
+                          FanoutStats* stats = nullptr) const EXCLUDES(gate_);
 
   /// Iterates all pairs whose key starts with `prefix`, in key order per
   /// node. Models the TaaV "blind scan": meters one next_call per visited
@@ -222,27 +261,36 @@ class Cluster {
   /// avoid). Under replication only the primary copy of each pair is
   /// emitted, so scans see every pair exactly once; fault injection does
   /// not apply to scans (they stream — the recovery machine prices the
-  /// point-access path the paper's round-trip economics are about).
+  /// point-access path the paper's round-trip economics are about). The
+  /// whole scan holds the storage gate shared and records its epoch into
+  /// `m`, so `fn` must not stall nor call a Cluster method that takes the
+  /// gate (a nested shared acquisition is undefined; NodeFor is fine).
   void ScanPrefix(std::string_view prefix, QueryMetrics* m,
                   const std::function<void(std::string_view key,
-                                           std::string_view value)>& fn) const;
+                                           std::string_view value)>& fn) const
+      EXCLUDES(gate_);
 
   /// Direct node access for tests/tools. Writes through this handle
-  /// bypass both metering and cache invalidation — prefer Put/Delete.
+  /// bypass metering, cache invalidation and the storage gate — prefer
+  /// Put/Delete.
   KvBackend& node(int i) { return *nodes_[i]; }
   const KvBackend& node(int i) const { return *nodes_[i]; }
 
-  void FlushAll();
+  /// Flushes every node's write buffer, under the exclusive side (the
+  /// contents do not change, so the epoch does not advance).
+  void FlushAll() EXCLUDES(gate_);
 
   /// Total live bytes across nodes (storage footprint; unmetered).
-  size_t TotalBytes() const;
+  size_t TotalBytes() const EXCLUDES(gate_);
 
   /// Persists every node to `dir/node-<i>.kv` / restores from it. The node
   /// count must match on load (keys are hash-placed per node count); the
   /// node engine may differ — the file format is backend-independent.
-  /// LoadFromDir drops the whole BlockCache (bulk replacement).
-  Status SaveToDir(const std::string& dir) const;
-  Status LoadFromDir(const std::string& dir);
+  /// SaveToDir holds the storage gate shared; LoadFromDir is a commit: it
+  /// holds the exclusive side, advances the epoch and drops the whole
+  /// BlockCache (bulk replacement).
+  Status SaveToDir(const std::string& dir) const EXCLUDES(gate_);
+  Status LoadFromDir(const std::string& dir) EXCLUDES(gate_);
 
   // --- BlockCache introspection and control ---------------------------
 
@@ -291,14 +339,23 @@ class Cluster {
  private:
   bool CacheActive() const { return cache_ != nullptr && !cache_bypassed(); }
 
-  /// Front half of MultiGet: meters the logical calls, serves cache hits
-  /// (both polarities), and counting-sorts the missed slots by owning
-  /// node (`batch` grouped per node, node n's range = [(*offsets)[n],
-  /// (*offsets)[n+1])). Returns false when no key needs a backend fetch.
+  /// Folds the current commit epoch into `m`'s read_epoch_lo/hi.
+  void RecordEpoch(QueryMetrics* m) const REQUIRES_SHARED(gate_);
+  /// The wait half of a read: stalls until modeled instant `wake_ns`
+  /// (no-op without a network). Every Cluster stall goes through here, and
+  /// none may hold the storage gate.
+  void Stall(int64_t wake_ns) const EXCLUDES(gate_);
+
+  /// Front half of MultiGet over a non-empty `keys`: meters the logical
+  /// calls, serves cache hits (both polarities), and counting-sorts the
+  /// missed slots by owning node (`batch` grouped per node, node n's
+  /// range = [(*offsets)[n], (*offsets)[n+1])). Returns false when no key
+  /// needs a backend fetch.
   bool PrepareMultiGet(const std::vector<std::string>& keys, QueryMetrics* m,
                        MultiGetResult* result,
                        std::vector<KvBackend::BatchedKey>* batch,
-                       std::vector<uint32_t>* offsets) const;
+                       std::vector<uint32_t>* offsets) const
+      REQUIRES_SHARED(gate_);
   /// Per-slot bookkeeping of one node batch after the node answered:
   /// failed flags for the slots `reachable` (one flag per batch entry;
   /// empty when no network decided reachability) marks lost,
@@ -308,7 +365,7 @@ class Cluster {
                        size_t begin, size_t end,
                        const std::vector<uint8_t>& reachable, CacheFill fill,
                        QueryMetrics* m, MultiGetResult* result,
-                       uint64_t* unreachable) const;
+                       uint64_t* unreachable) const REQUIRES_SHARED(gate_);
 
   std::vector<std::unique_ptr<KvBackend>> nodes_;
   std::unique_ptr<BlockCache> cache_;
@@ -318,6 +375,12 @@ class Cluster {
   int replication_ = 1;
   /// replica_chains_[p] = the nodes holding a key whose primary is p.
   std::vector<std::vector<int>> replica_chains_;
+  /// The storage gate: shared while a read touches the backends and the
+  /// cache, exclusive while a commit writes (see the header comment).
+  mutable SharedMutex gate_;
+  /// The commit epoch: 1 before the first commit, advanced by each one,
+  /// so a read's recorded epoch is never 0 (the metrics' "no read").
+  uint64_t epoch_ GUARDED_BY(gate_) = 1;
 };
 
 }  // namespace zidian

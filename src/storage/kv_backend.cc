@@ -1,6 +1,8 @@
 #include "storage/kv_backend.h"
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "common/coding.h"
 
@@ -25,11 +27,22 @@ Status KvBackend::SaveToFile(const std::string& path) const {
   }
   PutFixed64(&buf, count);
   buf += body;
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
+  // Write a sibling file and rename it over `path`: a failed save leaves
+  // the previous file whole instead of half overwritten.
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::Internal("cannot open " + tmp);
   size_t written = std::fwrite(buf.data(), 1, buf.size(), f);
-  std::fclose(f);
-  if (written != buf.size()) return Status::Internal("short write " + path);
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != buf.size() || !flushed || !closed) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot write " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " to " + path);
+  }
   return Status::OK();
 }
 
@@ -44,14 +57,20 @@ Status KvBackend::LoadFromFile(const std::string& path) {
   std::string_view sv(buf);
   uint64_t count;
   if (!GetFixed64(&sv, &count)) return Status::Corruption("bad header");
-  Clear();
+  // Parse every entry before touching the node: a file that does not
+  // parse whole leaves the node as it was. The entries are views into
+  // `buf`; a count larger than the file could hold is caught by the
+  // parse, never by a reservation.
+  std::vector<std::pair<std::string_view, std::string_view>> entries;
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view k, v;
     if (!GetLengthPrefixed(&sv, &k) || !GetLengthPrefixed(&sv, &v)) {
       return Status::Corruption("truncated entry");
     }
-    ZIDIAN_RETURN_NOT_OK(Put(k, v));
+    entries.emplace_back(k, v);
   }
+  Clear();
+  for (const auto& [k, v] : entries) ZIDIAN_RETURN_NOT_OK(Put(k, v));
   return Status::OK();
 }
 

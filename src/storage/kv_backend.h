@@ -20,10 +20,12 @@
 // Concurrency contract: Get / MultiGet / NewIterator must be safe from
 // any number of concurrent reader threads when no write is in flight —
 // the threaded KBA executor fans per-worker MultiGets out concurrently.
-// Writes (Put / Delete / Flush / Compact / Clear / Load) are
-// single-writer and never overlap reads; engines need no write-side
-// locking. A const method that mutates interior state (caches, counters)
-// must synchronize that state itself (see LsmStore's bloom counter).
+// Writes (Put / Delete / Flush / Compact / Clear / Load) never overlap
+// reads or each other: the Cluster's storage gate holds readers shared
+// and writers exclusive, so engines need no locking of their own. A
+// const method that mutates interior state (caches, counters) must
+// synchronize that state itself (see LsmStore's bloom counter): readers
+// run it concurrently.
 #ifndef ZIDIAN_STORAGE_KV_BACKEND_H_
 #define ZIDIAN_STORAGE_KV_BACKEND_H_
 
@@ -105,7 +107,10 @@ class KvBackend {
 
   /// Serializes all live entries to `path` / restores from it. All backends
   /// share the flat (count, length-prefixed pairs) file format, so data
-  /// saved by one engine loads into another.
+  /// saved by one engine loads into another. A save writes `path`.tmp
+  /// and renames it over `path` only when every byte reached the file; a
+  /// load parses the whole file first and replaces the node's contents
+  /// only when it parsed (Corruption otherwise, the node untouched).
   virtual Status SaveToFile(const std::string& path) const;
   virtual Status LoadFromFile(const std::string& path);
 

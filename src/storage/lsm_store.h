@@ -12,12 +12,12 @@
 // Thread safety: Get / MultiGet / NewIterator are safe from concurrent
 // readers (the bloom-negative diagnostic counter is atomic; everything
 // else they touch is immutable between writes). Put / Delete / Flush /
-// Compact / Clear / Load are single-writer and must not overlap reads —
-// the division the Cluster read-path contract relies on. There is no
-// mutex here by design, so clang's capability analysis has nothing to
-// check: the single-writer phase discipline is enforced dynamically by
-// the TSan CI job and documented in docs/ARCHITECTURE.md ("Concurrency
-// contract").
+// Compact / Clear / Load are single-writer and must not overlap reads;
+// the Cluster's storage gate keeps them apart (readers shared, writers
+// exclusive). There is no mutex here by design, so clang's capability
+// analysis has nothing to check in this file: the gate's contract is
+// checked where it lives (storage/cluster.h), and the TSan CI job checks
+// it dynamically (docs/ARCHITECTURE.md "Concurrency contract").
 #ifndef ZIDIAN_STORAGE_LSM_STORE_H_
 #define ZIDIAN_STORAGE_LSM_STORE_H_
 

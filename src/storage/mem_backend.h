@@ -11,8 +11,9 @@
 // must spill.
 //
 // Thread safety: Get / MultiGet / NewIterator only read the table, so
-// concurrent readers are safe as long as no write is in flight (the
-// KvBackend concurrency contract).
+// concurrent readers are safe as long as no write is in flight, which
+// the Cluster's storage gate ensures (the KvBackend concurrency
+// contract).
 #ifndef ZIDIAN_STORAGE_MEM_BACKEND_H_
 #define ZIDIAN_STORAGE_MEM_BACKEND_H_
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 
 #include "kba/kba_executor.h"
 #include "kba/makespan.h"
@@ -142,17 +143,37 @@ Result<Relation> PreparedQuery::Execute(const ExecOptions& opts,
     out->route = AnswerInfo::Route::kTaavFallback;
     out->detail = preserving_ ? "route policy forced the TaaV baseline"
                               : preserve_detail_;
-    TaavExecutor baseline(&zidian_->catalog(), &cluster);
-    result = baseline.Execute(
-        spec_,
-        TaavExecOptions{
-            .workers = workers, .pool = pool, .fanout = opts.fanout},
-        &out->metrics);
   } else {
     out->route = planned_->scan_free ? AnswerInfo::Route::kKbaScanFree
                                      : AnswerInfo::Route::kKbaWithScans;
-    result = ExecuteKba(workers, pool, opts.fanout, out);
   }
+  // Reads stay atomic across their stalls: an attempt whose storage reads
+  // ran under two commit epochs may mix two states of the store, so its
+  // rows, status and counters are discarded and the query runs again, at
+  // most kMaxReadRestarts times. A query with one storage access never
+  // restarts.
+  uint64_t restarts = 0;
+  for (;; ++restarts) {
+    out->metrics = QueryMetrics{};
+    if (use_baseline) {
+      TaavExecutor baseline(&zidian_->catalog(), &cluster);
+      result = baseline.Execute(
+          spec_,
+          TaavExecOptions{
+              .workers = workers, .pool = pool, .fanout = opts.fanout},
+          &out->metrics);
+    } else {
+      result = ExecuteKba(workers, pool, opts.fanout, out);
+    }
+    if (out->metrics.read_epoch_lo == out->metrics.read_epoch_hi) break;
+    if (restarts == kMaxReadRestarts) {
+      result = Status::Unavailable(
+          "read kept straddling commits: " +
+          std::to_string(restarts + 1) + " attempts torn");
+      break;
+    }
+  }
+  out->metrics.read_restarts = restarts;
   out->metrics.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -44,10 +44,12 @@
 // shared pool served the run (used_shared_pool).
 //
 // Concurrency: distinct Connections (and their PreparedQueries) may
-// Execute concurrently against one shared Zidian/Cluster — the
-// multi-session serving contract (serve/server.h, docs/ARCHITECTURE.md
-// "Serving layer"). Each Execute meters into its own AnswerInfo, and an
-// Execute with default options writes no shared cluster state. A single
+// Execute concurrently against one shared Zidian/Cluster, and beside
+// commits — the multi-session serving contract (serve/server.h,
+// docs/ARCHITECTURE.md "Serving layer"). Each Execute meters into its
+// own AnswerInfo, and an Execute with default options writes no shared
+// cluster state. An attempt whose storage reads straddled a commit runs
+// again, so an answer never mixes two states of the store. A single
 // PreparedQuery object, however, is a session-local handle: it caches
 // last_info_ unsynchronized, so share the Zidian, not the PreparedQuery.
 // ExecOptions::bypass_cache remains a single-session experiment knob —
@@ -141,9 +143,17 @@ class PreparedQuery {
   /// counters — storage traffic (get_calls / get_round_trips / bytes),
   /// cache interaction (cache_hits / cache_misses / cache_evictions /
   /// bytes_from_cache; all zero when the cache is off or bypassed), and
-  /// the per-worker makespan components.
+  /// the per-worker makespan components. An attempt whose storage reads
+  /// straddled a commit (read_epoch_lo != read_epoch_hi) runs again: the
+  /// answer, its status and its Compared counters are the last
+  /// attempt's, wall_seconds covers every attempt and read_restarts
+  /// counts the reruns. After kMaxReadRestarts restarts, a read
+  /// whose last attempt straddled a commit too fails with kUnavailable,
+  /// which a caller may retry: a steady stream of commits never holds a
+  /// read whose stalls outlast the gap between them forever.
   Result<Relation> Execute(const ExecOptions& opts = {},
                            AnswerInfo* info = nullptr);
+  static constexpr uint64_t kMaxReadRestarts = 16;
 
   /// Route, flags, cache configuration and plan text — before the first
   /// Execute() with empty metrics, afterwards with the metrics of the

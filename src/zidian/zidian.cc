@@ -85,12 +85,16 @@ Status Zidian::WriteBatch::Commit() {
   Close();
   ZIDIAN_RETURN_NOT_OK(status_);
   status_ = Status::InvalidArgument("write batch already committed");
-  Cluster* cluster = zidian_->cluster_;
-  for (const auto& [entry, put] : taav_) {
-    ZIDIAN_RETURN_NOT_OK(put ? cluster->Put(entry.key, entry.value, nullptr)
-                             : cluster->Delete(entry.key));
-  }
-  return zidian_->store_.Install(baav_);
+  // One commit: the TaaV writes and every staged block land under one
+  // hold of the storage gate's exclusive side, and the epoch advances
+  // once, so no read sees the batch partly applied.
+  return zidian_->cluster_->Write([&](Cluster::Writer& w) -> Status {
+    for (const auto& [entry, put] : taav_) {
+      ZIDIAN_RETURN_NOT_OK(put ? w.Put(entry.key, entry.value)
+                               : w.Delete(entry.key));
+    }
+    return zidian_->store_.Install(baav_, w);
+  });
 }
 
 }  // namespace zidian

@@ -122,9 +122,11 @@ class Zidian {
   /// one of whose mutations failed, or that is destroyed without a
   /// commit, writes nothing. One batch is open per Zidian at a time (a
   /// second one fails with InvalidArgument), and a write batch is a
-  /// writer: writers must not overlap each other, and Commit() must not
-  /// overlap reads (the Cluster's single-writer contract). The read phase
-  /// only reads, so it may overlap read queries.
+  /// writer: writers must not overlap each other (the serving layer
+  /// serialises them). The read phase only reads, so it may overlap read
+  /// queries. Commit() is one Cluster::Write: it holds the storage gate
+  /// exclusive while it writes, so it waits only for storage accesses in
+  /// flight, and a query whose reads straddle it runs again.
   class WriteBatch {
    public:
     explicit WriteBatch(Zidian* zidian);

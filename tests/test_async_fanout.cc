@@ -610,5 +610,72 @@ TEST_F(FetchRoundsFixture, AbsentSeedKeyFetchesEveryBlockOfItsRound) {
   }
 }
 
+TEST_F(FetchRoundsFixture, UnreachableSpeculativeBlockKeepsTheEmptyAnswer) {
+  // An absent vehicle whose seed block (vehicle) sits on another node than
+  // its speculative blocks (mot_test, observation): q1 reads one
+  // speculative block, q6 two.
+  const BaavStore& store = zidian_->store();
+  auto node_of = [&](const std::string& instance, int64_t vehicle) {
+    const KvSchema* kv = store.schema().Find(instance);
+    EXPECT_NE(kv, nullptr) << instance;
+    return kv == nullptr ? -1 : store.NodeForBlock(*kv, {Value(vehicle)});
+  };
+  int64_t absent = 100000;
+  for (;; ++absent) {
+    const int seed = node_of("vehicle@vehicle_id", absent);
+    if (seed != node_of("mot_test@vehicle_id", absent) &&
+        seed != node_of("observation@vehicle_id", absent)) {
+      break;
+    }
+  }
+  const int seed_node = node_of("vehicle@vehicle_id", absent);
+  const std::set<int> speculative_nodes = {
+      node_of("mot_test@vehicle_id", absent),
+      node_of("observation@vehicle_id", absent)};
+
+  // A cluster whose node `down` fails every attempt of every key (a down
+  // window over the whole key-phase axis, one copy per key).
+  auto run = [&](int down, const std::string& sql, RoutePolicy route,
+                 AnswerInfo* info) {
+    ClusterOptions co = NetworkedClusterOptions();
+    co.network.faults.seed = 7;
+    co.network.faults.node_faults.resize(size_t(co.num_storage_nodes));
+    co.network.faults.node_faults[size_t(down)] =
+        NodeFaultOptions{.down_from = 0, .down_until = 1};
+    Cluster cluster(co);
+    Zidian zidian(&workload_.catalog, &cluster, workload_.baav);
+    EXPECT_TRUE(zidian.LoadTaav(workload_.data).ok());
+    EXPECT_TRUE(zidian.BuildBaav(workload_.data).ok());
+    return zidian.Connect().Execute(
+        sql, ExecOptions{.route_policy = route, .bypass_cache = true}, info);
+  };
+
+  for (const std::string& sql : {Q1(absent), Q6(absent)}) {
+    SCOPED_TRACE(sql);
+    for (int down : speculative_nodes) {
+      SCOPED_TRACE("speculative node " + std::to_string(down) + " down");
+      AnswerInfo kba;
+      auto r = run(down, sql, RoutePolicy::kForceKba, &kba);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->size(), 0u);
+      EXPECT_EQ(kba.metrics.failed_queries, 0u);
+      // The dropped block's gets and failed attempts stay metered.
+      EXPECT_GT(kba.metrics.net_faults_injected, 0u);
+      EXPECT_EQ(kba.metrics.multiget_calls, 1u);
+      AnswerInfo base;
+      auto b = run(down, sql, RoutePolicy::kForceBaseline, &base);
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(b->size(), 0u);
+      EXPECT_EQ(base.metrics.failed_queries, 0u);
+    }
+    // The seed block itself unreachable: the empty answer is unproven.
+    AnswerInfo info;
+    auto r = run(seed_node, sql, RoutePolicy::kForceKba, &info);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+    EXPECT_EQ(info.metrics.failed_queries, 1u);
+  }
+}
+
 }  // namespace
 }  // namespace zidian

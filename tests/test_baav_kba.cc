@@ -310,7 +310,7 @@ TEST_F(BaavStoreFixture, IncrementalInsertMatchesRebuild) {
     grown.Add(t);
     BaavStore::Maintenance update;
     ASSERT_TRUE(store_->ReadForInsert("emp", t, &update).ok());
-    ASSERT_TRUE(store_->Install(update).ok());
+    ASSERT_TRUE(InstallCommit(&cluster_, store_.get(), update).ok());
   }
   Cluster fresh_cluster(ClusterOptions{.num_storage_nodes = 3});
   BaavStore fresh(&fresh_cluster, schema_, &catalog_);
@@ -336,7 +336,7 @@ TEST_F(BaavStoreFixture, IncrementalDeleteRemovesOneOccurrence) {
   Tuple victim{Value(int64_t{1}), Value(int64_t{5}), Value(500.0)};
   BaavStore::Maintenance update;
   ASSERT_TRUE(store_->ReadForDelete("emp", victim, &update).ok());
-  ASSERT_TRUE(store_->Install(update).ok());
+  ASSERT_TRUE(InstallCommit(&cluster_, store_.get(), update).ok());
   auto rows = ReadBlock(*store_, kv(), {Value(int64_t{1})}, nullptr);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 9u);

@@ -567,7 +567,7 @@ class MaintenanceRoundTrips : public ::testing::Test {
     ZIDIAN_RETURN_NOT_OK(insert
                              ? store.ReadForInsert("mot_test", row, &update)
                              : store.ReadForDelete("mot_test", row, &update));
-    return store.Install(update);
+    return InstallCommit(cluster_.get(), &store, update);
   }
 
   std::unique_ptr<Workload> w_;

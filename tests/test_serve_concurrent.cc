@@ -11,10 +11,17 @@
 //  * the SharedPoolState growth-retires regression (use-after-free when a
 //    concurrent Execute raises `workers` mid-flight);
 //  * a read/write mix: write templates staging BaaV maintenance alongside
-//    readers and committing under the exclusive write gate, with post-run
-//    KBA-vs-baseline agreement;
+//    readers and committing under the Cluster storage gate's exclusive
+//    side, with post-run KBA-vs-baseline agreement;
 //  * the benchmark's update shape (a Delete then an Insert of one row)
-//    racing COUNT(*) reads: no read sees the update half applied;
+//    racing COUNT(*) reads, and two-round reads racing an update of both
+//    blocks they read: no read sees an update half applied; TaaV-fallback
+//    reads beside updates answer intact or fail cleanly, never hang;
+//  * reads beside commits, deterministically: a read whose two storage
+//    accesses straddle a commit restarts once and answers from after it;
+//    a read torn on every attempt fails after kMaxReadRestarts restarts;
+//    a commit never waits for a read's stall; a plan prepared before a
+//    commit that moved a degree stays correct;
 //  * a template whose second mutation fails writes nothing;
 //  * concurrent first prepares on a restored cluster, which all seed the
 //    store's degree counts (TSan checks the counts' lock);
@@ -28,8 +35,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,9 +52,11 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "ra/taav.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
 #include "storage/cluster.h"
+#include "storage/mem_backend.h"
 #include "test_support.h"
 #include "workloads/workload.h"
 #include "zidian/connection.h"
@@ -497,7 +512,7 @@ TEST_F(ServeConcurrentFixture, SharedPoolGrowthRacingExecutesIsSafe) {
 }
 
 // Write templates racing read sessions: their maintenance reads overlap
-// the readers, their commits take the exclusive write gate. After the run
+// the readers, their commits take the storage gate exclusive. After the run
 // both layouts must agree (KBA vs baseline differential) and every
 // admitted insert must be visible on both routes.
 TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
@@ -538,8 +553,8 @@ TEST_F(ServeConcurrentFixture, WriteMixKeepsLayoutsConsistent) {
   Server server(zidian_.get(), options);
   auto result = server.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // No write failed, so every admitted write committed.
   EXPECT_EQ(result->writes_admitted, expected_writes);
-  EXPECT_EQ(result->writes_committed, expected_writes);
   EXPECT_EQ(result->completed, result->offered);
   EXPECT_EQ(result->failed, 0u);
 
@@ -613,7 +628,7 @@ TEST_F(ServeConcurrentFixture, FailedTemplateLeavesBothLayoutsUnchanged) {
   EXPECT_EQ(result->completed, 0u);
   EXPECT_EQ(result->metrics.failed_queries, 1u);
   EXPECT_EQ(result->writes_admitted, 1u);
-  EXPECT_EQ(result->writes_committed, 0u);
+  // Nothing committed: every node holds what it held before.
   EXPECT_TRUE(NodePairs(*cluster_) == before);
   EXPECT_EQ(BothRoutes(zidian_.get(), sql), answers);
 }
@@ -691,9 +706,12 @@ TEST(ServeUpdates, ReadsNeverSeeAnUpdateHalfApplied) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->failed, 0u);
   EXPECT_EQ(result->completed, result->offered);
-  EXPECT_GT(result->writes_committed, 0u);
+  EXPECT_GT(result->writes_admitted, 0u);
   EXPECT_EQ(reads.load() + result->writes_admitted, result->completed);
   EXPECT_EQ(torn.load(), 0u) << "of " << reads.load() << " reads";
+  // One storage access per read: a commit never splits one.
+  EXPECT_EQ(result->metrics.read_restarts, 0u);
+  RecordProperty("read_restarts", int(result->metrics.read_restarts));
 
   // Both layouts hold every vehicle's latest rows.
   for (uint64_t v = 1; v <= kHot; ++v) {
@@ -709,6 +727,509 @@ TEST(ServeUpdates, ReadsNeverSeeAnUpdateHalfApplied) {
     expected.SortRows();
     EXPECT_EQ(kba, expected.ToString(1u << 20)) << sql;
   }
+}
+
+// ------------------------------------------- reads beside commits ---
+
+/// A storage node that reports the first access reaching it after Arm():
+/// the point at which a read holds the Cluster's storage gate shared.
+class SignalingBackend : public KvBackend {
+ public:
+  struct Signal {
+    std::atomic<bool> armed{false};
+    std::promise<void> fired;
+    void Arm() { armed.store(true); }
+    /// Whether an access came within 10 s (a test fails, never hangs).
+    bool Wait() {
+      return fired.get_future().wait_for(std::chrono::seconds(10)) ==
+             std::future_status::ready;
+    }
+  };
+
+  explicit SignalingBackend(Signal* signal) : signal_(signal) {}
+
+  std::string_view name() const override { return "signaling"; }
+  Status Put(std::string_view key, std::string_view value) override {
+    return inner_.Put(key, value);
+  }
+  Status Delete(std::string_view key) override { return inner_.Delete(key); }
+  Result<std::string> Get(std::string_view key) const override {
+    return inner_.Get(key);
+  }
+  void MultiGet(std::span<const BatchedKey> keys,
+                std::vector<std::optional<std::string>>* out) const override {
+    Fire();
+    inner_.MultiGet(keys, out);
+  }
+  std::unique_ptr<KvIterator> NewIterator() const override {
+    Fire();
+    return inner_.NewIterator();
+  }
+  void Clear() override { inner_.Clear(); }
+  size_t ApproximateBytes() const override {
+    return inner_.ApproximateBytes();
+  }
+  size_t NumLiveEntries() const override { return inner_.NumLiveEntries(); }
+
+ private:
+  void Fire() const {
+    if (signal_->armed.exchange(false)) signal_->fired.set_value();
+  }
+  Signal* signal_;
+  MemBackend inner_;
+};
+
+/// `nodes` signaling nodes behind a link of `rtt_us` per round trip.
+ClusterOptions SignalingClusterOptions(SignalingBackend::Signal* signal,
+                                       double rtt_us, int nodes = 4) {
+  ClusterOptions co{.num_storage_nodes = nodes};
+  co.backend_factory = [signal] {
+    return std::make_unique<SignalingBackend>(signal);
+  };
+  co.network.link = NetworkLinkOptions{.rtt_us = rtt_us};
+  return co;
+}
+
+std::string Sorted(Relation rows) {
+  rows.SortRows();
+  return rows.ToString(1u << 20);
+}
+
+/// The parity update: flips the low bit of one mot_test row's mileage and
+/// of its vehicle's engine size, as one write batch.
+struct ParityUpdate {
+  Tuple test, vehicle;  ///< the rows as stored
+  size_t mileage_col, engine_col;
+
+  ParityUpdate(const Workload& w, size_t test_row) {
+    const Relation& tests = w.data.at("mot_test");
+    const Relation& vehicles = w.data.at("vehicle");
+    test = tests.rows()[test_row];
+    const int64_t vid = test[size_t(tests.ColumnIndex("vehicle_id"))].AsInt();
+    vehicle = vehicles.rows()[size_t(vid - 1)];
+    mileage_col = size_t(tests.ColumnIndex("test_mileage"));
+    engine_col = size_t(vehicles.ColumnIndex("engine_cc"));
+  }
+  static Tuple Flip(Tuple t, size_t col) {
+    t[col] = Value(int64_t{t[col].AsInt() ^ 1});
+    return t;
+  }
+  /// mileage ^ engine size: what the update keeps.
+  int64_t Parity() const {
+    return (test[mileage_col].AsInt() ^ vehicle[engine_col].AsInt()) & 1;
+  }
+  /// Stages the update into the open batch of `z`.
+  Status Stage(Zidian& z) const {
+    ZIDIAN_RETURN_NOT_OK(z.Delete("mot_test", test));
+    ZIDIAN_RETURN_NOT_OK(z.Insert("mot_test", Flip(test, mileage_col)));
+    ZIDIAN_RETURN_NOT_OK(z.Delete("vehicle", vehicle));
+    return z.Insert("vehicle", Flip(vehicle, engine_col));
+  }
+  /// The rows as stored once a staged update committed.
+  void Advance() {
+    test = Flip(test, mileage_col);
+    vehicle = Flip(vehicle, engine_col);
+  }
+};
+
+/// Runs `sql` once while a commit of `update` lands between its first and
+/// its second storage access, which a 50 ms stall separates: the commit
+/// starts when the first access reaches a node and waits only for that
+/// access to finish. The attempt straddles the commit, so Execute runs it
+/// again once, and the answer is the one after the commit, with the
+/// counters of an unraced run.
+void ExpectStraddlingReadRestarts(const Workload& w, const std::string& sql,
+                                  const ParityUpdate& update,
+                                  ExecOptions opts) {
+  SignalingBackend::Signal signal;
+  Cluster cluster(SignalingClusterOptions(&signal, /*rtt_us=*/50000));
+  Zidian zidian(&w.catalog, &cluster, w.baav);
+  ASSERT_TRUE(zidian.LoadTaav(w.data).ok());
+  ASSERT_TRUE(zidian.BuildBaav(w.data).ok());
+  Connection conn = zidian.Connect();
+  auto query = conn.Prepare(sql);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  opts.bypass_cache = true;
+
+  AnswerInfo before_info;
+  auto before = query->Execute(opts, &before_info);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_GT(before->size(), 0u);
+  // Two storage accesses: two node batches under kSerial, two rounds
+  // otherwise.
+  ASSERT_EQ(opts.fanout == FanoutMode::kSerial
+                ? before_info.metrics.get_round_trips
+                : before_info.metrics.multiget_calls,
+            2u);
+
+  Zidian::WriteBatch batch(&zidian);
+  ASSERT_TRUE(update.Stage(zidian).ok());
+  signal.Arm();
+  AnswerInfo raced_info;
+  Result<Relation> raced = Relation();
+  std::thread reader([&] { raced = query->Execute(opts, &raced_info); });
+  EXPECT_TRUE(signal.Wait());
+  EXPECT_TRUE(batch.Commit().ok());
+  reader.join();
+
+  AnswerInfo after_info;
+  auto after = query->Execute(opts, &after_info);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_NE(Sorted(*before), Sorted(*after));
+  ASSERT_TRUE(raced.ok()) << raced.status().ToString();
+  EXPECT_EQ(Sorted(*raced), Sorted(*after));
+  EXPECT_EQ(raced_info.metrics.read_restarts, 1u);
+  EXPECT_EQ(after_info.metrics.read_restarts, 0u);
+  EXPECT_TRUE(CountersEqual(raced_info.metrics, after_info.metrics))
+      << "\n  raced: " << raced_info.metrics.ToString()
+      << "\n  after: " << after_info.metrics.ToString();
+}
+
+TEST(ReadsBesideCommits, TwoRoundReadStraddlingACommitRestarts) {
+  auto w = MakeMot(0.05, 17);
+  ASSERT_TRUE(w.ok());
+  const ParityUpdate update(*w, 0);
+  const int64_t test_id =
+      update.test[size_t(w->data.at("mot_test").ColumnIndex("test_id"))]
+          .AsInt();
+  // mot-q4's shape: the vehicle block's key is a column of the mot_test
+  // block, so the read takes two fetch rounds.
+  const std::string sql =
+      "SELECT t.test_mileage, v.engine_cc FROM mot_test t, vehicle v "
+      "WHERE t.vehicle_id = v.vehicle_id AND t.test_id = " +
+      std::to_string(test_id);
+  ExpectStraddlingReadRestarts(*w, sql, update, ExecOptions{});
+  // Four real workers: the epochs reach Execute through the per-worker
+  // metric merge.
+  ExpectStraddlingReadRestarts(
+      *w, sql, update,
+      ExecOptions{.workers = 4, .parallel_mode = ParallelMode::kThreads});
+}
+
+TEST(ReadsBesideCommits, SerialFanoutStraddlingACommitRestarts) {
+  auto w = MakeMot(0.05, 17);
+  ASSERT_TRUE(w.ok());
+  // A vehicle whose two q1 blocks sit on different nodes, so the serial
+  // fan-out stalls between them.
+  Cluster probe(ClusterOptions{.num_storage_nodes = 4});
+  BaavStore store(&probe, w->baav, &w->catalog);
+  const KvSchema* vehicle_kv = store.schema().Find("vehicle@vehicle_id");
+  const KvSchema* test_kv = store.schema().Find("mot_test@vehicle_id");
+  ASSERT_NE(vehicle_kv, nullptr);
+  ASSERT_NE(test_kv, nullptr);
+  const Relation& tests = w->data.at("mot_test");
+  const size_t vid_col = size_t(tests.ColumnIndex("vehicle_id"));
+  std::map<int64_t, std::vector<size_t>> rows_of;
+  for (size_t r = 0; r < tests.size(); ++r) {
+    rows_of[tests.rows()[r][vid_col].AsInt()].push_back(r);
+  }
+  int64_t vehicle = -1;
+  for (const auto& [v, rows] : rows_of) {
+    const Tuple key{Value(v)};
+    if (store.NodeForBlock(*vehicle_kv, key) !=
+        store.NodeForBlock(*test_kv, key)) {
+      vehicle = v;
+      break;
+    }
+  }
+  ASSERT_GE(vehicle, 0);
+  const ParityUpdate update(*w, rows_of.at(vehicle)[0]);
+  const std::string sql =
+      "SELECT t.test_mileage, v.engine_cc FROM vehicle v, mot_test t "
+      "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = " +
+      std::to_string(vehicle);
+  ExpectStraddlingReadRestarts(*w, sql, update,
+                               ExecOptions{.fanout = FanoutMode::kSerial});
+}
+
+/// Runs `read` on a thread and, once its first storage access is under
+/// way, commits one Put: returns how long the commit took.
+std::chrono::milliseconds CommitDuringRead(Cluster* cluster,
+                                           SignalingBackend::Signal* signal,
+                                           const std::function<void()>& read) {
+  signal->Arm();
+  std::thread reader(read);
+  EXPECT_TRUE(signal->Wait());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(cluster->Put("commit-during-read", "v").ok());
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  reader.join();
+  return took;
+}
+
+TEST(ReadsBesideCommits, ACommitNeverWaitsForAReadStall) {
+  // Every stall is 200 ms; a commit that waited for one would take that.
+  constexpr auto kBound = std::chrono::milliseconds(50);
+  for (FanoutMode fanout : {FanoutMode::kOverlapped, FanoutMode::kSerial}) {
+    SCOPED_TRACE(fanout == FanoutMode::kSerial ? "serial" : "overlapped");
+    SignalingBackend::Signal signal;
+    Cluster cluster(SignalingClusterOptions(&signal, /*rtt_us=*/200000));
+    std::vector<std::string> keys;
+    std::set<int> nodes;
+    for (int i = 0; nodes.size() < 2; ++i) {
+      keys.push_back("gate-key-" + std::to_string(i));
+      nodes.insert(cluster.NodeFor(keys.back()));
+      ASSERT_TRUE(cluster.Put(keys.back(), "value").ok());
+    }
+    const auto took = CommitDuringRead(&cluster, &signal, [&] {
+      QueryMetrics m;
+      MultiGetResult got = cluster.MultiGet(keys, &m, CacheFill::kFill, fanout);
+      EXPECT_TRUE(got.ok());
+      EXPECT_EQ(m.get_round_trips, 2u);
+    });
+    EXPECT_LT(took, kBound);
+  }
+
+  // The serial one-worker TaaV scan stalls once per tuple, after its scan.
+  SignalingBackend::Signal signal;
+  Cluster cluster(SignalingClusterOptions(&signal, /*rtt_us=*/200000, 2));
+  const TableSchema schema(
+      "t", {{"id", ValueType::kInt}, {"v", ValueType::kInt}}, {"id"});
+  Relation table({"id", "v"});
+  for (int64_t i = 0; i < 3; ++i) table.Add({Value(i), Value(i * 10)});
+  ASSERT_TRUE(TaavLoadRelation(&cluster, schema, table).ok());
+  const auto took = CommitDuringRead(&cluster, &signal, [&] {
+    QueryMetrics m;
+    auto rows = TaavScanTable(cluster, schema, "t", &m, nullptr, 1,
+                              FanoutMode::kSerial);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 3u);
+    EXPECT_EQ(m.get_calls, 3u);
+  });
+  EXPECT_LT(took, kBound);
+}
+
+TEST(ReadsBesideCommits, StalePlanStaysCorrectAfterADegreeMoves) {
+  auto w = MakeMot(0.05, 17);
+  ASSERT_TRUE(w.ok());
+  Cluster cluster(ClusterOptions{.num_storage_nodes = 4});
+  const KvSchema* kv = w->baav.Find("mot_test@vehicle_id");
+  ASSERT_NE(kv, nullptr);
+  uint64_t degree = 0;
+  {
+    Zidian builder(&w->catalog, &cluster, w->baav);
+    ASSERT_TRUE(builder.LoadTaav(w->data).ok());
+    ASSERT_TRUE(builder.BuildBaav(w->data).ok());
+    degree = builder.store().Degree(*kv).value();
+  }
+  // Bounded exactly at the built degree.
+  ZidianOptions zo;
+  zo.planner.bounded_degree_threshold = degree;
+  Zidian zidian(&w->catalog, &cluster, w->baav, zo);
+  const std::string sql =
+      "SELECT t.test_date, t.test_mileage FROM vehicle v, mot_test t "
+      "WHERE v.vehicle_id = t.vehicle_id AND v.vehicle_id = 3";
+  Connection conn = zidian.Connect();
+  auto stale = conn.Prepare(sql);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_TRUE(stale->Explain().bounded) << stale->Explain().plan_text;
+
+  // Commits that grow vehicle 3's block past the degree the plan saw.
+  const Relation& tests = w->data.at("mot_test");
+  Tuple extra = tests.rows()[0];
+  const size_t id_col = size_t(tests.ColumnIndex("test_id"));
+  extra[size_t(tests.ColumnIndex("vehicle_id"))] = Value(int64_t{3});
+  for (uint64_t i = 0; i <= degree; ++i) {
+    extra[id_col] = Value(int64_t(1000000 + i));
+    ASSERT_TRUE(zidian.Insert("mot_test", extra).ok());
+  }
+  EXPECT_GT(zidian.store().Degree(*kv).value(), degree);
+
+  auto fresh = conn.Prepare(sql);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(fresh->Explain().bounded);
+  auto stale_rows = stale->Execute();
+  auto fresh_rows = fresh->Execute();
+  auto base_rows =
+      fresh->Execute(ExecOptions{.route_policy = RoutePolicy::kForceBaseline});
+  ASSERT_TRUE(stale_rows.ok() && fresh_rows.ok() && base_rows.ok());
+  EXPECT_GT(stale_rows->size(), degree);
+  EXPECT_EQ(Sorted(*stale_rows), Sorted(*fresh_rows));
+  EXPECT_EQ(Sorted(*stale_rows), Sorted(*base_rows));
+}
+
+// A read whose every attempt straddles a commit stops after
+// kMaxReadRestarts restarts with a retryable kUnavailable, counted as a
+// failed query, instead of running for as long as commits keep landing.
+TEST(ReadsBesideCommits, AReadTornOnEveryAttemptFailsCleanly) {
+  auto w = MakeMot(0.05, 17);
+  ASSERT_TRUE(w.ok());
+  ClusterOptions co{.num_storage_nodes = 4};
+  co.network.link = NetworkLinkOptions{.rtt_us = 20000};
+  Cluster cluster(co);
+  Zidian zidian(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(zidian.LoadTaav(w->data).ok());
+  ASSERT_TRUE(zidian.BuildBaav(w->data).ok());
+  Connection conn = zidian.Connect();
+  // mot-q4's shape: two fetch rounds, a 20 ms stall apart.
+  auto query = conn.Prepare(
+      "SELECT t.test_mileage, v.engine_cc FROM mot_test t, vehicle v "
+      "WHERE t.vehicle_id = v.vehicle_id AND t.test_id = 1");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+
+  // A commit every millisecond, until the read returns or 10 s pass.
+  std::atomic<bool> done{false};
+  std::thread committer([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+      EXPECT_TRUE(cluster.Put("commit-tick", "v").ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  AnswerInfo info;
+  auto rows = query->Execute(ExecOptions{.bypass_cache = true}, &info);
+  done.store(true);
+  committer.join();
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsUnavailable()) << rows.status().ToString();
+  EXPECT_EQ(info.metrics.read_restarts, PreparedQuery::kMaxReadRestarts);
+  EXPECT_EQ(info.metrics.failed_queries, 1u);
+}
+
+/// What ServeParityReads saw.
+struct ParityServeRun {
+  ServeResult result;
+  uint64_t reads = 0;         ///< reads that answered
+  uint64_t torn = 0;          ///< answers that broke their key's parity
+  uint64_t max_restarts = 0;  ///< the most restarts one answered read took
+};
+
+/// Serves q4-shaped parity reads — a mot_test row and its vehicle's row —
+/// beside updates that flip the low bit of the test's mileage and of its
+/// vehicle's engine size in one batch, on 4 sessions over a link of
+/// `rtt_us` per round trip. Key k is the first test of vehicle k: distinct
+/// vehicles, so one key's update never moves another key's parity. Every
+/// answer must keep its key's parity, mileage ^ engine size; a read that
+/// took one row before a commit and the other after it would flip it.
+void ServeParityReads(double scale, double rtt_us, const ExecOptions& exec,
+                      double read_weight, int ops_per_stream,
+                      ParityServeRun* run) {
+  auto w = MakeMot(scale, 91);
+  ASSERT_TRUE(w.ok());
+  ClusterOptions co{.num_storage_nodes = 4};
+  co.network.link = NetworkLinkOptions{.rtt_us = rtt_us};
+  Cluster cluster(co);
+  Zidian zidian(&w->catalog, &cluster, w->baav);
+  ASSERT_TRUE(zidian.LoadTaav(w->data).ok());
+  ASSERT_TRUE(zidian.BuildBaav(w->data).ok());
+
+  constexpr uint64_t kHot = 4;
+  const Relation& tests = w->data.at("mot_test");
+  const size_t vid = size_t(tests.ColumnIndex("vehicle_id"));
+  const size_t tid = size_t(tests.ColumnIndex("test_id"));
+  std::map<uint64_t, ParityUpdate> hot;
+  std::map<uint64_t, int64_t> parity, test_ids;
+  for (size_t r = 0; r < tests.size() && hot.size() < kHot; ++r) {
+    const uint64_t v = uint64_t(tests.rows()[r][vid].AsInt());
+    if (v > kHot || hot.count(v)) continue;
+    hot.emplace(v, ParityUpdate(*w, r));
+    parity[v] = hot.at(v).Parity();
+    test_ids[v] = tests.rows()[r][tid].AsInt();
+  }
+  ASSERT_EQ(hot.size(), kHot);
+
+  ServeTemplate read;
+  read.name = "q4";
+  read.weight = read_weight;
+  read.sql = [&test_ids](uint64_t key) {
+    return "SELECT t.test_mileage, v.engine_cc FROM mot_test t, vehicle v "
+           "WHERE t.vehicle_id = v.vehicle_id AND t.test_id = " +
+           std::to_string(test_ids.at(key));
+  };
+  ServeTemplate update;
+  update.name = "update";
+  update.weight = 1;
+  // Writers run one at a time, so `hot` has one writer at a time, and
+  // readers never touch it.
+  update.write = [&hot](Zidian& z, const ServeOp& op) {
+    ParityUpdate& u = hot.at(op.key);
+    ZIDIAN_RETURN_NOT_OK(u.Stage(z));
+    u.Advance();
+    return Status::OK();
+  };
+
+  std::atomic<uint64_t> reads{0}, torn{0}, max_restarts{0};
+  ServeOptions options;
+  options.sessions = 4;
+  options.load.streams = 4;
+  options.load.ops_per_stream = ops_per_stream;
+  options.load.seed = 5;
+  options.load.zipf_keys = kHot;
+  options.load.mix = {read, update};
+  options.exec = exec;
+  options.on_result = [&](const ServeOp& op, const Relation& rows,
+                          const AnswerInfo& info) {
+    reads.fetch_add(1);
+    uint64_t seen = max_restarts.load();
+    while (info.metrics.read_restarts > seen &&
+           !max_restarts.compare_exchange_weak(seen,
+                                               info.metrics.read_restarts)) {
+    }
+    if (rows.size() != 1 ||
+        ((rows.rows()[0][0].AsInt() ^ rows.rows()[0][1].AsInt()) & 1) !=
+            parity.at(op.key)) {
+      torn.fetch_add(1);
+    }
+  };
+  Server server(&zidian, options);
+  auto result = server.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  run->result = std::move(*result);
+  run->reads = reads.load();
+  run->torn = torn.load();
+  run->max_restarts = max_restarts.load();
+}
+
+// The two-round variant of ReadsNeverSeeAnUpdateHalfApplied: the parity
+// read's rounds read the mot_test block and then the vehicle block. Each
+// round trip costs 2 ms, so commits land between the rounds, and those
+// reads run again.
+TEST(ServeUpdates, TwoRoundReadsNeverSeeAnUpdateHalfApplied) {
+  ParityServeRun run;
+  ServeParityReads(/*scale=*/0.2, /*rtt_us=*/2000, ExecOptions{},
+                   /*read_weight=*/3, /*ops_per_stream=*/60, &run);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(run.result.failed, 0u);
+  EXPECT_EQ(run.result.completed, run.result.offered);
+  EXPECT_GT(run.result.writes_admitted, 0u);
+  EXPECT_EQ(run.reads + run.result.writes_admitted, run.result.completed);
+  EXPECT_EQ(run.torn, 0u) << "of " << run.reads << " reads";
+  RecordProperty("read_restarts", int(run.result.metrics.read_restarts));
+  RecordProperty("max_read_restarts", int(run.max_restarts));
+  std::printf("[ restarts ] %llu attempts rerun over %llu two-round reads, "
+              "at most %llu for one read\n",
+              static_cast<unsigned long long>(run.result.metrics.read_restarts),
+              static_cast<unsigned long long>(run.reads),
+              static_cast<unsigned long long>(run.max_restarts));
+}
+
+// The TaaV fallback's parity read scans both tables, and each scan's
+// per-tuple stalls outlast the gap between the updates' commits, so most
+// attempts straddle one. Every read answers with its parity intact or,
+// once its restarts run out, fails cleanly — counted in failed_queries —
+// and the run ends.
+TEST(ServeUpdates, FallbackReadsBesideUpdatesAnswerOrFailCleanly) {
+  ParityServeRun run;
+  ServeParityReads(
+      /*scale=*/0.05, /*rtt_us=*/1000,
+      ExecOptions{.route_policy = RoutePolicy::kForceBaseline},
+      /*read_weight=*/0.1, /*ops_per_stream=*/100, &run);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(run.result.completed + run.result.failed, run.result.offered);
+  // Every write committed, so every failure is a read.
+  EXPECT_EQ(run.reads + run.result.writes_admitted, run.result.completed);
+  EXPECT_EQ(run.result.metrics.failed_queries, run.result.failed);
+  EXPECT_EQ(run.torn, 0u) << "of " << run.reads << " reads";
+  EXPECT_LE(run.max_restarts, PreparedQuery::kMaxReadRestarts);
+  RecordProperty("read_restarts", int(run.result.metrics.read_restarts));
+  RecordProperty("failed_reads", int(run.result.failed));
+  std::printf("[ restarts ] %llu attempts rerun over %llu answered and "
+              "%llu failed fallback reads\n",
+              static_cast<unsigned long long>(run.result.metrics.read_restarts),
+              static_cast<unsigned long long>(run.reads),
+              static_cast<unsigned long long>(run.result.failed));
 }
 
 // A Zidian over a restored cluster has never measured its instances'

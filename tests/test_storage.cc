@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -258,6 +259,29 @@ TEST_P(KvBackendContract, SaveLoadRoundTripAndClear) {
   kv.Clear();
   EXPECT_EQ(kv.NumLiveEntries(), 0u);
   std::remove(path.c_str());
+}
+
+TEST_P(KvBackendContract, TruncatedFileFailsToLoadAndLeavesTheNode) {
+  ScopedDir dir(std::string("truncated-") + std::string(backend_->name()));
+  const std::string path = dir.path() + "/node.kv";
+  KvBackend& kv = *backend_;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(kv.Put("key" + std::to_string(i), "val" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_TRUE(kv.SaveToFile(path).ok());
+  // The save renamed its temporary file over the target.
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+
+  Status st = kv.LoadFromFile(path);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(kv.NumLiveEntries(), 30u);
+  for (int i = 0; i < 30; ++i) {
+    auto got = kv.Get("key" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << i;
+    EXPECT_EQ(*got, "val" + std::to_string(i));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -34,7 +34,7 @@ inline Result<std::string> GetOne(const Cluster& cluster, std::string key,
 }
 
 /// One block through BaavStore::MultiGetBlocks: its rows, none when the
-/// key is absent.
+/// key is absent, or its status when it was unreachable.
 inline Result<std::vector<Tuple>> ReadBlock(const BaavStore& store,
                                             const KvSchema& kv,
                                             const Tuple& key,
@@ -43,7 +43,15 @@ inline Result<std::vector<Tuple>> ReadBlock(const BaavStore& store,
       std::vector<BaavStore::FetchedBlock> blocks,
       store.MultiGetBlocks({{&kv, &key}}, m, FanoutMode::kOverlapped,
                            nullptr));
+  ZIDIAN_RETURN_NOT_OK(blocks[0].status);
   return std::move(blocks[0].rows);
+}
+
+/// A BaaV maintenance install alone, as one commit of `cluster`.
+inline Status InstallCommit(Cluster* cluster, BaavStore* store,
+                            const BaavStore::Maintenance& update) {
+  return cluster->Write(
+      [&](Cluster::Writer& w) { return store->Install(update, w); });
 }
 
 /// One node's key/value pairs, in key order.
